@@ -16,6 +16,7 @@ probes are scheduled across workers.
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import rng
 from .collision_kernel import CollisionBranch
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import InvalidRestitution, SingularRestitution
+from .errors import InvalidRestitution, NonFiniteEstimate, SingularRestitution
 
 _CHUNK = 1 << 15
 
@@ -93,6 +94,18 @@ class MomentRates:
     energy: RateEstimate
 
 
+def _estimate(value: float, std_error: float) -> RateEstimate:
+    """RateEstimate, or NonFiniteEstimate (a numerical failure) on overflow or NaN."""
+    if not (np.isfinite(value) and np.isfinite(std_error)):
+        raise NonFiniteEstimate(
+            f"rate estimate is not finite: {value!r} +/- {std_error!r}")
+    return RateEstimate(value=value, std_error=std_error)
+
+
+def _workers(threads: int, tasks: int) -> int:
+    return min(threads, tasks, os.cpu_count() or 1)
+
+
 def _unit_sphere(generator: np.random.Generator, count: int) -> np.ndarray:
     raw = generator.standard_normal((count, 3))
     norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
@@ -147,16 +160,17 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
         sq_sums.append(float(np.sum(integrand * integrand)))
     mean, sem = _mean_and_sem(sums, sq_sums, spec.samples)
     weight = f.grid.hull_volume * 4.0 * np.pi * spec.cross_section
-    return RateEstimate(value=weight * mean, std_error=weight * sem)
+    return _estimate(weight * mean, weight * sem)
 
 
 def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
                    threads: int = 1) -> list[RateEstimate]:
     """evaluate_at over many probes; bitwise equal at any worker count."""
     nodes = [np.asarray(node, dtype=np.float64).reshape(3) for node in nodes]
-    if threads <= 1 or len(nodes) <= 1:
+    workers = _workers(threads, len(nodes))
+    if workers <= 1:
         return [evaluate_at(f, node, spec) for node in nodes]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda node: evaluate_at(f, node, spec), nodes))
 
 
@@ -192,17 +206,18 @@ def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec,
     """
     sizes = _chunk_sizes(spec.samples)
     tasks = list(enumerate(sizes))
-    if threads <= 1 or len(tasks) <= 1:
+    workers = _workers(threads, len(tasks))
+    if workers <= 1:
         partials = [_moment_chunk(f, spec, i, s) for i, s in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(lambda t: _moment_chunk(f, spec, t[0], t[1]), tasks))
     weight = f.grid.hull_volume**2 * 4.0 * np.pi * spec.cross_section
     estimates = []
     for component in range(5):
         mean, sem = _mean_and_sem([p[0, component] for p in partials],
                                   [p[1, component] for p in partials], spec.samples)
-        estimates.append(RateEstimate(value=weight * mean, std_error=weight * sem))
+        estimates.append(_estimate(weight * mean, weight * sem))
     return MomentRates(density=estimates[0],
                        momentum=(estimates[1], estimates[2], estimates[3]),
                        energy=estimates[4])

@@ -9,17 +9,26 @@ quadrature kernel (1/4) d^2 |g . n| integrated over the full sphere.
 
 The majorant in force at each step is max(2 * max particle speed, config
 majorant); a collision chain that pushes a relative speed above it aborts
-the step, which is retried with the majorant doubled. Collisions mutate the
-pair velocities sequentially in sample order, and every draw comes from a
-stream keyed by (seed, step index), so a run is bit-reproducible and any
+the step, which is retried with the majorant doubled. Every draw comes from
+a stream keyed by (seed, step index), so a run is bit-reproducible and any
 step can be recomputed in isolation.
+
+A step's candidates are drawn up front and run in dependency waves: a
+candidate's wave is 1 + the largest wave of any earlier candidate sharing
+one of its particles. Candidates on disjoint particles commute, and each one
+runs after every earlier candidate it shares a particle with, accepted or
+not, so it reads the velocities that a one-by-one sweep in draw order would
+give it. Each wave is one numpy pass using the same IEEE operation order as
+that sweep, which makes the two bit-identical. A pierced majorant is caught
+before the wave that reads it writes anything, and the earlier waves are
+undone from a journal, so the whole attempt is discarded as in the sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -112,9 +121,11 @@ def sample_maxwellian_ensemble(count: int, species: Species, density: float,
 
 def ensemble_moments(ensemble: ParticleEnsemble, volume: float = 1.0) -> EnsembleMoments:
     """Per-volume density, momentum, kinetic energy, and granular temperature (K)."""
-    v = ensemble.velocities
-    w = ensemble.statistical_weight
-    m = ensemble.species.mass
+    return _moments(ensemble.velocities, ensemble.species.mass,
+                    ensemble.statistical_weight, volume)
+
+
+def _moments(v: np.ndarray, m: float, w: float, volume: float) -> EnsembleMoments:
     n = v.shape[0]
     density = n * w / volume
     momentum = m * w * np.sum(v, axis=0) / volume
@@ -126,134 +137,130 @@ def ensemble_moments(ensemble: ParticleEnsemble, volume: float = 1.0) -> Ensembl
                            kinetic_energy=kinetic, temperature=temperature)
 
 
-class _State:
-    """Mutable velocity columns plus an upper bound on the max squared speed.
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products of (m, 3) arrays, summed x + y + z left to right."""
+    p = a * b
+    return p[:, 0] + p[:, 1] + p[:, 2]
 
-    Columns are plain Python lists: the collision loop is scalar-dominated
-    and list indexing beats ndarray item access by a wide margin.
+
+def _wave_schedule(first: np.ndarray, second: np.ndarray, n: int) -> list[np.ndarray]:
+    """Candidate indices grouped into dependency waves, earliest wave first.
+
+    A candidate's wave is 1 + the largest wave of any earlier candidate that
+    shares one of its particles (Kahn layering: each round takes the remaining
+    candidates that are the earliest remaining user of both their particles).
+    So no particle occurs twice in a wave, and every candidate runs after the
+    earlier candidates it shares a particle with.
     """
+    unowned = first.size
+    owner = np.full(n, unowned)
+    remaining = np.arange(first.size)
+    i, j = first, second
+    waves = []
+    while remaining.size:
+        np.minimum.at(owner, i, remaining)
+        np.minimum.at(owner, j, remaining)
+        ready = (owner[i] == remaining) & (owner[j] == remaining)
+        waves.append(remaining[ready])
+        owner[i] = unowned
+        owner[j] = unowned
+        later = ~ready
+        remaining, i, j = remaining[later], i[later], j[later]
+    return waves
 
-    def __init__(self, velocities: np.ndarray):
-        self.vx = velocities[:, 0].tolist()
-        self.vy = velocities[:, 1].tolist()
-        self.vz = velocities[:, 2].tolist()
-        self.count = velocities.shape[0]
-        self.refresh_bound()
 
-    def refresh_bound(self) -> None:
-        arr = self.as_array()
-        self.bound_sq = float(np.max(np.sum(arr * arr, axis=1)))
+def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig,
+                  species: Species, weight: float, volume: float,
+                  generator: np.random.Generator, majorant: float) -> float | None:
+    """One candidate sweep on v in place; the new speed bound, or None if pierced.
 
-    def as_array(self) -> np.ndarray:
-        return np.column_stack([self.vx, self.vy, self.vz])
-
-
-def _attempt_step(state: _State, config: DsmcConfig, species: Species,
-                  weight: float, volume: float,
-                  generator: np.random.Generator, majorant: float) -> bool:
-    """One candidate sweep in place; False if the majorant was pierced.
-
-    Accepted collisions are journaled with their pre-collision velocities so
-    a pierced attempt can be unwound exactly instead of copying the whole
-    ensemble every step.
+    Accepted collisions are journaled wave by wave with their pre-collision
+    velocities, so a pierced attempt is unwound exactly instead of copying
+    the whole ensemble every step.
     """
-    n = state.count
+    n = v.shape[0]
     expected = (0.5 * n * (n - 1) * weight * math.pi * species.diameter**2
                 * majorant * config.dt / volume)
     n_candidates = int(math.floor(expected + generator.uniform()))
     if n_candidates == 0:
-        return True
+        return bound_sq
     first = generator.integers(0, n, n_candidates)
     second = generator.integers(0, n - 1, n_candidates)
     second = second + (second >= first)
     normals = generator.standard_normal((n_candidates, 3))
     uniforms = generator.uniform(0.0, 1.0, n_candidates)
-    first_l = first.tolist()
-    second_l = second.tolist()
-    nx_l, ny_l, nz_l = (normals[:, 0].tolist(), normals[:, 1].tolist(),
-                        normals[:, 2].tolist())
-    u_l = uniforms.tolist()
-    vx, vy, vz = state.vx, state.vy, state.vz
+    norms = np.sqrt(_dot3(normals, normals))
+    usable = norms >= 1e-300
+    norms[~usable] = 1.0  # never accepted; keeps the division quiet
+    thresholds = uniforms * majorant
     factor = 0.5 * config.branch.normal_factor(config.epsilon)
     majorant_sq = majorant * majorant
-    bound_sq = state.bound_sq
     journal: list[tuple] = []
-    sqrt = math.sqrt
-    for k in range(n_candidates):
-        i = first_l[k]
-        j = second_l[k]
-        gx = vx[j] - vx[i]
-        gy = vy[j] - vy[i]
-        gz = vz[j] - vz[i]
-        g_sq = gx * gx + gy * gy + gz * gz
-        if g_sq > majorant_sq:
-            for i, j, x1, y1, z1, x2, y2, z2 in reversed(journal):
-                vx[i] = x1
-                vy[i] = y1
-                vz[i] = z1
-                vx[j] = x2
-                vy[j] = y2
-                vz[j] = z2
-            return False
-        nx = nx_l[k]
-        ny = ny_l[k]
-        nz = nz_l[k]
-        norm = sqrt(nx * nx + ny * ny + nz * nz)
-        if norm < 1e-300:
+    for wave in _wave_schedule(first, second, n):
+        i = first[wave]
+        j = second[wave]
+        vi = v.take(i, axis=0)
+        vj = v.take(j, axis=0)
+        g = vj - vi
+        if np.any(_dot3(g, g) > majorant_sq):
+            for accepted_i, accepted_j, old_i, old_j in reversed(journal):
+                v[accepted_i] = old_i
+                v[accepted_j] = old_j
+            return None
+        nw = normals.take(wave, axis=0)
+        gn = _dot3(g, nw) / norms[wave]
+        hit = np.flatnonzero(usable[wave] & ~(thresholds[wave] >= np.abs(gn)))
+        if hit.size == 0:
             continue
-        gn = (gx * nx + gy * ny + gz * nz) / norm
-        if u_l[k] * majorant >= abs(gn):
-            continue
-        journal.append((i, j, vx[i], vy[i], vz[i], vx[j], vy[j], vz[j]))
-        impulse = factor * gn / norm
-        ix = impulse * nx
-        iy = impulse * ny
-        iz = impulse * nz
-        wx1 = vx[i] + ix
-        wy1 = vy[i] + iy
-        wz1 = vz[i] + iz
-        wx2 = vx[j] - ix
-        wy2 = vy[j] - iy
-        wz2 = vz[j] - iz
-        vx[i] = wx1
-        vy[i] = wy1
-        vz[i] = wz1
-        vx[j] = wx2
-        vy[j] = wy2
-        vz[j] = wz2
-        s1 = wx1 * wx1 + wy1 * wy1 + wz1 * wz1
-        if s1 > bound_sq:
-            bound_sq = s1
-        s2 = wx2 * wx2 + wy2 * wy2 + wz2 * wz2
-        if s2 > bound_sq:
-            bound_sq = s2
-    state.bound_sq = bound_sq
-    return True
+        i = i[hit]
+        j = j[hit]
+        vi = vi.take(hit, axis=0)
+        vj = vj.take(hit, axis=0)
+        journal.append((i, j, vi, vj))
+        impulse = (factor * gn[hit] / norms[wave[hit]])[:, None] * nw.take(hit, axis=0)
+        w1 = vi + impulse
+        w2 = vj - impulse
+        v[i] = w1
+        v[j] = w2
+        bound_sq = max(bound_sq, float(np.max(_dot3(w1, w1))),
+                       float(np.max(_dot3(w2, w2))))
+    return bound_sq
 
 
-def _step_state(state: _State, config: DsmcConfig, species: Species,
-                weight: float, volume: float, step_index: int) -> None:
-    generator = rng.stream(config.seed, "dsmc-step", step_index)
-    majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(state.bound_sq))
-    for _ in range(_MAJORANT_RETRIES):
-        if _attempt_step(state, config, species, weight, volume, generator, majorant):
-            return
-        majorant *= 2.0
-    raise MajorantExceeded(
-        f"relative speed still above majorant after {_MAJORANT_RETRIES} doublings")
+def _advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
+             on_step: Callable[[int, np.ndarray], None] | None = None
+             ) -> ParticleEnsemble:
+    """The ensemble after the steps in indices; on_step(index, v) after each."""
+    if ensemble.count < 2 and len(indices):
+        raise ValueError("need at least 2 particles to step")
+    v = np.array(ensemble.velocities)
+    weight = ensemble.statistical_weight
+    volume = ensemble.count * weight / config.number_density
+    for index in indices:
+        if index == indices.start or index % _BOUND_REFRESH_STEPS == 0:
+            bound_sq = float(np.max(np.sum(v * v, axis=1)))
+        generator = rng.stream(config.seed, "dsmc-step", index)
+        majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(bound_sq))
+        for _ in range(_MAJORANT_RETRIES):
+            swept = _attempt_step(v, bound_sq, config, ensemble.species, weight,
+                                  volume, generator, majorant)
+            if swept is not None:
+                break
+            majorant *= 2.0
+        else:
+            raise MajorantExceeded(
+                f"relative speed still above majorant after {_MAJORANT_RETRIES} doublings")
+        bound_sq = swept
+        if on_step is not None:
+            on_step(index, v)
+    return ParticleEnsemble(velocities=v, species=ensemble.species,
+                            statistical_weight=weight)
 
 
 def step(ensemble: ParticleEnsemble, config: DsmcConfig,
          step_index: int = 0) -> ParticleEnsemble:
     """Advance one step; pure function of (ensemble, config, step_index)."""
-    if ensemble.count < 2:
-        raise ValueError("need at least 2 particles to step")
-    state = _State(ensemble.velocities)
-    volume = ensemble.count * ensemble.statistical_weight / config.number_density
-    _step_state(state, config, ensemble.species, ensemble.statistical_weight,
-                volume, step_index)
-    return ParticleEnsemble(velocities=state.as_array(), species=ensemble.species,
-                            statistical_weight=ensemble.statistical_weight)
+    return _advance(ensemble, config, range(step_index, step_index + 1))
 
 
 def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
@@ -266,50 +273,25 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    if ensemble.count < 2 and n_steps > 0:
-        raise ValueError("need at least 2 particles to step")
-    state = _State(ensemble.velocities)
+    mass = ensemble.species.mass
     weight = ensemble.statistical_weight
     volume = ensemble.count * weight / config.number_density
-    species = ensemble.species
-    rows = [_sample_row(0.0, state, species, weight, volume)]
-    for index in range(n_steps):
-        if index and index % _BOUND_REFRESH_STEPS == 0:
-            state.refresh_bound()
-        _step_state(state, config, species, weight, volume, index)
+
+    def row(t: float, v: np.ndarray) -> list[float]:
+        m = _moments(v, mass, weight, volume)
+        return [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
+
+    rows = [row(0.0, ensemble.velocities)]
+
+    def sample(index: int, v: np.ndarray) -> None:
         if (index + 1) % sample_every == 0:
-            t = (index + 1) * config.dt
-            rows.append(_sample_row(t, state, species, weight, volume))
+            rows.append(row((index + 1) * config.dt, v))
+
+    _advance(ensemble, config, range(n_steps), sample)
     return np.array(rows)
 
 
 def final_ensemble(ensemble: ParticleEnsemble, config: DsmcConfig,
                    n_steps: int) -> ParticleEnsemble:
     """State after n_steps, without sampling overhead."""
-    state = _State(ensemble.velocities)
-    weight = ensemble.statistical_weight
-    volume = ensemble.count * weight / config.number_density
-    for index in range(n_steps):
-        if index and index % _BOUND_REFRESH_STEPS == 0:
-            state.refresh_bound()
-        _step_state(state, config, ensemble.species, weight, volume, index)
-    return ParticleEnsemble(velocities=state.as_array(), species=ensemble.species,
-                            statistical_weight=weight)
-
-
-def _sample_row(t: float, state: _State, species: Species, weight: float,
-                volume: float) -> list[float]:
-    arr = state.as_array()
-    snapshot = ParticleEnsemble(velocities=arr, species=species,
-                                statistical_weight=weight)
-    m = ensemble_moments(snapshot, volume=volume)
-    return [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
-
-
-def write_timeseries(path, series: np.ndarray) -> None:
-    """CSV rows t,density,px,py,pz,temperature with round-trip floats."""
-    lines = ["t,density,px,py,pz,temperature"]
-    for row in np.asarray(series, dtype=np.float64):
-        lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return _advance(ensemble, config, range(n_steps))

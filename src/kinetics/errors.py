@@ -33,6 +33,10 @@ class MajorantExceeded(KineticsError):
     """Relative-speed majorant exceeded after the bounded number of retries."""
 
 
+class NonFiniteEstimate(KineticsError):
+    """Monte Carlo estimate overflowed or became NaN."""
+
+
 class ConfigError(KineticsError):
     """Base class for run-configuration errors."""
 

@@ -100,6 +100,24 @@ def test_runtime_validation_failure_leaves_no_partial_outputs(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_numerical_failure_exits_2_without_outputs(tmp_path):
+    # a valid config whose rate estimate overflows: numerical, not config
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps({
+        "subcommand": "operator",
+        "output_dir": str(out_dir),
+        "parameters": {"vmax": 4.0, "nodes_per_axis": 41,
+                       "distribution": {"kind": "maxwellian", "density": 1e300},
+                       "mass": 1.380649e-23, "samples": 2000,
+                       "probes": [[0.0, 0.0, 0.0]]},
+    }))
+    assert cli.main(["operator", "--config", str(config_path)]) == 2
+    assert not out_dir.exists()
+
+
 def test_operator_deterministic_across_thread_counts(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

@@ -1,9 +1,12 @@
 """Monte Carlo collision-term estimator against independent oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from conftest import UNIT_MASS
+from kinetics import collision_operator
 from kinetics.claim_audit import equilibrium_ray_probes
 from kinetics.collision_kernel import CollisionBranch
 from kinetics.collision_operator import (
@@ -18,7 +21,11 @@ from kinetics.collision_operator import (
     write_rate_table,
 )
 from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
-from kinetics.errors import InvalidRestitution, SingularRestitution
+from kinetics.errors import (
+    InvalidRestitution,
+    NonFiniteEstimate,
+    SingularRestitution,
+)
 
 
 def spec_with(**overrides) -> QuadratureSpec:
@@ -159,6 +166,42 @@ def test_rate_estimate_validation_and_spec_errors():
         spec_with(epsilon=0.0)
     with pytest.raises(InvalidRestitution):
         spec_with(epsilon=1.2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflowing_estimate_is_a_numerical_failure():
+    assert not issubclass(NonFiniteEstimate, ValueError)
+    grid = VelocityGrid(vmax=4.0, nodes_per_axis=41)
+    f = maxwellian(grid, 1e300, (0, 0, 0), 1.0, UNIT_MASS)
+    with pytest.raises(NonFiniteEstimate):
+        evaluate_at(f, (0.0, 0.0, 0.0), spec_with(samples=2000))
+    with pytest.raises(NonFiniteEstimate):
+        moment_rates(f, spec_with(samples=2000))
+
+
+def test_worker_threads_clamped_to_tasks_and_cores(monkeypatch):
+    requested = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(collision_operator, "ThreadPoolExecutor", RecordingPool)
+    grid = VelocityGrid(vmax=4.5, nodes_per_axis=29)
+    f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
+    probes = [(0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5)]
+    three_chunks = spec_with(samples=2 * collision_operator._CHUNK + 1)
+    monkeypatch.setattr(collision_operator.os, "cpu_count", lambda: 2)
+    evaluate_field(f, probes, spec_with(samples=100), threads=64)
+    moment_rates(f, three_chunks, threads=64)
+    assert requested == [2, 2]
+    monkeypatch.setattr(collision_operator.os, "cpu_count", lambda: 16)
+    evaluate_field(f, probes, spec_with(samples=100), threads=64)
+    moment_rates(f, three_chunks, threads=64)
+    evaluate_field(f, probes[:1], spec_with(samples=100), threads=64)
+    assert requested == [2, 2, 3, 3]
 
 
 def test_rate_table_csv_round_trip(tmp_path):

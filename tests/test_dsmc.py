@@ -1,10 +1,14 @@
 """Particle-gas oracle: sampling, conservation, cooling, determinism."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import UNIT_MASS, fit_cooling_exponent
-from kinetics import dsmc
+from kinetics import cli, dsmc
 from kinetics.collision_kernel import CollisionBranch, Species
 from kinetics.errors import MajorantExceeded
 
@@ -142,14 +146,52 @@ def test_config_and_ensemble_validation():
 
 
 def test_timeseries_csv(tmp_path):
-    ensemble = dsmc.sample_maxwellian_ensemble(200, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=12)
-    series = dsmc.run(ensemble, config_with(dt=0.05), 10, sample_every=5)
-    path = tmp_path / "timeseries.csv"
-    dsmc.write_timeseries(path, series)
-    lines = path.read_text().strip().split("\n")
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "subcommand": "dsmc", "seed": 12, "output_dir": str(out_dir),
+        "parameters": {"particles": 200, "steps": 10, "sample_every": 5,
+                       "dt": 0.05, "mass": UNIT_MASS},
+    }))
+    assert cli.main(["dsmc", "--config", str(config_path)]) == 0
+    lines = (out_dir / "timeseries.csv").read_text().strip().split("\n")
     assert lines[0] == "t,density,px,py,pz,temperature"
-    assert len(lines) == 1 + series.shape[0]
     parsed = np.array([[float(cell) for cell in line.split(",")]
                        for line in lines[1:]])
-    np.testing.assert_array_equal(parsed, series)
+    ensemble = dsmc.sample_maxwellian_ensemble(200, SPECIES, 1.0, (0, 0, 0),
+                                               1.0, seed=12)
+    series = dsmc.run(ensemble, config_with(dt=0.05, seed=12), 10, sample_every=5)
+    assert parsed.shape == series.shape
+    np.testing.assert_array_equal(parsed.view(np.uint64), series.view(np.uint64))
+
+
+@st.composite
+def candidate_lists(draw):
+    """(n, first, second) drawn the way a DSMC step draws its candidates."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+                          max_size=40))
+    first = np.array([a for a, _ in pairs], dtype=np.int64)
+    second = np.array([b + (b >= a) for a, b in pairs], dtype=np.int64)
+    return n, first, second
+
+
+@settings(deadline=None, max_examples=300)
+@given(candidate_lists())
+def test_wave_schedule_orders_candidates_that_share_a_particle(candidates):
+    n, first, second = candidates
+    waves = dsmc._wave_schedule(first, second, n)
+    assert all(wave.size for wave in waves)
+    scheduled = np.concatenate(waves) if waves else np.array([], dtype=np.int64)
+    np.testing.assert_array_equal(np.sort(scheduled), np.arange(first.size))
+    wave_of = np.empty(first.size, dtype=np.int64)
+    for number, wave in enumerate(waves):
+        wave_of[wave] = number
+        touched = np.concatenate((first[wave], second[wave]))
+        assert np.unique(touched).size == touched.size
+    for later in range(first.size):
+        shared = [earlier for earlier in range(later)
+                  if {first[earlier], second[earlier]} & {first[later], second[later]}]
+        assert all(wave_of[earlier] < wave_of[later] for earlier in shared)
+        # as early as possible: right after the latest candidate it depends on
+        assert wave_of[later] == 1 + max((wave_of[e] for e in shared), default=-1)
