@@ -86,6 +86,20 @@ def _validate_restitution(epsilon: float) -> float:
     return epsilon
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of (..., 3) arrays.
+
+    Bit-equal to ``np.sum(a * b, axis=-1)``, which adds x, y and z in turn to
+    0.0 (so a row of -0.0 products gives +0.0), without the per-row cost of a
+    reduction over a length-3 axis.
+    """
+    p = a * b
+    s = 0.0 + p[..., 0]
+    s += p[..., 1]
+    s += p[..., 2]
+    return s
+
+
 def transform_velocities(v1, v2, n, epsilon: float, branch: CollisionBranch,
                          m1: float, m2: float):
     """Unvalidated, broadcastable collision rule on (..., 3) velocity arrays.

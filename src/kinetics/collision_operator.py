@@ -16,6 +16,7 @@ probes are scheduled across workers.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch
+from .collision_kernel import CollisionBranch, _dot3
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
 from .errors import InvalidRestitution, NonFiniteEstimate, SingularRestitution
 
@@ -108,7 +109,7 @@ def _workers(threads: int, tasks: int) -> int:
 
 def _unit_sphere(generator: np.random.Generator, count: int) -> np.ndarray:
     raw = generator.standard_normal((count, 3))
-    norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
+    norm = np.sqrt(_dot3(raw, raw))[:, None]
     return raw / np.maximum(norm, 1e-300)
 
 
@@ -119,12 +120,34 @@ def _chunk_sizes(total: int) -> list[int]:
     return sizes
 
 
-def _mean_and_sem(sums: list[float], sq_sums: list[float], total: int) -> tuple[float, float]:
-    mean = float(np.sum(sums)) / total
+def _sum_and_m2(samples: np.ndarray) -> np.ndarray:
+    """Sums, and squared deviations from the mean (M2), along the last axis."""
+    sums = np.sum(samples, axis=-1)
+    deviations = samples - (sums / samples.shape[-1])[..., None]
+    return np.stack([sums, np.sum(deviations * deviations, axis=-1)])
+
+
+def _mean_and_sem(sizes: list[int], sums: list[float],
+                  m2s: list[float]) -> tuple[float, float]:
+    """Mean and standard error from per-chunk sample counts, sums and M2s.
+
+    The mean is the sum of the chunk sums over the sample count. The M2s are
+    merged in chunk order with the update of Chan, Golub & LeVeque (1979),
+    which, unlike sum(x^2) - n mean^2, does not cancel when |mean| dwarfs the
+    spread.
+    """
+    total = sum(sizes)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in _estimate
+        mean = float(np.sum(sums)) / total
     if total < 2:
         return mean, 0.0
-    var = (float(np.sum(sq_sums)) - total * mean * mean) / (total - 1)
-    return mean, float(np.sqrt(max(var, 0.0) / total))
+    count, centre, m2 = 0, 0.0, 0.0
+    for size, chunk_sum, chunk_m2 in zip(sizes, sums, m2s):
+        delta = float(chunk_sum) / size - centre
+        count += size
+        m2 += float(chunk_m2) + delta * delta * ((count - size) * size / count)
+        centre += delta * (size / count)
+    return mean, math.sqrt(m2 / (total - 1) / total)
 
 
 def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):
@@ -134,7 +157,7 @@ def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):
     broadcastable over (..., 3) arrays.
     """
     factor = 0.5 * branch.normal_factor(1.0 / epsilon)
-    gn = np.sum((v1 - v) * n, axis=-1, keepdims=True)
+    gn = _dot3(v1 - v, n)[..., None]
     return v + factor * gn * n, v1 - factor * gn * n
 
 
@@ -147,18 +170,19 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
     vmax = f.grid.vmax
     gain = spec.normalization.gain_factor(spec.epsilon)
     f_probe = interpolate(f, v)
-    sums: list[float] = []
-    sq_sums: list[float] = []
-    for size in _chunk_sizes(spec.samples):
+    sizes = _chunk_sizes(spec.samples)
+    stats = []
+    for size in sizes:
         v1 = generator.uniform(-vmax, vmax, (size, 3))
         n = _unit_sphere(generator, size)
         pre_a, pre_b = pre_collision_pair(v[None, :], v1, n, spec.epsilon, spec.branch)
-        gn = np.sum((v[None, :] - v1) * n, axis=1)
-        integrand = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
-                     - f_probe * interpolate_many(f, v1)) * np.abs(gn)
-        sums.append(float(np.sum(integrand)))
-        sq_sums.append(float(np.sum(integrand * integrand)))
-    mean, sem = _mean_and_sem(sums, sq_sums, spec.samples)
+        gn = _dot3(v[None, :] - v1, n)
+        # an overflowing f ends in NonFiniteEstimate below, not in warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
+                         - f_probe * interpolate_many(f, v1)) * np.abs(gn)
+            stats.append(_sum_and_m2(integrand))
+    mean, sem = _mean_and_sem(sizes, [s[0] for s in stats], [s[1] for s in stats])
     weight = f.grid.hull_volume * 4.0 * np.pi * spec.cross_section
     return _estimate(weight * mean, weight * sem)
 
@@ -176,24 +200,26 @@ def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
 
 def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, chunk_index: int,
                   size: int) -> np.ndarray:
-    """Sums and square-sums of the five weak-form integrands for one chunk."""
+    """Sums and M2s of the five weak-form integrands for one chunk, shape (2, 5)."""
     generator = rng.stream(spec.seed, "operator-moments", chunk_index)
     vmax = f.grid.vmax
     v = generator.uniform(-vmax, vmax, (size, 3))
     v1 = generator.uniform(-vmax, vmax, (size, 3))
     n = _unit_sphere(generator, size)
-    gn = np.sum((v1 - v) * n, axis=1)
-    base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
+    gn = _dot3(v1 - v, n)
     ge2 = spec.normalization.gain_factor(spec.epsilon) * spec.epsilon**2
     mass = spec.mass
     mu = 0.5 * mass
     delta_e = 0.5 * (1.0 - spec.epsilon**2) * mu * gn * gn
-    pair_ke = 0.5 * mass * (np.sum(v * v, axis=1) + np.sum(v1 * v1, axis=1))
+    pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
     integrands = np.empty((5, size))
-    integrands[0] = base * (2.0 * ge2 - 2.0)
-    integrands[1:4] = (base * (ge2 - 1.0) * mass) * (v + v1).T
-    integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
-    return np.stack([np.sum(integrands, axis=1), np.sum(integrands**2, axis=1)])
+    # an overflowing f ends in NonFiniteEstimate in moment_rates, not in warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
+        integrands[0] = base * (2.0 * ge2 - 2.0)
+        integrands[1:4] = (base * (ge2 - 1.0) * mass) * (v + v1).T
+        integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
+        return _sum_and_m2(integrands)
 
 
 def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec,
@@ -215,73 +241,9 @@ def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec,
     weight = f.grid.hull_volume**2 * 4.0 * np.pi * spec.cross_section
     estimates = []
     for component in range(5):
-        mean, sem = _mean_and_sem([p[0, component] for p in partials],
-                                  [p[1, component] for p in partials], spec.samples)
+        mean, sem = _mean_and_sem(sizes, [p[0, component] for p in partials],
+                                  [p[1, component] for p in partials])
         estimates.append(_estimate(weight * mean, weight * sem))
     return MomentRates(density=estimates[0],
                        momentum=(estimates[1], estimates[2], estimates[3]),
                        energy=estimates[4])
-
-
-def _angle_grid(n_cos: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint product rule on (cos theta, phi); weights sum to 4 pi."""
-    cos_t = -1.0 + (np.arange(n_cos) + 0.5) * (2.0 / n_cos)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    cos_g, phi_g = np.meshgrid(cos_t, phi, indexing="ij")
-    sin_g = np.sqrt(1.0 - cos_g**2)
-    directions = np.stack([sin_g * np.cos(phi_g), sin_g * np.sin(phi_g), cos_g],
-                          axis=-1).reshape(-1, 3)
-    weights = np.full(directions.shape[0], (2.0 / n_cos) * (2.0 * np.pi / n_phi))
-    return directions, weights
-
-
-def brute_force_rate(f: DiscreteDistribution, v, spec: QuadratureSpec,
-                     v1_nodes_per_axis: int = 8, n_cos: int = 8, n_phi: int = 8) -> float:
-    """Deterministic product-grid quadrature of the same integrand.
-
-    Coarse by design; exists as an independent check on sign and magnitude of
-    the Monte Carlo path, not as a precision evaluator.
-    """
-    v = np.asarray(v, dtype=np.float64).reshape(3)
-    vmax = f.grid.vmax
-    ax = np.linspace(-vmax, vmax, v1_nodes_per_axis)
-    h3 = (ax[1] - ax[0]) ** 3
-    v1 = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    directions, weights = _angle_grid(n_cos, n_phi)
-    gain = spec.normalization.gain_factor(spec.epsilon)
-    f_probe = interpolate(f, v)
-    f_v1 = interpolate_many(f, v1)
-    total = 0.0
-    for n, w in zip(directions, weights):
-        pre_a, pre_b = pre_collision_pair(v[None, :], v1, n[None, :],
-                                          spec.epsilon, spec.branch)
-        gn = np.abs((v[None, :] - v1) @ n)
-        contrib = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
-                   - f_probe * f_v1) * gn
-        total += w * float(np.sum(contrib)) * h3
-    return spec.cross_section * total
-
-
-def brute_force_density_rate(f: DiscreteDistribution, spec: QuadratureSpec,
-                             nodes_per_axis: int = 8, n_cos: int = 8,
-                             n_phi: int = 8) -> float:
-    """Volume sum of the product-grid rate over a coarse probe grid."""
-    vmax = f.grid.vmax
-    ax = np.linspace(-vmax, vmax, nodes_per_axis)
-    h3 = (ax[1] - ax[0]) ** 3
-    probes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    total = 0.0
-    for probe in probes:
-        total += brute_force_rate(f, probe, spec, nodes_per_axis, n_cos, n_phi) * h3
-    return total
-
-
-def write_rate_table(path, nodes, estimates: list[RateEstimate]) -> None:
-    """CSV rows vx,vy,vz,rate,std_error with shortest round-trip floats."""
-    lines = ["vx,vy,vz,rate,std_error"]
-    for node, est in zip(nodes, estimates):
-        node = np.asarray(node, dtype=np.float64).reshape(3)
-        lines.append(",".join(repr(float(x)) for x in
-                              (node[0], node[1], node[2], est.value, est.std_error)))
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")

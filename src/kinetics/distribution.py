@@ -155,43 +155,55 @@ def moments(f: DiscreteDistribution, mass: float) -> Moments:
 def _axis_index_frac(ax: np.ndarray, coords: np.ndarray, spacing: float):
     """Lower node index and fractional offset per query coordinate.
 
-    Snaps the fraction to exactly 1.0 when the query sits on the upper node,
-    so node queries reproduce stored values bit-exactly.
+    The index is ``searchsorted(ax, coords, "right") - 1`` clipped to
+    ``[0, n - 2]``, computed without a search: on the uniform axis,
+    ``(c - ax[0]) * (1 / spacing)`` truncated is off by at most one node, and
+    only for a coordinate within a few ulps of a node. One comparison with the
+    node below and one with the node above put such an index in the right
+    cell; the second clip handles the hull faces. The fraction snaps to
+    exactly 1.0 when the query sits on the upper node, so node queries
+    reproduce stored values bit-exactly.
     """
     n = ax.shape[0]
-    idx = np.searchsorted(ax, coords, side="right") - 1
+    idx = ((coords - ax[0]) * (1.0 / spacing)).astype(np.intp)
+    np.clip(idx, 0, n - 2, out=idx)
+    idx -= ax[idx] > coords
+    idx += ax[idx + 1] <= coords
     np.clip(idx, 0, n - 2, out=idx)
     frac = (coords - ax[idx]) / spacing
-    on_upper = coords == ax[idx + 1]
-    frac = np.where(on_upper, 1.0, frac)
+    frac[coords == ax[idx + 1]] = 1.0
     return idx, frac
 
 
 def interpolate_many(f: DiscreteDistribution, points) -> np.ndarray:
-    """Trilinear interpolation at (..., 3) query points; zero outside the hull."""
+    """Trilinear interpolation at (..., 3) query points; zero outside the hull.
+
+    Points outside the hull (NaN and infinite coordinates included) are looked
+    up at the origin and zeroed afterwards. The 8 corners are read from the
+    flat value array at offsets from one base index and added in a fixed order.
+    """
     pts = np.asarray(points, dtype=np.float64)
     flat = pts.reshape(-1, 3)
     ax = f.grid.axis
-    vmax = f.grid.vmax
+    n = f.grid.nodes_per_axis
     h = f.grid.spacing
-    inside = np.all((flat >= -vmax) & (flat <= vmax), axis=1)
-    out = np.zeros(flat.shape[0])
-    if np.any(inside):
-        q = flat[inside]
-        ix, fx = _axis_index_frac(ax, q[:, 0], h)
-        iy, fy = _axis_index_frac(ax, q[:, 1], h)
-        iz, fz = _axis_index_frac(ax, q[:, 2], h)
-        vals = f.values
-        acc = np.zeros(q.shape[0])
-        for dx in (0, 1):
-            wx = fx if dx else 1.0 - fx
-            for dy in (0, 1):
-                wy = fy if dy else 1.0 - fy
-                for dz in (0, 1):
-                    wz = fz if dz else 1.0 - fz
-                    acc += wx * wy * wz * vals[ix + dx, iy + dy, iz + dz]
-        out[inside] = acc
-    return out.reshape(pts.shape[:-1])
+    within = np.abs(flat) <= f.grid.vmax
+    inside = within[:, 0] & within[:, 1] & within[:, 2]
+    ix, fx = _axis_index_frac(ax, np.where(inside, flat[:, 0], 0.0), h)
+    iy, fy = _axis_index_frac(ax, np.where(inside, flat[:, 1], 0.0), h)
+    iz, fz = _axis_index_frac(ax, np.where(inside, flat[:, 2], 0.0), h)
+    corner = (ix * n + iy) * n + iz
+    vals = f.values.ravel()
+    acc = np.zeros(flat.shape[0])
+    for dx in (0, 1):
+        wx = fx if dx else 1.0 - fx
+        for dy in (0, 1):
+            wxy = wx * (fy if dy else 1.0 - fy)
+            for dz in (0, 1):
+                wz = fz if dz else 1.0 - fz
+                acc += wxy * wz * vals.take(corner + ((dx * n + dy) * n + dz))
+    acc[~inside] = 0.0
+    return acc.reshape(pts.shape[:-1])
 
 
 def interpolate(f: DiscreteDistribution, v) -> float:

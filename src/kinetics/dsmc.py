@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch, Species
+from .collision_kernel import CollisionBranch, Species, _dot3
 from .constants import BOLTZMANN
 from .errors import MajorantExceeded
 
@@ -135,12 +135,6 @@ def _moments(v: np.ndarray, m: float, w: float, volume: float) -> EnsembleMoment
     temperature = m * peculiar_sq / (3.0 * BOLTZMANN)
     return EnsembleMoments(density=density, momentum=momentum,
                            kinetic_energy=kinetic, temperature=temperature)
-
-
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products of (m, 3) arrays, summed x + y + z left to right."""
-    p = a * b
-    return p[:, 0] + p[:, 1] + p[:, 2]
 
 
 def _wave_schedule(first: np.ndarray, second: np.ndarray, n: int) -> list[np.ndarray]:

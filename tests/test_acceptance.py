@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from conftest import UNIT_MASS, fit_cooling_exponent
+from quadrature_oracle import brute_force_rate
 from kinetics import claim_audit as ca
 from kinetics import cli, dsmc
 from kinetics.collision_kernel import (
@@ -20,7 +21,6 @@ from kinetics.collision_kernel import (
 from kinetics.collision_operator import (
     GainNormalization,
     QuadratureSpec,
-    brute_force_rate,
     evaluate_field,
     moment_rates,
 )

@@ -1,6 +1,7 @@
 """Config parsing, subcommand execution, atomicity, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -100,9 +101,7 @@ def test_runtime_validation_failure_leaves_no_partial_outputs(tmp_path):
     assert not out_dir.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_numerical_failure_exits_2_without_outputs(tmp_path):
+def test_numerical_failure_exits_2_without_outputs(tmp_path, capsys):
     # a valid config whose rate estimate overflows: numerical, not config
     config_path = tmp_path / "config.json"
     out_dir = tmp_path / "out"
@@ -114,8 +113,12 @@ def test_numerical_failure_exits_2_without_outputs(tmp_path):
                        "mass": 1.380649e-23, "samples": 2000,
                        "probes": [[0.0, 0.0, 0.0]]},
     }))
-    assert cli.main(["operator", "--config", str(config_path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["operator", "--config", str(config_path)]) == 2
     assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
 
 def test_operator_deterministic_across_thread_counts(tmp_path):

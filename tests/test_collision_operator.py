@@ -1,24 +1,25 @@
 """Monte Carlo collision-term estimator against independent oracles."""
 
+import json
+import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import UNIT_MASS
-from kinetics import collision_operator
+from quadrature_oracle import brute_force_density_rate, brute_force_rate
+from kinetics import cli, collision_operator
 from kinetics.claim_audit import equilibrium_ray_probes
 from kinetics.collision_kernel import CollisionBranch
 from kinetics.collision_operator import (
     GainNormalization,
     QuadratureSpec,
     RateEstimate,
-    brute_force_density_rate,
-    brute_force_rate,
     evaluate_at,
     evaluate_field,
     moment_rates,
-    write_rate_table,
 )
 from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
 from kinetics.errors import (
@@ -168,16 +169,22 @@ def test_rate_estimate_validation_and_spec_errors():
         spec_with(epsilon=1.2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_overflowing_estimate_is_a_numerical_failure():
     assert not issubclass(NonFiniteEstimate, ValueError)
     grid = VelocityGrid(vmax=4.0, nodes_per_axis=41)
     f = maxwellian(grid, 1e300, (0, 0, 0), 1.0, UNIT_MASS)
-    with pytest.raises(NonFiniteEstimate):
-        evaluate_at(f, (0.0, 0.0, 0.0), spec_with(samples=2000))
-    with pytest.raises(NonFiniteEstimate):
-        moment_rates(f, spec_with(samples=2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEstimate):
+            evaluate_at(f, (0.0, 0.0, 0.0), spec_with(samples=2000))
+        with pytest.raises(NonFiniteEstimate):
+            moment_rates(f, spec_with(samples=2000))
+        with pytest.raises(NonFiniteEstimate):
+            moment_rates(f, spec_with(samples=2 * collision_operator._CHUNK + 1),
+                         threads=2)
+        # finite chunk sums whose total overflows
+        mean, _ = collision_operator._mean_and_sem([2, 2], [1e308, 1e308], [0.0, 0.0])
+        assert mean == np.inf
 
 
 def test_worker_threads_clamped_to_tasks_and_cores(monkeypatch):
@@ -204,14 +211,52 @@ def test_worker_threads_clamped_to_tasks_and_cores(monkeypatch):
     assert requested == [2, 2, 3, 3]
 
 
+def _naive_sem(sizes, sums, sq_sums):
+    """The former sum(x^2) - n mean^2 standard error, kept to show it cancels."""
+    total = sum(sizes)
+    mean = float(np.sum(sums)) / total
+    var = (float(np.sum(sq_sums)) - total * mean * mean) / (total - 1)
+    return math.sqrt(max(var, 0.0) / total)
+
+
+def test_sem_merge_is_stable_when_the_mean_dwarfs_the_spread():
+    generator = np.random.default_rng(7)
+    sizes = [4096, 4096, 1000, 4096, 7]
+    chunks = [1e9 + generator.standard_normal(size) for size in sizes]
+    stats = [collision_operator._sum_and_m2(chunk) for chunk in chunks]
+    mean, sem = collision_operator._mean_and_sem(
+        sizes, [s[0] for s in stats], [s[1] for s in stats])
+    samples = np.concatenate(chunks)
+    total = samples.size
+    assert mean == float(np.sum([np.sum(c) for c in chunks])) / total
+    ref_mean = math.fsum(samples) / total
+    ref_m2 = math.fsum((samples - ref_mean) ** 2)
+    ref_sem = math.sqrt(ref_m2 / (total - 1) / total)
+    assert sem == pytest.approx(ref_sem, rel=1e-9, abs=0.0)
+    naive = _naive_sem(sizes, [s[0] for s in stats],
+                       [float(np.sum(c * c)) for c in chunks])
+    assert naive != pytest.approx(ref_sem, rel=1e-9, abs=0.0)
+
+
 def test_rate_table_csv_round_trip(tmp_path):
-    nodes = [np.array([0.5, 0.0, -1.0]), np.array([1.0, 2.0, 3.0])]
-    estimates = [RateEstimate(value=-0.0306125, std_error=0.00074),
-                 RateEstimate(value=1e-300, std_error=0.0)]
-    path = tmp_path / "rates.csv"
-    write_rate_table(path, nodes, estimates)
-    lines = path.read_text().strip().split("\n")
+    params = {"vmax": 4.5, "nodes_per_axis": 29,
+              "distribution": {"kind": "maxwellian"},
+              "mass": UNIT_MASS, "epsilon": 0.9, "samples": 3000,
+              "probes": [[0.5, 0.0, -1.0], [1.0, 2.0, 3.0]]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"subcommand": "operator", "seed": 5,
+                                       "parameters": params}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["operator", "--config", str(config_path),
+                     "--output-dir", str(out_dir)]) == 0
+    lines = (out_dir / "rates.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == "vx,vy,vz,rate,std_error"
-    cells = lines[1].split(",")
-    assert float(cells[3]) == estimates[0].value
-    assert float(cells[4]) == estimates[0].std_error
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    f = maxwellian(VelocityGrid(vmax=4.5, nodes_per_axis=29), 1.0, (0, 0, 0), 1.0,
+                   UNIT_MASS)
+    spec = spec_with(samples=3000, seed=5, epsilon=0.9)
+    estimates = evaluate_field(f, params["probes"], spec)
+    assert len(rows) == len(estimates)
+    for row, probe, estimate in zip(rows, params["probes"], estimates):
+        assert row == [*probe, estimate.value, estimate.std_error]
+        assert estimate.value != 0.0
