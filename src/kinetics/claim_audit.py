@@ -334,6 +334,13 @@ def default_transport_scenarios() -> list[TransportScenario]:
     ]
 
 
+# Grid extents in thermal speeds, and the bimodal grid of the Stokes audit.
+STOKES_VMAX_THERMAL = 5.5
+BIMODAL_NODES = 61
+BIMODAL_DRIFT_THERMAL = 2.0
+MASS_VMAX_THERMAL = 4.5
+
+
 @dataclass(frozen=True)
 class AuditSettings:
     """Desk-scale defaults; the full battery runs in a couple of minutes."""
@@ -345,12 +352,8 @@ class AuditSettings:
     jacobian_configs: int = 100
     stokes_samples: int = 100_000
     stokes_nodes: int = 197
-    stokes_vmax_thermal: float = 5.5
-    bimodal_nodes: int = 61
-    bimodal_drift_thermal: float = 2.0
     mass_samples: int = 1_000_000
     mass_nodes: int = 61
-    mass_vmax_thermal: float = 4.5
 
 
 def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditReport]:
@@ -362,13 +365,13 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
                                                  n_configs=settings.jacobian_configs)]
     reports.extend(audit_energy_formula(seed=settings.seed))
 
-    eq_grid = VelocityGrid(vmax=settings.stokes_vmax_thermal * vth,
+    eq_grid = VelocityGrid(vmax=STOKES_VMAX_THERMAL * vth,
                            nodes_per_axis=settings.stokes_nodes)
     f_eq = maxwellian(eq_grid, density=1.0, bulk_velocity=(0.0, 0.0, 0.0),
                       temperature=settings.temperature, mass=settings.mass)
-    drift = settings.bimodal_drift_thermal * vth
-    bi_grid = VelocityGrid(vmax=(settings.bimodal_drift_thermal + 4.0) * vth,
-                           nodes_per_axis=settings.bimodal_nodes)
+    drift = BIMODAL_DRIFT_THERMAL * vth
+    bi_grid = VelocityGrid(vmax=(BIMODAL_DRIFT_THERMAL + 4.0) * vth,
+                           nodes_per_axis=BIMODAL_NODES)
     f_bi = bimodal(bi_grid, 0.5, (drift, 0.0, 0.0), settings.temperature,
                    0.5, (-drift, 0.0, 0.0), settings.temperature, settings.mass)
     bi_probes = equilibrium_ray_probes(bi_grid, vth)
@@ -389,7 +392,7 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
     reports.append(audit_chain_rule(chain_points, lam=1.0,
                                     force=(1.0, -0.5, 0.25), mass=2.0))
 
-    mass_grid = VelocityGrid(vmax=settings.mass_vmax_thermal * vth,
+    mass_grid = VelocityGrid(vmax=MASS_VMAX_THERMAL * vth,
                              nodes_per_axis=settings.mass_nodes)
     f_mass = maxwellian(mass_grid, density=1.0, bulk_velocity=(0.0, 0.0, 0.0),
                         temperature=settings.temperature, mass=settings.mass)
@@ -405,21 +408,22 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
     return reports
 
 
-def audit_csv_text(reports: list[AuditReport]) -> str:
+def csv_text(header: list[str], rows) -> str:
+    """CSV with "\n" line ends; numbers as shortest round-trip floats."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["claim_id", "paper_ref", "residual", "threshold",
-                     "verdict", "metadata_json"])
-    for report in reports:
-        writer.writerow([
-            report.claim_id,
-            report.paper_ref,
-            repr(float(report.residual)),
-            repr(float(report.tolerance_or_sigma)),
-            report.verdict,
-            json.dumps(report.metadata, sort_keys=True),
-        ])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating))
+                         else str(x) for x in row])
     return buffer.getvalue()
+
+
+def audit_csv_text(reports: list[AuditReport]) -> str:
+    return csv_text(
+        ["claim_id", "paper_ref", "residual", "threshold", "verdict", "metadata_json"],
+        [[r.claim_id, r.paper_ref, r.residual, r.tolerance_or_sigma, r.verdict,
+          json.dumps(r.metadata, sort_keys=True)] for r in reports])
 
 
 def audit_summary_text(reports: list[AuditReport]) -> str:
@@ -438,12 +442,3 @@ def audit_summary_text(reports: list[AuditReport]) -> str:
     lines.append(", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
     return "\n".join(lines) + "\n"
 
-
-def write_audit_csv(path, reports: list[AuditReport]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(audit_csv_text(reports))
-
-
-def write_audit_summary(path, reports: list[AuditReport]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(audit_summary_text(reports))

@@ -1,9 +1,10 @@
 """Batch front door: JSON config in, CSV and snapshot artifacts out.
 
 Configs are strict: unknown keys are rejected by name, defaults are applied
-and echoed to ``config_echo.json``, and every output is written atomically
-(temp file + rename) so failed runs leave no partial files. Exit codes:
-0 success, 1 configuration or validation failure, 2 numerical failure.
+and echoed to ``config_echo.json``, and outputs are published only after the
+run succeeds: every output goes to a temp file first and none is renamed into
+place until all are written, so failed runs leave no partial set. Exit codes:
+0 success, 1 configuration, validation or output failure, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +79,7 @@ class _Schema:
 def _number(value, context) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{context} must be a number")
-    value = float(value)
+    value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not math.isfinite(value):
         raise ValidationError(f"{context} must be finite")
     return value
@@ -237,15 +239,12 @@ _TRANSPORT_SCHEMA = _Schema({
     "amplitude": (_positive, 1.0),
 })
 
+# Every AuditSettings field but the seed, checked by its type, with its default.
+_AUDIT_TYPES = typing.get_type_hints(claim_audit.AuditSettings)
 _AUDIT_SCHEMA = _Schema({
-    "mass": (_positive, 1.380649e-23),
-    "diameter": (_positive, 1.0),
-    "temperature": (_positive, 1.0),
-    "jacobian_configs": (_positive_int, 100),
-    "stokes_samples": (_positive_int, 100_000),
-    "stokes_nodes": (_positive_int, 197),
-    "mass_samples": (_positive_int, 1_000_000),
-    "mass_nodes": (_positive_int, 61),
+    field.name: ({int: _positive_int, float: _positive}[_AUDIT_TYPES[field.name]],
+                 field.default)
+    for field in fields(claim_audit.AuditSettings) if field.name != "seed"
 })
 
 _SCHEMAS = {
@@ -266,6 +265,8 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # too deep; too many digits
+        raise ParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("config must be a single JSON object")
     unknown = set(raw) - _TOP_LEVEL_KEYS
@@ -304,19 +305,6 @@ def config_to_json(config: RunConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 class _Staging:
     """Collects outputs and publishes them only after the run succeeds."""
 
@@ -331,17 +319,22 @@ class _Staging:
         self.pending.append((self.root / name, data))
 
     def publish(self) -> None:
-        for path, data in self.pending:
-            _write_atomic(path, data)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [repr(float(x)) if isinstance(x, (int, float, np.floating))
-                 else str(x) for x in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        """Write every output to a temp file, then rename all; none appear if a write fails."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        temps: list[str] = []
+        try:
+            for path, data in self.pending:
+                fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.name + ".tmp")
+                temps.append(tmp)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+            for (path, _), tmp in zip(self.pending, temps):
+                os.replace(tmp, path)
+        except BaseException:
+            for tmp in temps:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+            raise
 
 
 def _run_collide(config: RunConfig, staging: _Staging, threads: int) -> None:
@@ -352,7 +345,7 @@ def _run_collide(config: RunConfig, staging: _Staging, threads: int) -> None:
                     CollisionBranch(p["branch"]), s1, s2)
     row = list(event.w1) + list(event.w2) + [event.lambda1, event.lambda2,
                                              event.delta_e]
-    staging.add_text("collision.csv", _csv_text(
+    staging.add_text("collision.csv", claim_audit.csv_text(
         ["w1x", "w1y", "w1z", "w2x", "w2y", "w2z", "lambda1", "lambda2",
          "delta_e"], [row]))
 
@@ -379,7 +372,7 @@ def _run_operator(config: RunConfig, staging: _Staging, threads: int) -> None:
     estimates = evaluate_field(f, probes, spec, threads=threads)
     rows = [[probe[0], probe[1], probe[2], est.value, est.std_error]
             for probe, est in zip(probes, estimates)]
-    staging.add_text("rates.csv", _csv_text(
+    staging.add_text("rates.csv", claim_audit.csv_text(
         ["vx", "vy", "vz", "rate", "std_error"], rows))
 
 
@@ -395,7 +388,7 @@ def _run_dsmc(config: RunConfig, staging: _Staging, threads: int) -> None:
         majorant_relative_speed=p["majorant_relative_speed"])
     series = dsmc.run(ensemble, cfg, p["steps"], p["sample_every"])
     rows = [list(row) for row in series]
-    staging.add_text("timeseries.csv", _csv_text(
+    staging.add_text("timeseries.csv", claim_audit.csv_text(
         ["t", "density", "px", "py", "pz", "temperature"], rows))
 
 
@@ -420,28 +413,16 @@ def _run_transport(config: RunConfig, staging: _Staging, threads: int) -> None:
     exact = initial(x_grid - v_grid * t_end + 0.5 * ax * t_end**2,
                     v_grid - ax * t_end)
     linf = float(np.max(np.abs(final.values - exact)))
-    staging.add_text("transport.csv", _csv_text(
+    staging.add_text("transport.csv", claim_audit.csv_text(
         ["metric", "value"],
         [["mass_drift", result.mass_drift],
          ["linf_error_vs_exact", linf],
          ["t_end", t_end]]))
-    header = {
-        "kind": "phase-1d1v", "nx": final.nx, "length": final.length,
-        "nv": final.nv, "vmax": final.vmax,
-        "order": transport_solver.SNAPSHOT_ORDER_1D1V,
-    }
-    payload = (json.dumps(header).encode("ascii") + b"\n"
-               + np.ascontiguousarray(final.values, dtype="<f8").tobytes())
-    staging.add_bytes("phase_snapshot.bin", payload)
+    staging.add_bytes("phase_snapshot.bin", transport_solver.phase_snapshot(final))
 
 
 def _run_audit(config: RunConfig, staging: _Staging, threads: int) -> None:
-    p = config.parameters
-    settings = claim_audit.AuditSettings(
-        seed=config.seed, mass=p["mass"], diameter=p["diameter"],
-        temperature=p["temperature"], jacobian_configs=p["jacobian_configs"],
-        stokes_samples=p["stokes_samples"], stokes_nodes=p["stokes_nodes"],
-        mass_samples=p["mass_samples"], mass_nodes=p["mass_nodes"])
+    settings = claim_audit.AuditSettings(seed=config.seed, **config.parameters)
     reports = claim_audit.run_all_audits(settings, threads=threads)
     staging.add_text("audit.csv", claim_audit.audit_csv_text(reports))
     staging.add_text("audit_summary.txt", claim_audit.audit_summary_text(reports))
@@ -468,7 +449,11 @@ def run(config: RunConfig, threads: int = 1) -> int:
     except KineticsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    staging.publish()
+    try:
+        staging.publish()
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -499,11 +484,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.output_dir is not None:
-        config = RunConfig(config.subcommand, config.parameters, config.seed,
-                           args.output_dir)
+        config = replace(config, output_dir=args.output_dir)
     if args.seed is not None:
-        config = RunConfig(config.subcommand, config.parameters, args.seed,
-                           config.output_dir)
+        config = replace(config, seed=args.seed)
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

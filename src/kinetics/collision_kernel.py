@@ -100,6 +100,14 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
+def _impulse(v1, v2, n, epsilon: float, branch: CollisionBranch, m1: float, m2: float):
+    """Impulse coefficients of shape (..., 1): w1 = v1 + c1 n, w2 = v2 - c2 n."""
+    factor = branch.normal_factor(epsilon)
+    gn = _dot3(v2 - v1, n)[..., None]
+    m_total = m1 + m2
+    return (factor * m2 / m_total) * gn, (factor * m1 / m_total) * gn
+
+
 def transform_velocities(v1, v2, n, epsilon: float, branch: CollisionBranch,
                          m1: float, m2: float):
     """Unvalidated, broadcastable collision rule on (..., 3) velocity arrays.
@@ -111,12 +119,8 @@ def transform_velocities(v1, v2, n, epsilon: float, branch: CollisionBranch,
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
-    factor = branch.normal_factor(epsilon)
-    gn = np.sum((v2 - v1) * n, axis=-1, keepdims=True)
-    m_total = m1 + m2
-    w1 = v1 + (factor * m2 / m_total) * gn * n
-    w2 = v2 - (factor * m1 / m_total) * gn * n
-    return w1, w2
+    c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
+    return v1 + c1 * n, v2 - c2 * n
 
 
 def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
@@ -127,10 +131,8 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
     v1 = np.asarray(v1, dtype=np.float64).reshape(3)
     v2 = np.asarray(v2, dtype=np.float64).reshape(3)
     m1, m2 = s1.mass, s2.mass
-    factor = branch.normal_factor(epsilon)
-    gn = float((v2 - v1) @ n)
-    lambda1 = factor * m2 / (m1 + m2) * gn
-    lambda2 = -factor * m1 / (m1 + m2) * gn
+    c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
+    lambda1, lambda2 = c1.item(), -c2.item()
     w1 = v1 + lambda1 * n
     w2 = v2 + lambda2 * n
     ke_pre = 0.5 * m1 * float(v1 @ v1) + 0.5 * m2 * float(v2 @ v2)

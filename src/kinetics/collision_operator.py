@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch, _dot3
+from .collision_kernel import CollisionBranch, _dot3, transform_velocities
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
 from .errors import InvalidRestitution, NonFiniteEstimate, SingularRestitution
 
@@ -153,12 +153,10 @@ def _mean_and_sem(sizes: list[int], sums: list[float],
 def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):
     """Pre-collision velocities of the pair that the impact maps onto (v, v1).
 
-    Single-species closed form of the inverse rule (restitution 1/epsilon);
-    broadcastable over (..., 3) arrays.
+    The inverse rule is the same rule at restitution 1/epsilon, here for equal
+    masses; broadcastable over (..., 3) arrays.
     """
-    factor = 0.5 * branch.normal_factor(1.0 / epsilon)
-    gn = _dot3(v1 - v, n)[..., None]
-    return v + factor * gn * n, v1 - factor * gn * n
+    return transform_velocities(v, v1, n, 1.0 / epsilon, branch, 1.0, 1.0)
 
 
 def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimate:

@@ -9,6 +9,7 @@ analytically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -211,34 +212,47 @@ def interpolate(f: DiscreteDistribution, v) -> float:
     return float(interpolate_many(f, np.asarray(v, dtype=np.float64).reshape(1, 3))[0])
 
 
-def write_snapshot(path, header: dict, array: np.ndarray) -> None:
+def snapshot_bytes(header: dict, array: np.ndarray) -> bytes:
     """One-line JSON header, newline, then little-endian float64 payload."""
     payload = np.ascontiguousarray(array, dtype="<f8")
-    data = json.dumps(header).encode("ascii") + b"\n" + payload.tobytes()
-    Path(path).write_bytes(data)
+    return json.dumps(header).encode("ascii") + b"\n" + payload.tobytes()
 
 
-def read_snapshot(path) -> tuple[dict, np.ndarray]:
-    raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("ascii"))
-    array = np.frombuffer(raw[newline + 1:], dtype="<f8")
-    return header, array
+def read_snapshot(path, expect: dict, dims: tuple[str, ...]) -> tuple[dict, np.ndarray]:
+    """Header and payload of a snapshot whose header holds ``expect``.
+
+    The payload is shaped by the integer header fields named in ``dims``; a
+    malformed file raises ValueError that names what is wrong with it.
+    """
+    head, newline, payload = Path(path).read_bytes().partition(b"\n")
+    if not newline:
+        raise ValueError("snapshot has no header line")
+    try:
+        header = json.loads(head.decode("ascii"))
+    except (ValueError, RecursionError):
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError("snapshot header is not a JSON object")
+    for key, value in expect.items():
+        if header.get(key) != value:
+            raise ValueError(f"snapshot {key} is {header.get(key)!r}, expected {value!r}")
+    shape = [header.get(name) for name in dims]
+    for name, size in zip(dims, shape):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"snapshot dimension {name} is missing or not a positive integer")
+    if len(payload) != 8 * math.prod(shape):
+        raise ValueError(f"snapshot payload is {len(payload)} bytes, expected 8 x "
+                         f"{' x '.join(map(str, shape))}")
+    return header, np.frombuffer(payload, dtype="<f8").reshape(shape)
 
 
 def save_distribution(f: DiscreteDistribution, path) -> None:
-    header = {
-        "nodes_per_axis": f.grid.nodes_per_axis,
-        "vmax": f.grid.vmax,
-        "order": SNAPSHOT_ORDER_3D,
-    }
-    write_snapshot(path, header, f.values)
+    header = {"nodes_per_axis": f.grid.nodes_per_axis, "vmax": f.grid.vmax,
+              "order": SNAPSHOT_ORDER_3D}
+    Path(path).write_bytes(snapshot_bytes(header, f.values))
 
 
 def load_distribution(path) -> DiscreteDistribution:
-    header, flat = read_snapshot(path)
-    if header.get("order") != SNAPSHOT_ORDER_3D:
-        raise ValueError(f"unsupported snapshot order {header.get('order')!r}")
-    n = int(header["nodes_per_axis"])
-    grid = VelocityGrid(vmax=float(header["vmax"]), nodes_per_axis=n)
-    return DiscreteDistribution(grid, flat.reshape(n, n, n))
+    header, values = read_snapshot(path, {"order": SNAPSHOT_ORDER_3D}, ("nodes_per_axis",) * 3)
+    grid = VelocityGrid(vmax=float(header["vmax"]), nodes_per_axis=header["nodes_per_axis"])
+    return DiscreteDistribution(grid, values)

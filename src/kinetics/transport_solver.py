@@ -10,10 +10,11 @@ back-traces with cubic interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, read_snapshot, write_snapshot
+from .distribution import read_snapshot, snapshot_bytes
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
 
@@ -166,13 +167,11 @@ class TransportRunResult:
 
 
 def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
-                        n_steps: int, interpolation: str = "cubic") -> TransportRunResult:
+                        n_steps: int) -> TransportRunResult:
     """Advance n_steps of Strang-split advection; reports relative mass drift.
 
     The velocity axis is driven by the x-component of the force.
     """
-    if interpolation != "cubic":
-        raise ValueError(f"only cubic interpolation is implemented, got {interpolation!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ax = float(field.acceleration[0])
@@ -192,35 +191,19 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     return TransportRunResult(grid=grid, mass_drift=worst_drift)
 
 
-def collisional_rhs_check(f: DiscreteDistribution, spec, probes, threads: int = 1):
-    """Spatially homogeneous balance: time derivative equals the collision term.
-
-    Thin forwarding wrapper so audits can probe the right-hand side through
-    the transport interface.
-    """
-    from .collision_operator import evaluate_field
-
-    probes = [np.asarray(p, dtype=np.float64).reshape(3) for p in probes]
-    estimates = evaluate_field(f, probes, spec, threads=threads)
-    return list(zip(probes, estimates))
+def phase_snapshot(grid: PhaseGrid1D1V) -> bytes:
+    """Snapshot bytes of a phase grid; load_phase_grid reads them back."""
+    header = {"kind": "phase-1d1v", "nx": grid.nx, "length": grid.length,
+              "nv": grid.nv, "vmax": grid.vmax, "order": SNAPSHOT_ORDER_1D1V}
+    return snapshot_bytes(header, grid.values)
 
 
 def save_phase_grid(grid: PhaseGrid1D1V, path) -> None:
-    header = {
-        "kind": "phase-1d1v",
-        "nx": grid.nx,
-        "length": grid.length,
-        "nv": grid.nv,
-        "vmax": grid.vmax,
-        "order": SNAPSHOT_ORDER_1D1V,
-    }
-    write_snapshot(path, header, grid.values)
+    Path(path).write_bytes(phase_snapshot(grid))
 
 
 def load_phase_grid(path) -> PhaseGrid1D1V:
-    header, flat = read_snapshot(path)
-    if header.get("kind") != "phase-1d1v" or header.get("order") != SNAPSHOT_ORDER_1D1V:
-        raise ValueError(f"not a 1D-1V phase snapshot: header {header!r}")
-    nx, nv = int(header["nx"]), int(header["nv"])
-    return PhaseGrid1D1V(nx, float(header["length"]), nv, float(header["vmax"]),
-                         flat.reshape(nx, nv))
+    header, values = read_snapshot(
+        path, {"kind": "phase-1d1v", "order": SNAPSHOT_ORDER_1D1V}, ("nx", "nv"))
+    return PhaseGrid1D1V(header["nx"], float(header["length"]), header["nv"],
+                         float(header["vmax"]), values)

@@ -1,12 +1,17 @@
 """Config parsing, subcommand execution, atomicity, determinism."""
 
+import copy
+import errno
 import json
+import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinetics import cli
-from kinetics.errors import ParseError, ValidationError
+from kinetics.errors import ConfigError, ParseError, ValidationError
 from kinetics.transport_solver import load_phase_grid
 
 MINIMAL_DSMC = {
@@ -217,3 +222,96 @@ def test_audit_subcommand_small_scale(tmp_path):
     assert "pair-map-determinant-equals-restitution" in text
     assert "density-conservation-restitution_weighted-eps0.8" in text
     assert (out_dir / "audit_summary.txt").read_text().startswith("claim audit summary")
+
+
+def test_parse_maps_huge_integers_and_deep_nesting_to_config_errors(tmp_path, capsys):
+    huge = json.dumps(MINIMAL_DSMC).replace('"dt": 0.01', '"dt": 1' + "0" * 400)
+    with pytest.raises(ValidationError, match="dt"):
+        cli.parse_config(huge)
+    with pytest.raises(ParseError):
+        cli.parse_config("[" * 2000 + "]" * 2000)
+    with pytest.raises(ParseError):
+        cli.parse_config(huge.replace("0" * 400, "0" * 5000))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(huge)
+    assert cli.main(["dsmc", "--config", str(config_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+VALID_PARAMETERS = {
+    "collide": {"v1": [0.0, 0.0, 0.0], "v2": [1.0, 0.0, 0.0], "n": [1.0, 0.0, 0.0],
+                "epsilon": 0.5, "branch": "reflective"},
+    "operator": {"vmax": 4.5, "nodes_per_axis": 9, "probes": [[0.0, 0.0, 0.0]],
+                 "distribution": {"kind": "maxwellian"}},
+    "operator-bimodal": {"vmax": 4.5, "nodes_per_axis": 9, "probes": [[0.0, 0.0, 0.0]],
+                         "distribution": {"kind": "bimodal",
+                                          "bulk_velocity1": [1.0, 0.0, 0.0],
+                                          "bulk_velocity2": [-1.0, 0.0, 0.0]}},
+    "dsmc": MINIMAL_DSMC["parameters"],
+    "transport": {"dt": 0.02, "steps": 3},
+    "audit": {"jacobian_configs": 10},
+}
+DISTRIBUTION_KEYS = {
+    "maxwellian": ["kind", "density", "bulk_velocity", "temperature"],
+    "bimodal": ["kind", "density1", "bulk_velocity1", "temperature1",
+                "density2", "bulk_velocity2", "temperature2"],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12)
+JSON_TEXTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.integers(min_value=2**1024, max_value=2**1100).map(str),
+    st.integers(max_value=-(2**1024), min_value=-(2**1100)).map(str),
+    st.integers(309, 5000).map(lambda digits: "9" * digits),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+)
+SPLICE = "\x00splice\x00"
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), replacement=JSON_TEXTS, name_the_subcommand=st.booleans())
+def test_parse_config_raises_only_config_errors(data, replacement, name_the_subcommand):
+    """One value of a valid config replaced by arbitrary JSON: parse or ConfigError."""
+    case = data.draw(st.sampled_from(sorted(VALID_PARAMETERS)))
+    subcommand = case.split("-")[0]
+    config = {"subcommand": subcommand, "seed": 3, "output_dir": "out",
+              "parameters": copy.deepcopy(VALID_PARAMETERS[case])}
+    targets = [(config, key) for key in ("subcommand", "seed", "output_dir", "parameters")]
+    targets += [(config["parameters"], key) for key in cli._SCHEMAS[subcommand].fields]
+    if "distribution" in config["parameters"]:
+        distribution = config["parameters"]["distribution"]
+        targets += [(distribution, key) for key in DISTRIBUTION_KEYS[distribution["kind"]]]
+    owner, key = data.draw(st.sampled_from(targets))
+    owner[key] = SPLICE
+    text = json.dumps(config).replace(json.dumps(SPLICE), replacement)
+    try:
+        cli.parse_config(text, subcommand=subcommand if name_the_subcommand else None)
+    except ConfigError:
+        pass
+
+
+def test_failed_write_leaves_no_outputs(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps(dict(MINIMAL_DSMC, output_dir=str(out_dir))))
+    real_fdopen = os.fdopen
+    opened = []
+
+    def fail_second_write(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        opened.append(fd)
+        if len(opened) == 2:
+            handle.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return handle
+
+    monkeypatch.setattr(cli.os, "fdopen", fail_second_write)
+    assert cli.main(["dsmc", "--config", str(config_path)]) == 1
+    assert len(opened) == 2
+    assert list(out_dir.iterdir()) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs: ")

@@ -178,8 +178,8 @@ def test_transform_velocities_broadcasts():
     s2 = Species(mass=2.0, diameter=1.0)
     for k in (0, 17, 39):
         event = collide(v1[k], v2[k], n[k], 0.6, CollisionBranch.REFLECTIVE, s1, s2)
-        np.testing.assert_allclose(w1[k], event.w1, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(w2[k], event.w2, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(w1[k].view(np.uint64), event.w1.view(np.uint64))
+        np.testing.assert_array_equal(w2[k].view(np.uint64), event.w2.view(np.uint64))
 
 
 def test_validation_errors():

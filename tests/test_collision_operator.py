@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import UNIT_MASS
 from quadrature_oracle import brute_force_density_rate, brute_force_rate
@@ -20,6 +22,7 @@ from kinetics.collision_operator import (
     evaluate_at,
     evaluate_field,
     moment_rates,
+    pre_collision_pair,
 )
 from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
 from kinetics.errors import (
@@ -260,3 +263,34 @@ def test_rate_table_csv_round_trip(tmp_path):
     for row, probe, estimate in zip(rows, params["probes"], estimates):
         assert row == [*probe, estimate.value, estimate.std_error]
         assert estimate.value != 0.0
+
+
+def _reference_pre_collision_pair(v, v1, n, epsilon, branch):
+    """Former single-species closed form of pre_collision_pair, kept verbatim
+    but for the row dot, written out as the three adds that _dot3 makes."""
+    factor = 0.5 * branch.normal_factor(1.0 / epsilon)
+    p = (v1 - v) * n
+    gn = (0.0 + p[..., 0] + p[..., 1] + p[..., 2])[..., None]
+    return v + factor * gn * n, v1 - factor * gn * n
+
+
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))
+
+
+def _rows(count):
+    return st.lists(st.lists(_COMPONENT, min_size=3, max_size=3),
+                    min_size=count, max_size=count).map(np.array)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), epsilon=st.floats(0.05, 1.0),
+       branch=st.sampled_from(list(CollisionBranch)), m=st.integers(1, 12),
+       shared_probe=st.booleans())
+def test_pre_collision_pair_matches_closed_form_bits(data, epsilon, branch, m,
+                                                     shared_probe):
+    v = data.draw(_rows(1 if shared_probe else m))
+    v1, n = data.draw(_rows(m)), data.draw(_rows(m))
+    got = pre_collision_pair(v, v1, n, epsilon, branch)
+    want = _reference_pre_collision_pair(v, v1, n, epsilon, branch)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))

@@ -171,3 +171,23 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.values, f.values)
     save_distribution(loaded, tmp_path / "snapshot2.bin")
     assert (tmp_path / "snapshot.bin").read_bytes() == (tmp_path / "snapshot2.bin").read_bytes()
+
+
+@pytest.mark.parametrize("mangle, reason", [
+    (lambda raw: raw[:raw.index(b"\n")], "no header line"),
+    (lambda raw: b'"header"' + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: raw.replace(b'"nodes_per_axis": 5, ', b"", 1),
+     "nodes_per_axis is missing"),
+    (lambda raw: raw.replace(b'"nodes_per_axis": 5', b'"nodes_per_axis": "5"', 1),
+     "nodes_per_axis is missing or not"),
+    (lambda raw: raw[:-8], "payload is 992 bytes, expected 8 x 5 x 5 x 5"),
+    (lambda raw: raw.replace(b"z-fastest", b"x-fastest", 1), "order"),
+])
+def test_load_distribution_names_the_defect(tmp_path, mangle, reason):
+    f = DiscreteDistribution(VelocityGrid(vmax=4.5, nodes_per_axis=5),
+                             np.arange(125.0).reshape(5, 5, 5))
+    path = tmp_path / "snapshot.bin"
+    save_distribution(f, path)
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(ValueError, match=reason):
+        load_distribution(path)

@@ -5,18 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import UNIT_MASS
-from kinetics.collision_kernel import CollisionBranch
-from kinetics.collision_operator import GainNormalization, QuadratureSpec
-from kinetics.distribution import maxwellian, VelocityGrid
 from kinetics.transport_solver import (
     ForceField,
     PhaseGrid1D1V,
     PhasePoint,
-    collisional_rhs_check,
     exact_solution,
     load_phase_grid,
     phase_grid_from_function,
+    phase_snapshot,
     save_phase_grid,
     semi_lagrangian_run,
 )
@@ -129,8 +125,6 @@ def test_semi_lagrangian_validation():
     field = ForceField(force=(0, 0, 0), mass=1.0)
     with pytest.raises(ValueError):
         semi_lagrangian_run(grid, field, -0.1, 10)
-    with pytest.raises(ValueError):
-        semi_lagrangian_run(grid, field, 0.1, 10, interpolation="linear")
 
 
 def test_phase_snapshot_round_trip(tmp_path):
@@ -142,28 +136,17 @@ def test_phase_snapshot_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.values, grid.values)
 
 
-def test_collisional_rhs_check_zero_distribution():
-    grid = VelocityGrid(vmax=4.5, nodes_per_axis=41)
-    from kinetics.distribution import DiscreteDistribution
-    f = DiscreteDistribution(grid, np.zeros((41, 41, 41)))
-    spec = QuadratureSpec(samples=2000, seed=0, diameter=1.0, mass=UNIT_MASS,
-                          epsilon=1.0, branch=CollisionBranch.REFLECTIVE)
-    rows = collisional_rhs_check(f, spec, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
-    for _, estimate in rows:
-        assert estimate.value == 0.0
-        assert estimate.std_error == 0.0
-
-
-def test_collisional_rhs_check_forwards_estimates():
-    grid = VelocityGrid(vmax=4.5, nodes_per_axis=41)
-    f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
-    spec = QuadratureSpec(samples=5000, seed=3, diameter=1.0, mass=UNIT_MASS,
-                          epsilon=0.9, branch=CollisionBranch.REFLECTIVE,
-                          normalization=GainNormalization.RESTITUTION_WEIGHTED)
-    probes = [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0)]
-    rows = collisional_rhs_check(f, spec, probes)
-    from kinetics.collision_operator import evaluate_at
-    for (probe, estimate), original in zip(rows, probes):
-        direct = evaluate_at(f, original, spec)
-        assert estimate.value == direct.value
-        assert estimate.std_error == direct.std_error
+@pytest.mark.parametrize("mangle, reason", [
+    (lambda raw: raw[:raw.index(b"\n")], "no header line"),
+    (lambda raw: b"[1, 2]" + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: raw.replace(b'"nx": 8, ', b"", 1), "nx is missing"),
+    (lambda raw: raw.replace(b'"nv": 6', b'"nv": 6.0', 1), "nv is missing or not"),
+    (lambda raw: raw[:-8], "payload is 376 bytes, expected 8 x 8 x 6"),
+    (lambda raw: raw.replace(b"phase-1d1v", b"phase-2d2v", 1), "kind"),
+])
+def test_load_phase_grid_names_the_defect(tmp_path, mangle, reason):
+    grid = phase_grid_from_function(blob, 8, 10.0, 6, 3.0)
+    path = tmp_path / "phase.bin"
+    path.write_bytes(mangle(phase_snapshot(grid)))
+    with pytest.raises(ValueError, match=reason):
+        load_phase_grid(path)
