@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -218,10 +219,12 @@ def snapshot_bytes(header: dict, array: np.ndarray) -> bytes:
     return json.dumps(header).encode("ascii") + b"\n" + payload.tobytes()
 
 
-def read_snapshot(path, expect: dict, dims: tuple[str, ...]) -> tuple[dict, np.ndarray]:
+def read_snapshot(path, expect: dict, dims: tuple[str, ...],
+                  floats: tuple[str, ...]) -> tuple[dict, np.ndarray]:
     """Header and payload of a snapshot whose header holds ``expect``.
 
-    The payload is shaped by the integer header fields named in ``dims``; a
+    The payload is shaped by the integer header fields named in ``dims``; the
+    header fields named in ``floats`` must be positive finite numbers. A
     malformed file raises ValueError that names what is wrong with it.
     """
     head, newline, payload = Path(path).read_bytes().partition(b"\n")
@@ -240,6 +243,11 @@ def read_snapshot(path, expect: dict, dims: tuple[str, ...]) -> tuple[dict, np.n
     for name, size in zip(dims, shape):
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise ValueError(f"snapshot dimension {name} is missing or not a positive integer")
+    for name in floats:
+        value = header.get(name)
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and 0.0 < value <= sys.float_info.max):
+            raise ValueError(f"snapshot {name} is missing or not a positive finite number")
     if len(payload) != 8 * math.prod(shape):
         raise ValueError(f"snapshot payload is {len(payload)} bytes, expected 8 x "
                          f"{' x '.join(map(str, shape))}")
@@ -253,6 +261,7 @@ def save_distribution(f: DiscreteDistribution, path) -> None:
 
 
 def load_distribution(path) -> DiscreteDistribution:
-    header, values = read_snapshot(path, {"order": SNAPSHOT_ORDER_3D}, ("nodes_per_axis",) * 3)
+    header, values = read_snapshot(path, {"order": SNAPSHOT_ORDER_3D},
+                                   ("nodes_per_axis",) * 3, ("vmax",))
     grid = VelocityGrid(vmax=float(header["vmax"]), nodes_per_axis=header["nodes_per_axis"])
     return DiscreteDistribution(grid, values)

@@ -17,6 +17,8 @@ import numpy as np
 from .distribution import read_snapshot, snapshot_bytes
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
+# Node shifts at or past this are rejected: base + offset must fit in int64.
+_MAX_SHIFT = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,9 @@ class PhaseGrid1D1V:
     def __post_init__(self) -> None:
         if self.nx < 4 or self.nv < 4:
             raise ValueError("need at least 4 nodes per axis")
-        if not (self.length > 0.0 and self.vmax > 0.0):
-            raise ValueError("length and vmax must be positive")
+        for name, value in (("length", self.length), ("vmax", self.vmax)):
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.shape != (self.nx, self.nv):
             raise ValueError(f"values shape {values.shape} does not match ({self.nx}, {self.nv})")
@@ -129,34 +132,59 @@ def _cubic_weights(t: np.ndarray):
     )
 
 
-def _advect_x(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Periodic back-trace along axis 0 by a per-column node shift."""
-    nx = values.shape[0]
+def _x_plan(shifts: np.ndarray, nx: int):
+    """Back-trace plan along axis 0 for a per-column node shift.
+
+    Consecutive columns that share an integer base form one group; each group
+    holds, per offset -1, 0, 1, 2, the first source row and the weight row.
+    """
     tau = -shifts
     base = np.floor(tau).astype(np.int64)
     weights = _cubic_weights(tau - base)
-    rows = np.arange(nx)[:, None]
+    edges = [0, *(np.flatnonzero(np.diff(base)) + 1).tolist(), base.shape[0]]
+    return [(j, k, [(int(base[j] + offset) % nx, w[None, j:k])
+                    for offset, w in zip((-1, 0, 1, 2), weights)])
+            for j, k in zip(edges[:-1], edges[1:])]
+
+
+def _advect_x(values: np.ndarray, plan) -> np.ndarray:
+    """Periodic back-trace along axis 0 by the shifts of an _x_plan.
+
+    Rows start..start+nx of the doubled array are the rows rolled by start.
+    """
+    nx = values.shape[0]
+    doubled = np.concatenate((values, values))
     out = np.zeros_like(values)
-    cols = np.arange(values.shape[1])[None, :]
-    for offset, w in zip((-1, 0, 1, 2), weights):
-        idx = np.mod(rows + base[None, :] + offset, nx)
-        out += w[None, :] * values[idx, cols]
+    for j, k, terms in plan:
+        block = out[:, j:k]
+        for start, w in terms:
+            block += w * doubled[start:start + nx, j:k]
     return out
 
 
-def _advect_v(values: np.ndarray, shift: float) -> np.ndarray:
-    """Back-trace along axis 1 by a uniform node shift; zero outside the hull."""
-    nv = values.shape[1]
+def _v_plan(shift: float, nv: int):
+    """Back-trace plan along axis 1 for a uniform node shift.
+
+    One (weight, destination columns, source columns) triple per offset whose
+    source columns overlap the hull; the rest of the hull has zero inflow.
+    """
     tau = -shift
     base = int(np.floor(tau))
     weights = _cubic_weights(np.asarray(tau - base))
-    out = np.zeros_like(values)
+    plan = []
     for offset, w in zip((-1, 0, 1, 2), weights):
-        src = np.arange(nv) + base + offset
-        valid = (src >= 0) & (src < nv)
-        if not np.any(valid):
-            continue
-        out[:, valid] += float(w) * values[:, src[valid]]
+        d = base + offset
+        lo, hi = max(0, -d), min(nv, nv - d)
+        if lo < hi:
+            plan.append((float(w), slice(lo, hi), slice(lo + d, hi + d)))
+    return plan
+
+
+def _advect_v(values: np.ndarray, plan) -> np.ndarray:
+    """Back-trace along axis 1 by the shift of a _v_plan; zero outside the hull."""
+    out = np.zeros_like(values)
+    for w, dst, src in plan:
+        out[:, dst] += w * values[:, src]
     return out
 
 
@@ -170,20 +198,27 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
                         n_steps: int) -> TransportRunResult:
     """Advance n_steps of Strang-split advection; reports relative mass drift.
 
-    The velocity axis is driven by the x-component of the force.
+    The velocity axis is driven by the x-component of the force. The shifts
+    are fixed for the run, so both back-trace plans are built once.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ax = float(field.acceleration[0])
     values = np.asarray(f0.values, dtype=np.float64).copy()
-    x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
     v_shift = ax * dt / f0.dv
+    if not (np.all(np.abs(x_shift_half) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
+        raise ValueError(f"dt {dt} moves the grid by a node shift that is not finite "
+                         f"or not below 2**62 nodes")
+    x_plan = _x_plan(x_shift_half, f0.nx)
+    v_plan = _v_plan(v_shift, f0.nv)
     mass0 = float(np.sum(values)) * f0.dx * f0.dv
     worst_drift = 0.0
     for _ in range(n_steps):
-        values = _advect_x(values, x_shift_half)
-        values = _advect_v(values, v_shift)
-        values = _advect_x(values, x_shift_half)
+        values = _advect_x(values, x_plan)
+        values = _advect_v(values, v_plan)
+        values = _advect_x(values, x_plan)
         if mass0 != 0.0:
             mass = float(np.sum(values)) * f0.dx * f0.dv
             worst_drift = max(worst_drift, abs(mass - mass0) / abs(mass0))
@@ -204,6 +239,7 @@ def save_phase_grid(grid: PhaseGrid1D1V, path) -> None:
 
 def load_phase_grid(path) -> PhaseGrid1D1V:
     header, values = read_snapshot(
-        path, {"kind": "phase-1d1v", "order": SNAPSHOT_ORDER_1D1V}, ("nx", "nv"))
+        path, {"kind": "phase-1d1v", "order": SNAPSHOT_ORDER_1D1V}, ("nx", "nv"),
+        ("length", "vmax"))
     return PhaseGrid1D1V(header["nx"], float(header["length"]), header["nv"],
                          float(header["vmax"]), values)

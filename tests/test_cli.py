@@ -90,6 +90,22 @@ def test_validation_failure_exits_1_without_outputs(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("dt, force", [(1e300, [0, 0, 0]), (1e300, [0.6, 0, 0]),
+                                       (1.7e308, [0.6, 0, 0])])
+def test_unrepresentable_transport_shift_exits_1_without_outputs(tmp_path, capsys, dt, force):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps({
+        "subcommand": "transport",
+        "output_dir": str(out_dir),
+        "parameters": {"nx": 16, "nv": 17, "dt": dt, "steps": 2, "force": force},
+    }))
+    assert cli.main(["transport", "--config", str(config_path)]) == 1
+    assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dt ")
+
+
 def test_runtime_validation_failure_leaves_no_partial_outputs(tmp_path):
     # passes schema validation but fails inside the run (grid too coarse)
     config_path = tmp_path / "config.json"

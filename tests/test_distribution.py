@@ -182,6 +182,11 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
      "nodes_per_axis is missing or not"),
     (lambda raw: raw[:-8], "payload is 992 bytes, expected 8 x 5 x 5 x 5"),
     (lambda raw: raw.replace(b"z-fastest", b"x-fastest", 1), "order"),
+    (lambda raw: raw.replace(b'"vmax": 4.5, ', b"", 1), "vmax is missing"),
+    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": true', 1), "vmax is missing or not"),
+    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": "4.5"', 1), "vmax is missing or not"),
+    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": -Infinity', 1), "vmax is"),
+    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": 0', 1), "vmax is"),
 ])
 def test_load_distribution_names_the_defect(tmp_path, mangle, reason):
     f = DiscreteDistribution(VelocityGrid(vmax=4.5, nodes_per_axis=5),

@@ -125,6 +125,15 @@ def test_semi_lagrangian_validation():
     field = ForceField(force=(0, 0, 0), mass=1.0)
     with pytest.raises(ValueError):
         semi_lagrangian_run(grid, field, -0.1, 10)
+    # node shifts past 2**62, or not finite, have no int64 base
+    for dt, force in ((1e300, 0.0), (1e300, 1.0), (1e20, 0.0), (1e-3, 1e30),
+                      (float("inf"), 0.0)):
+        with pytest.raises(ValueError, match="dt"):
+            semi_lagrangian_run(grid, ForceField(force=(force, 0, 0), mass=1.0), dt, 1)
+    for length, vmax in ((0.0, 3.0), (10.0, -1.0), (np.inf, 3.0), (10.0, np.inf),
+                         (np.nan, 3.0)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PhaseGrid1D1V(32, length, 32, vmax, grid.values)
 
 
 def test_phase_snapshot_round_trip(tmp_path):
@@ -143,6 +152,13 @@ def test_phase_snapshot_round_trip(tmp_path):
     (lambda raw: raw.replace(b'"nv": 6', b'"nv": 6.0', 1), "nv is missing or not"),
     (lambda raw: raw[:-8], "payload is 376 bytes, expected 8 x 8 x 6"),
     (lambda raw: raw.replace(b"phase-1d1v", b"phase-2d2v", 1), "kind"),
+    (lambda raw: raw.replace(b'"length": 10.0, ', b"", 1), "length is missing"),
+    (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": true', 1), "vmax is missing or not"),
+    (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": "3.0"', 1), "vmax is missing or not"),
+    (lambda raw: raw.replace(b'"length": 10.0', b'"length": Infinity', 1), "length is"),
+    (lambda raw: raw.replace(b'"length": 10.0', b'"length": NaN', 1), "length is"),
+    (lambda raw: raw.replace(b'"length": 10.0', b'"length": 1' + b"0" * 400, 1), "length is"),
+    (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": -3.0', 1), "vmax is"),
 ])
 def test_load_phase_grid_names_the_defect(tmp_path, mangle, reason):
     grid = phase_grid_from_function(blob, 8, 10.0, 6, 3.0)
