@@ -27,8 +27,10 @@ from .distribution import (
     VelocityGrid,
     bimodal,
     interpolate,
+    load_distribution,
     maxwellian,
     moments,
+    save_distribution,
 )
 from .dsmc import DsmcConfig, ParticleEnsemble, sample_maxwellian_ensemble
 from .sphere_group import (
@@ -44,47 +46,10 @@ from .sphere_group import (
     quaternion_multiply,
     unproject_chart,
 )
-from .transport_solver import ForceField, PhaseGrid1D1V, PhasePoint, exact_solution
-
-__all__ = [
-    "CollisionBranch",
-    "CollisionEvent",
-    "Species",
-    "collide",
-    "energy_loss_formula",
-    "inverse_collide",
-    "jacobian_analytic",
-    "jacobian_numeric",
-    "jacobian_signed",
-    "GainNormalization",
-    "MomentRates",
-    "QuadratureSpec",
-    "RateEstimate",
-    "evaluate_at",
-    "evaluate_field",
-    "moment_rates",
-    "DiscreteDistribution",
-    "VelocityGrid",
-    "bimodal",
-    "interpolate",
-    "maxwellian",
-    "moments",
-    "DsmcConfig",
-    "ParticleEnsemble",
-    "sample_maxwellian_ensemble",
-    "ChartCoords",
-    "PureQuaternion",
-    "SpherePoint",
-    "chart_jacobian",
-    "embed",
-    "exp_subgroup",
-    "match_generator",
-    "project_chart",
-    "pushforward_derivative",
-    "quaternion_multiply",
-    "unproject_chart",
-    "ForceField",
-    "PhaseGrid1D1V",
-    "PhasePoint",
-    "exact_solution",
-]
+from .transport_solver import (
+    ForceField,
+    PhaseGrid1D1V,
+    PhasePoint,
+    exact_solution,
+    load_phase_grid,
+)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import claim_audit, dsmc, transport_solver
-from .collision_kernel import CollisionBranch, Species, collide
+from .collision_kernel import CollisionBranch, Species, _validate_restitution, collide
 from .collision_operator import GainNormalization, QuadratureSpec, evaluate_field
 from .distribution import VelocityGrid, bimodal, maxwellian
 from .errors import (
@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     UnderResolved,
     ValidationError,
+    require_positive,
 )
 from .transport_solver import ForceField
 
@@ -49,13 +50,11 @@ class RunConfig:
     output_dir: str
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
-
-
 class _Schema:
-    """Field table: name -> (checker, default). Missing default means required."""
+    """Field table: name -> (checker, default). Missing default means required.
+
+    A ValueError from a checker's domain rule becomes a ValidationError naming the key.
+    """
 
     def __init__(self, fields: dict):
         self.fields = fields
@@ -68,7 +67,10 @@ class _Schema:
         resolved = {}
         for name, (checker, *default) in self.fields.items():
             if name in params:
-                resolved[name] = checker(params[name], f"{context}.{name}")
+                try:
+                    resolved[name] = checker(params[name], f"{context}.{name}")
+                except ValueError as exc:
+                    raise ValidationError(f"{context}.{name}: {exc}") from None
             elif default:
                 resolved[name] = default[0]
             else:
@@ -86,10 +88,7 @@ def _number(value, context) -> float:
 
 
 def _positive(value, context) -> float:
-    value = _number(value, context)
-    if not value > 0.0:
-        raise ValidationError(f"{context} must be positive")
-    return value
+    return require_positive("value", _number(value, context))
 
 
 def _nonneg(value, context) -> float:
@@ -126,10 +125,7 @@ def _vec3(value, context) -> list[float]:
 
 
 def _restitution(value, context) -> float:
-    value = _number(value, context)
-    if not (0.0 < value <= 1.0):
-        raise ValidationError(f"{context} must lie in (0, 1]")
-    return value
+    return _validate_restitution(_number(value, context))
 
 
 def _branch(value, context) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRestitution, NonUnitNormal, SingularRestitution
+from .errors import InvalidRestitution, NonUnitNormal, SingularRestitution, require_positive
 
 UNIT_NORMAL_TOL = 1e-9
 
@@ -42,10 +42,8 @@ class Species:
     diameter: float
 
     def __post_init__(self) -> None:
-        if not (self.mass > 0.0 and np.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not (self.diameter > 0.0 and np.isfinite(self.diameter)):
-            raise ValueError(f"diameter must be positive and finite, got {self.diameter}")
+        require_positive("mass", self.mass)
+        require_positive("diameter", self.diameter)
 
 
 @dataclass(frozen=True)
@@ -221,8 +219,8 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     x0 = np.concatenate([v1, v2])
     if h is None:
         h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
-    elif not h > 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {h!r}")
+    else:
+        require_positive("h", h)
 
     def f(x: np.ndarray) -> np.ndarray:
         w1, w2 = transform_velocities(x[:3], x[3:], n, epsilon, branch, s1.mass, s2.mass)

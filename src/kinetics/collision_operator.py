@@ -24,9 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch, _dot3, transform_velocities
+from .collision_kernel import (
+    CollisionBranch,
+    _dot3,
+    _validate_restitution,
+    transform_velocities,
+)
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import InvalidRestitution, NonFiniteEstimate, SingularRestitution
+from .errors import NonFiniteEstimate, SingularRestitution, require_positive
 
 _CHUNK = 1 << 15
 
@@ -58,16 +63,12 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not self.diameter > 0.0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        require_positive("diameter", self.diameter)
+        require_positive("mass", self.mass)
         if self.epsilon <= 0.0:
             raise SingularRestitution(
                 f"the gain term is singular at restitution {self.epsilon!r}")
-        if self.epsilon > 1.0:
-            raise InvalidRestitution(
-                f"restitution must lie in (0, 1], got {self.epsilon!r}")
+        _validate_restitution(self.epsilon)
 
     @property
     def cross_section(self) -> float:

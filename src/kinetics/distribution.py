@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import BOLTZMANN
-from .errors import UnderResolved
+from .errors import UnderResolved, require_positive
 
 SNAPSHOT_ORDER_3D = "row-major-z-fastest"
 
@@ -32,8 +32,7 @@ class VelocityGrid:
     nodes_per_axis: int
 
     def __post_init__(self) -> None:
-        if not (self.vmax > 0.0 and np.isfinite(self.vmax)):
-            raise ValueError(f"vmax must be positive and finite, got {self.vmax}")
+        require_positive("vmax", self.vmax)
         if self.nodes_per_axis < 4:
             raise ValueError(f"need at least 4 nodes per axis, got {self.nodes_per_axis}")
 
@@ -109,12 +108,9 @@ def _check_resolution(grid: VelocityGrid, bulk_velocity: np.ndarray,
 def maxwellian(grid: VelocityGrid, density: float, bulk_velocity,
                temperature: float, mass: float) -> DiscreteDistribution:
     """Drifting Maxwellian sampled at the grid nodes."""
-    if not density > 0.0:
-        raise ValueError(f"density must be positive, got {density}")
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    require_positive("density", density)
+    require_positive("temperature", temperature)
+    require_positive("mass", mass)
     u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
     _check_resolution(grid, u, temperature, mass)
     return DiscreteDistribution(grid, _gaussian_values(grid, density, u, temperature, mass))
@@ -123,17 +119,15 @@ def maxwellian(grid: VelocityGrid, density: float, bulk_velocity,
 def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
             density2: float, u2, temperature2: float, mass: float) -> DiscreteDistribution:
     """Sum of two Maxwellian modes; a mode with zero density contributes nothing."""
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    require_positive("mass", mass)
     total = np.zeros((grid.nodes_per_axis,) * 3)
-    for density, u, temperature in ((density1, u1, temperature1),
-                                    (density2, u2, temperature2)):
+    for mode, (density, u, temperature) in enumerate(((density1, u1, temperature1),
+                                                      (density2, u2, temperature2)), 1):
         if density < 0.0:
-            raise ValueError(f"mode density must be nonnegative, got {density}")
+            raise ValueError(f"density{mode} must be nonnegative, got {density}")
         if density == 0.0:
             continue
-        if not temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+        require_positive(f"temperature{mode}", temperature)
         u = np.asarray(u, dtype=np.float64).reshape(3)
         _check_resolution(grid, u, temperature, mass)
         total += _gaussian_values(grid, density, u, temperature, mass)

@@ -33,9 +33,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch, Species, _dot3
+from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
 from .constants import BOLTZMANN
-from .errors import MajorantExceeded
+from .errors import MajorantExceeded, require_positive
 
 _MAJORANT_RETRIES = 8
 _BOUND_REFRESH_STEPS = 64
@@ -55,9 +55,7 @@ class ParticleEnsemble:
             raise ValueError(f"velocities must be (N, 3), got {velocities.shape}")
         if not np.all(np.isfinite(velocities)):
             raise ValueError("velocities must be finite")
-        if not self.statistical_weight > 0.0:
-            raise ValueError(
-                f"statistical weight must be positive, got {self.statistical_weight}")
+        require_positive("statistical_weight", self.statistical_weight)
         velocities.setflags(write=False)
         object.__setattr__(self, "velocities", velocities)
 
@@ -78,15 +76,10 @@ class DsmcConfig:
     majorant_relative_speed: float
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.number_density > 0.0:
-            raise ValueError(
-                f"number density must be positive, got {self.number_density}")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"restitution must lie in (0, 1], got {self.epsilon}")
-        if not self.majorant_relative_speed > 0.0:
-            raise ValueError("majorant must be positive")
+        require_positive("dt", self.dt)
+        require_positive("number_density", self.number_density)
+        _validate_restitution(self.epsilon)
+        require_positive("majorant_relative_speed", self.majorant_relative_speed)
 
 
 class EnsembleMoments(NamedTuple):
@@ -107,8 +100,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, density: float,
     """
     if count < 2:
         raise ValueError(f"need at least 2 particles, got {count}")
-    if not density > 0.0:
-        raise ValueError(f"density must be positive, got {density}")
+    require_positive("density", density)
     if temperature < 0.0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
@@ -119,13 +111,11 @@ def sample_maxwellian_ensemble(count: int, species: Species, density: float,
                             statistical_weight=density / count)
 
 
-def ensemble_moments(ensemble: ParticleEnsemble, volume: float = 1.0) -> EnsembleMoments:
-    """Per-volume density, momentum, kinetic energy, and granular temperature (K)."""
-    return _moments(ensemble.velocities, ensemble.species.mass,
-                    ensemble.statistical_weight, volume)
+def moments(v: np.ndarray, m: float, w: float, volume: float) -> EnsembleMoments:
+    """Per-volume density, momentum, kinetic energy and granular temperature (K).
 
-
-def _moments(v: np.ndarray, m: float, w: float, volume: float) -> EnsembleMoments:
+    v is (N, 3); m is the particle mass and w the molecules per particle.
+    """
     n = v.shape[0]
     density = n * w / volume
     momentum = m * w * np.sum(v, axis=0) / volume
@@ -221,10 +211,14 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig,
     return bound_sq
 
 
-def _advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
-             on_step: Callable[[int, np.ndarray], None] | None = None
-             ) -> ParticleEnsemble:
-    """The ensemble after the steps in indices; on_step(index, v) after each."""
+def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
+            on_step: Callable[[int, np.ndarray], None] | None = None
+            ) -> ParticleEnsemble:
+    """The ensemble after the steps in indices; on_step(index, v) after each.
+
+    Each step is a pure function of (ensemble, config, index), so
+    range(i, i + 1) recomputes step i alone.
+    """
     if ensemble.count < 2 and len(indices):
         raise ValueError("need at least 2 particles to step")
     v = np.array(ensemble.velocities)
@@ -251,12 +245,6 @@ def _advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
                             statistical_weight=weight)
 
 
-def step(ensemble: ParticleEnsemble, config: DsmcConfig,
-         step_index: int = 0) -> ParticleEnsemble:
-    """Advance one step; pure function of (ensemble, config, step_index)."""
-    return _advance(ensemble, config, range(step_index, step_index + 1))
-
-
 def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
         sample_every: int = 1) -> np.ndarray:
     """Step repeatedly, sampling moments; rows are (t, density, px, py, pz, T).
@@ -272,7 +260,7 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
     volume = ensemble.count * weight / config.number_density
 
     def row(t: float, v: np.ndarray) -> list[float]:
-        m = _moments(v, mass, weight, volume)
+        m = moments(v, mass, weight, volume)
         return [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
 
     rows = [row(0.0, ensemble.velocities)]
@@ -281,11 +269,5 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
         if (index + 1) % sample_every == 0:
             rows.append(row((index + 1) * config.dt, v))
 
-    _advance(ensemble, config, range(n_steps), sample)
+    advance(ensemble, config, range(n_steps), sample)
     return np.array(rows)
-
-
-def final_ensemble(ensemble: ParticleEnsemble, config: DsmcConfig,
-                   n_steps: int) -> ParticleEnsemble:
-    """State after n_steps, without sampling overhead."""
-    return _advance(ensemble, config, range(n_steps))

@@ -1,19 +1,30 @@
-"""Exception hierarchy shared by all kinetics modules."""
+"""Exception hierarchy shared by all kinetics modules, and the positivity rule."""
+
+import math
+
+
+def require_positive(name: str, value):
+    """value, if it is a positive finite number; else ValueError naming it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class KineticsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonUnitNormal(KineticsError):
+# The three input-rejecting kernel errors are also ValueErrors, so callers that
+# map bad input to a configuration failure catch them without a special case.
+class NonUnitNormal(KineticsError, ValueError):
     """Collision normal deviates from unit length beyond tolerance."""
 
 
-class InvalidRestitution(KineticsError):
+class InvalidRestitution(KineticsError, ValueError):
     """Restitution coefficient outside the admissible interval (0, 1]."""
 
 
-class SingularRestitution(KineticsError):
+class SingularRestitution(KineticsError, ValueError):
     """Inverse collision requested at a restitution where it is singular."""
 
 

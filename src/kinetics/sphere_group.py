@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingularity, SpeedExceedsLambda
+from .errors import ChartSingularity, SpeedExceedsLambda, require_positive
 
 CHART_GUARD = 1e-9
 _SPHERE_TOL = 1e-12
@@ -76,8 +76,7 @@ def _hemisphere_sign(hemisphere: str) -> float:
 
 def embed(v, lam: float, hemisphere: str = "lower") -> SpherePoint:
     """Scale a velocity onto the sphere: theta = (v/lam, +-sqrt(1 - |v/lam|^2))."""
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    require_positive("lambda", lam)
     sign = _hemisphere_sign(hemisphere)
     v = np.asarray(v, dtype=np.float64).reshape(3)
     scaled = v / lam
@@ -113,8 +112,7 @@ def chart_jacobian(v, lam: float, hemisphere: str = "lower") -> tuple[np.ndarray
     I/(lam D) - sign * v v^T / (lam^3 D^2 q) with q = sqrt(1 - |v/lam|^2)
     and D = 1 - sign * q.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    require_positive("lambda", lam)
     sign = _hemisphere_sign(hemisphere)
     v = np.asarray(v, dtype=np.float64).reshape(3)
     rho_sq = float(v @ v) / lam**2
@@ -141,10 +139,6 @@ def quaternion_multiply(a: SpherePoint, b: SpherePoint) -> SpherePoint:
     return SpherePoint(prod / math.sqrt(float(prod @ prod)))
 
 
-def conjugate(a: SpherePoint) -> SpherePoint:
-    return SpherePoint(a.theta * np.array([1.0, -1.0, -1.0, -1.0]))
-
-
 def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     """One-parameter subgroup G(tau) = (cos(|u| tau), sin(|u| tau) u/|u|)."""
     xi = u.xi
@@ -159,16 +153,6 @@ def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     ]))
 
 
-def orbit_chart_velocity(u: PureQuaternion) -> np.ndarray:
-    """Initial chart velocity of tau -> chart(G(tau)): the cycled components.
-
-    Linearizing the projection at the identity sends the tangent vector
-    (0, u1, u2, u3) to (u3, u1, u2).
-    """
-    xi = u.xi
-    return np.array([xi[2], xi[0], xi[1]])
-
-
 def match_generator(force, mass: float, lam: float, hemisphere: str = "lower") -> PureQuaternion:
     """Generator whose orbit leaves the identity with chart velocity J F / m.
 
@@ -176,11 +160,11 @@ def match_generator(force, mass: float, lam: float, hemisphere: str = "lower") -
     upper hemisphere that point maps to the excluded projection point, so the
     construction raises ChartSingularity there.
     """
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    require_positive("mass", mass)
     force = np.asarray(force, dtype=np.float64).reshape(3)
     _, det = chart_jacobian(np.zeros(3), lam, hemisphere)
     target = det * force / mass
+    # the orbit of u leaves the identity with chart velocity (u3, u1, u2)
     return PureQuaternion(np.array([target[1], target[2], target[0]]))
 
 

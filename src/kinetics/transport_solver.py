@@ -10,11 +10,11 @@ back-traces with cubic interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .distribution import read_snapshot, snapshot_bytes
+from .errors import require_positive
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
 # Node shifts at or past this are rejected: base + offset must fit in int64.
@@ -32,8 +32,7 @@ class ForceField:
         force = np.asarray(self.force, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(force)):
             raise ValueError("force must be finite")
-        if not (self.mass > 0.0 and np.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        require_positive("mass", self.mass)
         force.setflags(write=False)
         object.__setattr__(self, "force", force)
 
@@ -83,11 +82,11 @@ class PhaseGrid1D1V:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.nx < 4 or self.nv < 4:
-            raise ValueError("need at least 4 nodes per axis")
-        for name, value in (("length", self.length), ("vmax", self.vmax)):
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name, count in (("nx", self.nx), ("nv", self.nv)):
+            if count < 4:
+                raise ValueError(f"{name} must be at least 4, got {count}")
+        require_positive("length", self.length)
+        require_positive("vmax", self.vmax)
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.shape != (self.nx, self.nv):
             raise ValueError(f"values shape {values.shape} does not match ({self.nx}, {self.nv})")
@@ -201,8 +200,7 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     The velocity axis is driven by the x-component of the force. The shifts
     are fixed for the run, so both back-trace plans are built once.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    require_positive("dt", dt)
     ax = float(field.acceleration[0])
     values = np.asarray(f0.values, dtype=np.float64).copy()
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
@@ -231,10 +229,6 @@ def phase_snapshot(grid: PhaseGrid1D1V) -> bytes:
     header = {"kind": "phase-1d1v", "nx": grid.nx, "length": grid.length,
               "nv": grid.nv, "vmax": grid.vmax, "order": SNAPSHOT_ORDER_1D1V}
     return snapshot_bytes(header, grid.values)
-
-
-def save_phase_grid(grid: PhaseGrid1D1V, path) -> None:
-    Path(path).write_bytes(phase_snapshot(grid))
 
 
 def load_phase_grid(path) -> PhaseGrid1D1V:

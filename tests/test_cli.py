@@ -78,7 +78,7 @@ def test_collide_subcommand_writes_expected_output(tmp_path):
     assert echo["parameters"]["mass1"] == 1.0
 
 
-def test_validation_failure_exits_1_without_outputs(tmp_path):
+def test_validation_failure_exits_1_without_outputs(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     out_dir = tmp_path / "out"
     config_path.write_text(json.dumps({
@@ -88,6 +88,27 @@ def test_validation_failure_exits_1_without_outputs(tmp_path):
     }))
     assert cli.main(["dsmc", "--config", str(config_path)]) == 1
     assert not out_dir.exists()
+    # a non-unit collision normal is bad input too, though collide finds it
+    config_path.write_text(json.dumps({
+        "subcommand": "collide",
+        "output_dir": str(out_dir),
+        "parameters": dict(VALID_PARAMETERS["collide"], n=[1, 1, 0]),
+    }))
+    capsys.readouterr()
+    assert cli.main(["collide", "--config", str(config_path)]) == 1
+    assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: |n| = ")
+
+
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("dsmc", "dt", -1), ("transport", "dt", -1), ("collide", "epsilon", 1.5),
+    ("operator", "epsilon", 1.5), ("dsmc", "epsilon", 1.5)])
+def test_broken_domain_rule_names_the_key_once(subcommand, key, value):
+    parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})
+    with pytest.raises(ValidationError) as caught:
+        cli.parse_config(json.dumps({"subcommand": subcommand, "parameters": parameters}))
+    assert str(caught.value).count(f"parameters.{key}") == 1
 
 
 @pytest.mark.parametrize("dt, force", [(1e300, [0, 0, 0]), (1e300, [0.6, 0, 0]),

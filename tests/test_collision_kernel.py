@@ -1,7 +1,11 @@
 """Collision rules: hand values, conservation laws, inverses, Jacobians."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinetics.collision_kernel import (
     CollisionBranch,
@@ -30,6 +34,21 @@ def random_setup(rng):
     n /= np.linalg.norm(n)
     epsilon = float(rng.uniform(0.1, 1.0))
     branch = CollisionBranch.REFLECTIVE if rng.uniform() < 0.5 else CollisionBranch.PASSING
+    return v1, v2, n, epsilon, branch, s1, s2
+
+
+@st.composite
+def setups(draw):
+    """random_setup's ranges as a strategy; n from polar angles, so |n| = 1."""
+    masses = [draw(st.floats(0.5, 3.0)) for _ in range(2)]
+    v1, v2 = (np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)]) for _ in range(2))
+    cos_polar = draw(st.floats(-1.0, 1.0))
+    azimuth = draw(st.floats(0.0, 2.0 * math.pi))
+    sin_polar = math.sqrt(1.0 - cos_polar * cos_polar)
+    n = np.array([sin_polar * math.cos(azimuth), sin_polar * math.sin(azimuth), cos_polar])
+    epsilon = draw(st.floats(0.1, 1.0))
+    branch = draw(st.sampled_from(CollisionBranch))
+    s1, s2 = (Species(mass=m, diameter=1.0) for m in masses)
     return v1, v2, n, epsilon, branch, s1, s2
 
 
@@ -69,15 +88,15 @@ def test_impulse_is_along_normal():
             abs(s1.mass * event.lambda1) + 1e-300)
 
 
-def test_momentum_conservation_sweep():
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        v1, v2, n, epsilon, branch, s1, s2 = random_setup(rng)
-        event = collide(v1, v2, n, epsilon, branch, s1, s2)
-        before = s1.mass * v1 + s2.mass * v2
-        after = s1.mass * event.w1 + s2.mass * event.w2
-        scale = s1.mass * np.linalg.norm(v1) + s2.mass * np.linalg.norm(v2)
-        assert np.max(np.abs(after - before)) < 1e-12 * max(scale, 1e-300)
+@settings(deadline=None, max_examples=500)
+@given(setups())
+def test_momentum_conservation_sweep(setup):
+    v1, v2, n, epsilon, branch, s1, s2 = setup
+    event = collide(v1, v2, n, epsilon, branch, s1, s2)
+    before = s1.mass * v1 + s2.mass * v2
+    after = s1.mass * event.w1 + s2.mass * event.w2
+    scale = s1.mass * np.linalg.norm(v1) + s2.mass * np.linalg.norm(v2)
+    assert np.max(np.abs(after - before)) < 1e-12 * max(scale, 1e-300)
 
 
 def test_normal_relative_velocity_law():
@@ -130,16 +149,16 @@ def test_elastic_reflection_is_self_inverse():
     np.testing.assert_allclose(inv[1], forward.w2, atol=1e-14)
 
 
-def test_inverse_collide_round_trip_property():
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        v1, v2, n, epsilon, branch, s1, s2 = random_setup(rng)
-        event = collide(v1, v2, n, epsilon, branch, s1, s2)
-        back1, back2 = inverse_collide(event.w1, event.w2, n, epsilon, branch, s1, s2)
-        again = collide(back1, back2, n, epsilon, branch, s1, s2)
-        scale = max(np.max(np.abs(event.w1)), np.max(np.abs(event.w2)), 1.0)
-        assert np.max(np.abs(again.w1 - event.w1)) < 1e-10 * scale
-        assert np.max(np.abs(again.w2 - event.w2)) < 1e-10 * scale
+@settings(deadline=None, max_examples=1000)
+@given(setups())
+def test_inverse_collide_round_trip_property(setup):
+    v1, v2, n, epsilon, branch, s1, s2 = setup
+    event = collide(v1, v2, n, epsilon, branch, s1, s2)
+    back1, back2 = inverse_collide(event.w1, event.w2, n, epsilon, branch, s1, s2)
+    again = collide(back1, back2, n, epsilon, branch, s1, s2)
+    scale = max(np.max(np.abs(event.w1)), np.max(np.abs(event.w2)), 1.0)
+    assert np.max(np.abs(again.w1 - event.w1)) < 1e-10 * scale
+    assert np.max(np.abs(again.w2 - event.w2)) < 1e-10 * scale
 
 
 def test_jacobian_analytic_values():
@@ -159,12 +178,12 @@ def test_jacobian_numeric_matches_restitution():
     assert det == pytest.approx(1.0, abs=1e-6)
 
 
-def test_jacobian_numeric_sweep():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        v1, v2, n, epsilon, branch, s1, s2 = random_setup(rng)
-        det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
-        assert abs(det - epsilon) < 1e-6
+@settings(deadline=None, max_examples=100)
+@given(setups())
+def test_jacobian_numeric_sweep(setup):
+    v1, v2, n, epsilon, branch, s1, s2 = setup
+    det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
+    assert abs(det - epsilon) < 1e-6
 
 
 def test_transform_velocities_broadcasts():

@@ -37,7 +37,8 @@ def test_sample_ensemble_mean_within_clt_bound():
     sigma = 1.0  # thermal speed at T = 1 with mass = k_B
     bound = 5.0 * sigma / np.sqrt(count)
     np.testing.assert_allclose(np.mean(ensemble.velocities, axis=0), u, atol=bound)
-    moments = dsmc.ensemble_moments(ensemble)
+    moments = dsmc.moments(ensemble.velocities, SPECIES.mass,
+                           ensemble.statistical_weight, 1.0)
     assert moments.temperature == pytest.approx(1.0, rel=0.05)
     assert moments.density == pytest.approx(1.0)
 
@@ -58,7 +59,7 @@ def test_step_conserves_momentum_and_elastic_energy():
     ke0 = float(np.sum(v0 * v0))
     state = ensemble
     for index in range(50):
-        state = dsmc.step(state, config_with(dt=0.05), step_index=index)
+        state = dsmc.advance(state, config_with(dt=0.05), range(index, index + 1))
     vf = state.velocities
     assert np.any(vf != v0)
     p_scale = float(np.sum(np.linalg.norm(v0, axis=1)))
@@ -99,18 +100,18 @@ def test_run_is_deterministic():
     a = dsmc.run(ensemble, config_with(epsilon=0.8, dt=0.05), 40, sample_every=5)
     b = dsmc.run(ensemble, config_with(epsilon=0.8, dt=0.05), 40, sample_every=5)
     np.testing.assert_array_equal(a, b)
-    first = dsmc.final_ensemble(ensemble, config_with(epsilon=0.8, dt=0.05), 40)
-    second = dsmc.final_ensemble(ensemble, config_with(epsilon=0.8, dt=0.05), 40)
+    first = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(40))
+    second = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(40))
     np.testing.assert_array_equal(first.velocities, second.velocities)
 
 
 def test_step_is_a_pure_function_of_inputs():
     ensemble = dsmc.sample_maxwellian_ensemble(1000, SPECIES, 1.0, (0, 0, 0),
                                                1.0, seed=13)
-    a = dsmc.step(ensemble, config_with(epsilon=0.8, dt=0.05), step_index=4)
-    b = dsmc.step(ensemble, config_with(epsilon=0.8, dt=0.05), step_index=4)
+    a = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(4, 5))
+    b = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(4, 5))
     np.testing.assert_array_equal(a.velocities, b.velocities)
-    c = dsmc.step(ensemble, config_with(epsilon=0.8, dt=0.05), step_index=5)
+    c = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(5, 6))
     assert np.any(c.velocities != a.velocities)
 
 
@@ -128,7 +129,7 @@ def test_majorant_hard_error_after_bounded_retries(monkeypatch):
     ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, 1.0, (0, 0, 0),
                                                1.0, seed=11)
     with pytest.raises(MajorantExceeded):
-        dsmc.step(ensemble, config_with(dt=5.0), step_index=0)
+        dsmc.advance(ensemble, config_with(dt=5.0), range(1))
 
 
 def test_config_and_ensemble_validation():

@@ -125,9 +125,7 @@ def _scalar_step(state, config, weight, volume, step_index):
 
 
 def _sample(t, state, weight, volume):
-    snapshot = dsmc.ParticleEnsemble(velocities=state.as_array(), species=SPECIES,
-                                     statistical_weight=weight)
-    m = dsmc.ensemble_moments(snapshot, volume=volume)
+    m = dsmc.moments(state.as_array(), SPECIES.mass, weight, volume)
     return [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
 
 
@@ -196,10 +194,9 @@ def test_waves_match_scalar_sweep_bit_for_bit(case):
     rows, final, pierced = reference_run(ensemble, config, n_steps, sample_every)
     assert (pierced > 0) == must_pierce
     _assert_bits_equal(dsmc.run(ensemble, config, n_steps, sample_every), rows)
-    _assert_bits_equal(dsmc.final_ensemble(ensemble, config, n_steps).velocities,
-                       final)
+    _assert_bits_equal(dsmc.advance(ensemble, config, range(n_steps)).velocities, final)
     for step_index in (0, 5):
         expected, pierced = reference_step(ensemble, config, step_index)
         assert (pierced > 0) == must_pierce
-        _assert_bits_equal(dsmc.step(ensemble, config, step_index).velocities,
-                           expected)
+        step = range(step_index, step_index + 1)
+        _assert_bits_equal(dsmc.advance(ensemble, config, step).velocities, expected)

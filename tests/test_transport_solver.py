@@ -13,7 +13,6 @@ from kinetics.transport_solver import (
     load_phase_grid,
     phase_grid_from_function,
     phase_snapshot,
-    save_phase_grid,
     semi_lagrangian_run,
 )
 
@@ -134,12 +133,15 @@ def test_semi_lagrangian_validation():
                          (np.nan, 3.0)):
         with pytest.raises(ValueError, match="must be positive and finite"):
             PhaseGrid1D1V(32, length, 32, vmax, grid.values)
+    for nx, nv, name in ((3, 32, "nx"), (32, 3, "nv")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 4"):
+            PhaseGrid1D1V(nx, 10.0, nv, 3.0, np.zeros((nx, nv)))
 
 
 def test_phase_snapshot_round_trip(tmp_path):
     grid = phase_grid_from_function(blob, 48, 10.0, 40, 3.0)
     path = tmp_path / "phase.bin"
-    save_phase_grid(grid, path)
+    path.write_bytes(phase_snapshot(grid))
     loaded = load_phase_grid(path)
     assert (loaded.nx, loaded.length, loaded.nv, loaded.vmax) == (48, 10.0, 40, 3.0)
     np.testing.assert_array_equal(loaded.values, grid.values)
