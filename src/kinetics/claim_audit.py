@@ -216,16 +216,9 @@ def audit_chain_rule(points, lam: float, force, mass: float,
     force = np.asarray(force, dtype=np.float64).reshape(3)
     accel = force / mass
 
-    def gaussian_field(vstar):
-        value = math.exp(-float(vstar @ vstar))
-        return value, -2.0 * vstar * value
-
-    def linear_field(vstar):
-        coeffs = np.array([0.7, -1.2, 0.4])
-        return float(coeffs @ vstar), coeffs
-
-    def radial_field(vstar):
-        return float(vstar @ vstar), 2.0 * vstar
+    def gradients(vstar):  # of exp(-|v*|^2), (0.7, -1.2, 0.4) . v* and |v*|^2
+        return (-2.0 * vstar * math.exp(-float(vstar @ vstar)),
+                np.array([0.7, -1.2, 0.4]), 2.0 * vstar)
 
     differences = []
     for point in points:
@@ -233,8 +226,7 @@ def audit_chain_rule(points, lam: float, force, mass: float,
         matrix, det = sphere_group.chart_jacobian(point, lam, hemisphere)
         vstar = sphere_group.project_chart(
             sphere_group.embed(point, lam, hemisphere)).vstar
-        for field_fn in (gaussian_field, linear_field, radial_field):
-            _, grad = field_fn(vstar)
+        for grad in gradients(vstar):
             scalar_form = det * float(accel @ grad)
             matrix_form = float((matrix.T @ accel) @ grad)
             differences.append(abs(scalar_form - matrix_form))
@@ -283,55 +275,28 @@ def audit_mass_conservation(epsilons, spec_template: QuadratureSpec,
     return reports
 
 
-@dataclass(frozen=True)
-class TransportScenario:
-    label: str
-    field: object          # callable (vstar, t) -> float
-    generator: sphere_group.PureQuaternion
-    theta_of_t: object     # callable t -> float
-    c_of_v: object         # callable vstar -> float
-    times: list
-    probe: sphere_group.ChartCoords
+# The transport audit follows one subgroup orbit, theta(t) = t with C = 0, per test field.
+TRANSPORT_GENERATOR = sphere_group.PureQuaternion(np.array([0.3, -0.1, 0.2]))
+TRANSPORT_PROBE = sphere_group.ChartCoords(np.array([0.1, 0.05, -0.02]))
+TRANSPORT_TIMES = [0.0, 0.25, 0.5, 0.75, 1.0]
+TRANSPORT_FIELDS = {
+    "zero-field": lambda vstar, t: 0.0,
+    "steady-field": lambda vstar, t: math.exp(-float(np.dot(vstar, vstar))),
+}
 
 
-def audit_transport_relation(scenarios: list[TransportScenario]) -> list[AuditReport]:
+def audit_transport_relation() -> list[AuditReport]:
     """Residual of f(v,t) + theta'(t) f(orbit(theta(t))) - C(v); diagnostic."""
-    reports = []
-    for scenario in scenarios:
-        residual = sphere_group.transport_relation_residual(
-            scenario.field, scenario.generator, scenario.theta_of_t,
-            scenario.c_of_v, scenario.times, scenario.probe)
-        reports.append(_diagnostic(
-            f"transport-relation-{scenario.label}",
-            "diagnostic: residual of the integrated transport relation along "
-            "a one-parameter subgroup orbit",
-            residual,
-            {"times": [float(t) for t in scenario.times],
-             "generator": scenario.generator.xi.tolist()},
-        ))
-    return reports
-
-
-def default_transport_scenarios() -> list[TransportScenario]:
-    generator = sphere_group.PureQuaternion(np.array([0.3, -0.1, 0.2]))
-    probe = sphere_group.ChartCoords(np.array([0.1, 0.05, -0.02]))
-    times = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def zero_field(vstar, t):
-        return 0.0
-
-    def steady_field(vstar, t):
-        return math.exp(-float(np.dot(vstar, vstar)))
-
-    def zero_c(vstar):
-        return 0.0
-
-    return [
-        TransportScenario("zero-field", zero_field, generator, lambda t: t,
-                          zero_c, times, probe),
-        TransportScenario("steady-field", steady_field, generator, lambda t: t,
-                          zero_c, times, probe),
-    ]
+    return [_diagnostic(
+        f"transport-relation-{label}",
+        "diagnostic: residual of the integrated transport relation along "
+        "a one-parameter subgroup orbit",
+        sphere_group.transport_relation_residual(
+            test_field, TRANSPORT_GENERATOR, lambda t: t, lambda vstar: 0.0,
+            TRANSPORT_TIMES, TRANSPORT_PROBE),
+        {"times": [float(t) for t in TRANSPORT_TIMES],
+         "generator": TRANSPORT_GENERATOR.xi.tolist()},
+    ) for label, test_field in TRANSPORT_FIELDS.items()]
 
 
 # Grid extents in thermal speeds, and the bimodal grid of the Stokes audit.
@@ -396,15 +361,11 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
                              nodes_per_axis=settings.mass_nodes)
     f_mass = maxwellian(mass_grid, density=1.0, bulk_velocity=(0.0, 0.0, 0.0),
                         temperature=settings.temperature, mass=settings.mass)
-    mass_spec = QuadratureSpec(
-        samples=settings.mass_samples, seed=settings.seed,
-        diameter=settings.diameter, mass=settings.mass, epsilon=1.0,
-        branch=CollisionBranch.REFLECTIVE,
-        normalization=GainNormalization.RESTITUTION_WEIGHTED)
+    mass_spec = replace(stokes_spec, samples=settings.mass_samples)
     reports.extend(audit_mass_conservation([1.0, 0.8], mass_spec, f_mass,
                                            threads=threads))
 
-    reports.extend(audit_transport_relation(default_transport_scenarios()))
+    reports.extend(audit_transport_relation())
     return reports
 
 

@@ -35,8 +35,6 @@ from .errors import (
 )
 from .transport_solver import ForceField
 
-SUBCOMMANDS = ("collide", "operator", "dsmc", "transport", "audit")
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
@@ -128,17 +126,19 @@ def _restitution(value, context) -> float:
     return _validate_restitution(_number(value, context))
 
 
-def _branch(value, context) -> str:
-    if value not in ("reflective", "passing"):
-        raise ValidationError(f"{context} must be 'reflective' or 'passing'")
-    return value
+def _choice(enum_type):
+    """Checker accepting the values of an enum, which lists them in its error."""
+    allowed = tuple(member.value for member in enum_type)
+
+    def check(value, context) -> str:
+        if value not in allowed:
+            raise ValidationError(f"{context} must be one of {allowed}")
+        return value
+    return check
 
 
-def _normalization(value, context) -> str:
-    allowed = tuple(n.value for n in GainNormalization)
-    if value not in allowed:
-        raise ValidationError(f"{context} must be one of {allowed}")
-    return value
+_branch = _choice(CollisionBranch)
+_normalization = _choice(GainNormalization)
 
 
 def _string(value, context) -> str:
@@ -198,8 +198,8 @@ _OPERATOR_SCHEMA = _Schema({
     "mass": (_positive, 1.0),
     "diameter": (_positive, 1.0),
     "epsilon": (_restitution, 1.0),
-    "branch": (_branch, "reflective"),
-    "normalization": (_normalization, "restitution_weighted"),
+    "branch": (_branch, CollisionBranch.REFLECTIVE.value),
+    "normalization": (_normalization, GainNormalization.RESTITUTION_WEIGHTED.value),
     "samples": (_positive_int, 100_000),
     "probes": (_probes,),
 })
@@ -211,7 +211,7 @@ _DSMC_SCHEMA = _Schema({
     "dt": (_positive,),
     "number_density": (_positive, 1.0),
     "epsilon": (_restitution, 1.0),
-    "branch": (_branch, "reflective"),
+    "branch": (_branch, CollisionBranch.REFLECTIVE.value),
     "temperature": (_positive, 1.0),
     "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
     "mass": (_positive, 1.0),
@@ -242,14 +242,6 @@ _AUDIT_SCHEMA = _Schema({
                  field.default)
     for field in fields(claim_audit.AuditSettings) if field.name != "seed"
 })
-
-_SCHEMAS = {
-    "collide": _COLLIDE_SCHEMA,
-    "operator": _OPERATOR_SCHEMA,
-    "dsmc": _DSMC_SCHEMA,
-    "transport": _TRANSPORT_SCHEMA,
-    "audit": _AUDIT_SCHEMA,
-}
 
 _TOP_LEVEL_KEYS = {"subcommand", "parameters", "seed", "output_dir"}
 
@@ -286,7 +278,7 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
         raise ValidationError("parameters must be an object")
-    resolved = _SCHEMAS[chosen].resolve(params, "parameters")
+    resolved = _SUBCOMMANDS[chosen][0].resolve(params, "parameters")
     return RunConfig(subcommand=chosen, parameters=resolved, seed=seed,
                      output_dir=output_dir)
 
@@ -301,39 +293,26 @@ def config_to_json(config: RunConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class _Staging:
-    """Collects outputs and publishes them only after the run succeeds."""
-
-    def __init__(self, output_dir: str):
-        self.root = Path(output_dir)
-        self.pending: list[tuple[Path, bytes]] = []
-
-    def add_text(self, name: str, text: str) -> None:
-        self.pending.append((self.root / name, text.encode("utf-8")))
-
-    def add_bytes(self, name: str, data: bytes) -> None:
-        self.pending.append((self.root / name, data))
-
-    def publish(self) -> None:
-        """Write every output to a temp file, then rename all; none appear if a write fails."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        temps: list[str] = []
-        try:
-            for path, data in self.pending:
-                fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.name + ".tmp")
-                temps.append(tmp)
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-            for (path, _), tmp in zip(self.pending, temps):
-                os.replace(tmp, path)
-        except BaseException:
-            for tmp in temps:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            raise
+def _publish(root: Path, outputs: dict[str, str | bytes]) -> None:
+    """Write every output to a temp file, then rename all; none appear if a write fails."""
+    root.mkdir(parents=True, exist_ok=True)
+    temps: list[str] = []
+    try:
+        for name, data in outputs.items():
+            fd, tmp = tempfile.mkstemp(dir=root, prefix=name + ".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for name, tmp in zip(outputs, temps):
+            os.replace(tmp, root / name)
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
-def _run_collide(config: RunConfig, staging: _Staging, threads: int) -> None:
+def _run_collide(config: RunConfig, threads: int) -> dict:
     p = config.parameters
     s1 = Species(mass=p["mass1"], diameter=p["diameter1"])
     s2 = Species(mass=p["mass2"], diameter=p["diameter2"])
@@ -341,9 +320,9 @@ def _run_collide(config: RunConfig, staging: _Staging, threads: int) -> None:
                     CollisionBranch(p["branch"]), s1, s2)
     row = list(event.w1) + list(event.w2) + [event.lambda1, event.lambda2,
                                              event.delta_e]
-    staging.add_text("collision.csv", claim_audit.csv_text(
+    return {"collision.csv": claim_audit.csv_text(
         ["w1x", "w1y", "w1z", "w2x", "w2y", "w2z", "lambda1", "lambda2",
-         "delta_e"], [row]))
+         "delta_e"], [row])}
 
 
 def _build_distribution(p: dict):
@@ -357,7 +336,7 @@ def _build_distribution(p: dict):
                    p["mass"])
 
 
-def _run_operator(config: RunConfig, staging: _Staging, threads: int) -> None:
+def _run_operator(config: RunConfig, threads: int) -> dict:
     p = config.parameters
     f = _build_distribution(p)
     spec = QuadratureSpec(
@@ -368,11 +347,11 @@ def _run_operator(config: RunConfig, staging: _Staging, threads: int) -> None:
     estimates = evaluate_field(f, probes, spec, threads=threads)
     rows = [[probe[0], probe[1], probe[2], est.value, est.std_error]
             for probe, est in zip(probes, estimates)]
-    staging.add_text("rates.csv", claim_audit.csv_text(
-        ["vx", "vy", "vz", "rate", "std_error"], rows))
+    return {"rates.csv": claim_audit.csv_text(
+        ["vx", "vy", "vz", "rate", "std_error"], rows)}
 
 
-def _run_dsmc(config: RunConfig, staging: _Staging, threads: int) -> None:
+def _run_dsmc(config: RunConfig, threads: int) -> dict:
     p = config.parameters
     species = Species(mass=p["mass"], diameter=p["diameter"])
     ensemble = dsmc.sample_maxwellian_ensemble(
@@ -384,11 +363,11 @@ def _run_dsmc(config: RunConfig, staging: _Staging, threads: int) -> None:
         majorant_relative_speed=p["majorant_relative_speed"])
     series = dsmc.run(ensemble, cfg, p["steps"], p["sample_every"])
     rows = [list(row) for row in series]
-    staging.add_text("timeseries.csv", claim_audit.csv_text(
-        ["t", "density", "px", "py", "pz", "temperature"], rows))
+    return {"timeseries.csv": claim_audit.csv_text(
+        ["t", "density", "px", "py", "pz", "temperature"], rows)}
 
 
-def _run_transport(config: RunConfig, staging: _Staging, threads: int) -> None:
+def _run_transport(config: RunConfig, threads: int) -> dict:
     p = config.parameters
     x0, v0 = p["center_x"], p["center_v"]
     sx, sv, amp = p["sigma_x"], p["sigma_v"], p["amplitude"]
@@ -409,36 +388,36 @@ def _run_transport(config: RunConfig, staging: _Staging, threads: int) -> None:
     exact = initial(x_grid - v_grid * t_end + 0.5 * ax * t_end**2,
                     v_grid - ax * t_end)
     linf = float(np.max(np.abs(final.values - exact)))
-    staging.add_text("transport.csv", claim_audit.csv_text(
-        ["metric", "value"],
-        [["mass_drift", result.mass_drift],
-         ["linf_error_vs_exact", linf],
-         ["t_end", t_end]]))
-    staging.add_bytes("phase_snapshot.bin", transport_solver.phase_snapshot(final))
+    return {"transport.csv": claim_audit.csv_text(
+                ["metric", "value"],
+                [["mass_drift", result.mass_drift],
+                 ["linf_error_vs_exact", linf],
+                 ["t_end", t_end]]),
+            "phase_snapshot.bin": transport_solver.phase_snapshot(final)}
 
 
-def _run_audit(config: RunConfig, staging: _Staging, threads: int) -> None:
+def _run_audit(config: RunConfig, threads: int) -> dict:
     settings = claim_audit.AuditSettings(seed=config.seed, **config.parameters)
     reports = claim_audit.run_all_audits(settings, threads=threads)
-    staging.add_text("audit.csv", claim_audit.audit_csv_text(reports))
-    staging.add_text("audit_summary.txt", claim_audit.audit_summary_text(reports))
+    return {"audit.csv": claim_audit.audit_csv_text(reports),
+            "audit_summary.txt": claim_audit.audit_summary_text(reports)}
 
 
-_RUNNERS = {
-    "collide": _run_collide,
-    "operator": _run_operator,
-    "dsmc": _run_dsmc,
-    "transport": _run_transport,
-    "audit": _run_audit,
+# Each subcommand's config schema and runner; a runner maps file names to contents.
+_SUBCOMMANDS = {
+    "collide": (_COLLIDE_SCHEMA, _run_collide),
+    "operator": (_OPERATOR_SCHEMA, _run_operator),
+    "dsmc": (_DSMC_SCHEMA, _run_dsmc),
+    "transport": (_TRANSPORT_SCHEMA, _run_transport),
+    "audit": (_AUDIT_SCHEMA, _run_audit),
 }
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 def run(config: RunConfig, threads: int = 1) -> int:
     """Execute a validated config; outputs appear only on success."""
-    staging = _Staging(config.output_dir)
-    staging.add_text("config_echo.json", config_to_json(config))
     try:
-        _RUNNERS[config.subcommand](config, staging, threads)
+        outputs = _SUBCOMMANDS[config.subcommand][1](config, threads)
     except (ConfigError, ValueError, UnderResolved) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -446,7 +425,8 @@ def run(config: RunConfig, threads: int = 1) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     try:
-        staging.publish()
+        _publish(Path(config.output_dir),
+                 {"config_echo.json": config_to_json(config), **outputs})
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -84,6 +84,17 @@ def _validate_restitution(epsilon: float) -> float:
     return epsilon
 
 
+def _validate_inverse_restitution(epsilon: float) -> float:
+    """_validate_restitution for maps that run the impact backwards at 1/epsilon.
+
+    epsilon <= 0 raises SingularRestitution, since 1/epsilon is the inverse's restitution.
+    """
+    epsilon = float(epsilon)
+    if epsilon <= 0.0:
+        raise SingularRestitution(f"inverse collision is singular at epsilon = {epsilon!r}")
+    return _validate_restitution(epsilon)
+
+
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of (..., 3) arrays.
 
@@ -150,9 +161,7 @@ def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
     The inverse of either rule is the same rule at restitution 1/epsilon, so
     it is singular as epsilon -> 0.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise SingularRestitution(f"inverse collision is singular at epsilon = {epsilon!r}")
+    epsilon = _validate_inverse_restitution(epsilon)
     n = _validate_normal(n)
     w1 = np.asarray(w1, dtype=np.float64).reshape(3)
     w2 = np.asarray(w2, dtype=np.float64).reshape(3)

@@ -27,11 +27,11 @@ from . import rng
 from .collision_kernel import (
     CollisionBranch,
     _dot3,
-    _validate_restitution,
+    _validate_inverse_restitution,
     transform_velocities,
 )
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import NonFiniteEstimate, SingularRestitution, require_positive
+from .errors import NonFiniteEstimate, require_positive
 
 _CHUNK = 1 << 15
 
@@ -65,10 +65,7 @@ class QuadratureSpec:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         require_positive("diameter", self.diameter)
         require_positive("mass", self.mass)
-        if self.epsilon <= 0.0:
-            raise SingularRestitution(
-                f"the gain term is singular at restitution {self.epsilon!r}")
-        _validate_restitution(self.epsilon)
+        _validate_inverse_restitution(self.epsilon)
 
     @property
     def cross_section(self) -> float:
@@ -96,16 +93,13 @@ class MomentRates:
     energy: RateEstimate
 
 
-def _estimate(value: float, std_error: float) -> RateEstimate:
-    """RateEstimate, or NonFiniteEstimate (a numerical failure) on overflow or NaN."""
-    if not (np.isfinite(value) and np.isfinite(std_error)):
-        raise NonFiniteEstimate(
-            f"rate estimate is not finite: {value!r} +/- {std_error!r}")
-    return RateEstimate(value=value, std_error=std_error)
-
-
-def _workers(threads: int, tasks: int) -> int:
-    return min(threads, tasks, os.cpu_count() or 1)
+def _map(fn, tasks: list, threads: int) -> list:
+    """[fn(task) for task in tasks] on at most min(threads, tasks, cores) workers."""
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _unit_sphere(generator: np.random.Generator, count: int) -> np.ndarray:
@@ -138,7 +132,7 @@ def _mean_and_sem(sizes: list[int], sums: list[float],
     spread.
     """
     total = sum(sizes)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in _estimate
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in _estimates
         mean = float(np.sum(sums)) / total
     if total < 2:
         return mean, 0.0
@@ -149,6 +143,24 @@ def _mean_and_sem(sizes: list[int], sums: list[float],
         m2 += float(chunk_m2) + delta * delta * ((count - size) * size / count)
         centre += delta * (size / count)
     return mean, math.sqrt(m2 / (total - 1) / total)
+
+
+def _estimates(sizes: list[int], partials: list[np.ndarray],
+               weight: float) -> list[RateEstimate]:
+    """Weighted RateEstimates, one per component of the per-chunk _sum_and_m2 results.
+
+    A non-finite estimate (overflow or NaN) raises NonFiniteEstimate, a numerical failure.
+    """
+    stats = np.stack(partials, axis=-1).reshape(2, -1, len(sizes))  # (sum|M2, comp, chunk)
+    estimates = []
+    for sums, m2s in zip(stats[0], stats[1]):
+        mean, sem = _mean_and_sem(sizes, sums, m2s)
+        value, std_error = weight * mean, weight * sem
+        if not (np.isfinite(value) and np.isfinite(std_error)):
+            raise NonFiniteEstimate(
+                f"rate estimate is not finite: {value!r} +/- {std_error!r}")
+        estimates.append(RateEstimate(value=value, std_error=std_error))
+    return estimates
 
 
 def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):
@@ -181,20 +193,15 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
             integrand = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
                          - f_probe * interpolate_many(f, v1)) * np.abs(gn)
             stats.append(_sum_and_m2(integrand))
-    mean, sem = _mean_and_sem(sizes, [s[0] for s in stats], [s[1] for s in stats])
     weight = f.grid.hull_volume * 4.0 * np.pi * spec.cross_section
-    return _estimate(weight * mean, weight * sem)
+    return _estimates(sizes, stats, weight)[0]
 
 
 def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
                    threads: int = 1) -> list[RateEstimate]:
     """evaluate_at over many probes; bitwise equal at any worker count."""
     nodes = [np.asarray(node, dtype=np.float64).reshape(3) for node in nodes]
-    workers = _workers(threads, len(nodes))
-    if workers <= 1:
-        return [evaluate_at(f, node, spec) for node in nodes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda node: evaluate_at(f, node, spec), nodes))
+    return _map(lambda node: evaluate_at(f, node, spec), nodes, threads)
 
 
 def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, chunk_index: int,
@@ -230,19 +237,10 @@ def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec,
     gain weighting enters through the factor G eps^2.
     """
     sizes = _chunk_sizes(spec.samples)
-    tasks = list(enumerate(sizes))
-    workers = _workers(threads, len(tasks))
-    if workers <= 1:
-        partials = [_moment_chunk(f, spec, i, s) for i, s in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda t: _moment_chunk(f, spec, t[0], t[1]), tasks))
+    partials = _map(lambda task: _moment_chunk(f, spec, *task), list(enumerate(sizes)),
+                    threads)
     weight = f.grid.hull_volume**2 * 4.0 * np.pi * spec.cross_section
-    estimates = []
-    for component in range(5):
-        mean, sem = _mean_and_sem(sizes, [p[0, component] for p in partials],
-                                  [p[1, component] for p in partials])
-        estimates.append(_estimate(weight * mean, weight * sem))
+    estimates = _estimates(sizes, partials, weight)
     return MomentRates(density=estimates[0],
                        momentum=(estimates[1], estimates[2], estimates[3]),
                        energy=estimates[4])

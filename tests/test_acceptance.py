@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
 import json
+import shutil
 import time
 
 import numpy as np
@@ -375,33 +376,36 @@ def test_dsmc_cooling_sanity():
 
 
 def test_determinism_across_thread_counts(tmp_path):
-    operator_config = {
-        "subcommand": "operator",
-        "seed": 11,
-        "parameters": {"vmax": 4.5, "nodes_per_axis": 41,
-                       "distribution": {"kind": "maxwellian"},
-                       "mass": UNIT_MASS, "epsilon": 0.9,
-                       "samples": 50_000,
-                       "probes": [[0.5, 0, 0], [0, 1.0, 0], [-0.3, 0.2, 0.9]]},
+    parameters = {
+        "collide": {"v1": [0.3, -1.0, 0.2], "v2": [1.0, 0.5, 0.0],
+                    "n": [0.6, 0.8, 0.0], "epsilon": 0.7, "branch": "passing"},
+        "operator": {"vmax": 4.5, "nodes_per_axis": 41,
+                     "distribution": {"kind": "maxwellian"},
+                     "mass": UNIT_MASS, "epsilon": 0.9, "samples": 50_000,
+                     "probes": [[0.5, 0, 0], [0, 1.0, 0], [-0.3, 0.2, 0.9]]},
+        "dsmc": {"particles": 2000, "steps": 50, "sample_every": 10,
+                 "dt": 0.01, "mass": UNIT_MASS, "epsilon": 0.9},
+        "transport": {"nx": 32, "nv": 32, "dt": 0.05, "steps": 10,
+                      "force": [0.3, 0.0, 0.0]},
+        # three moment chunks, so the weak-form fan-out has work to split
+        "audit": {"jacobian_configs": 10, "stokes_samples": 2000, "stokes_nodes": 61,
+                  "mass_samples": 70_000, "mass_nodes": 31},
     }
-    dsmc_config = {
-        "subcommand": "dsmc",
-        "seed": 12,
-        "parameters": {"particles": 2000, "steps": 50, "sample_every": 10,
-                       "dt": 0.01, "mass": UNIT_MASS, "epsilon": 0.9},
-    }
-    for name, payload, artifact in (("operator", operator_config, "rates.csv"),
-                                    ("dsmc", dsmc_config, "timeseries.csv")):
+    assert sorted(parameters) == sorted(cli.SUBCOMMANDS)
+    out_dir = tmp_path / "out"
+    for seed, (name, params) in enumerate(parameters.items(), start=10):
         config_path = tmp_path / f"{name}.json"
-        config_path.write_text(json.dumps(payload))
+        config_path.write_text(json.dumps({"subcommand": name, "seed": seed,
+                                           "output_dir": str(out_dir),
+                                           "parameters": params}))
         outputs = []
         for threads in (1, 8):
-            out_dir = tmp_path / f"{name}-t{threads}"
             code = cli.main([name, "--config", str(config_path),
-                             "--output-dir", str(out_dir),
                              "--threads", str(threads)])
             assert code == 0
-            outputs.append((out_dir / artifact).read_bytes())
-        assert outputs[0] == outputs[1]
-    report("determinism", "operator and dsmc CSV outputs byte-identical at "
-                          "thread counts 1 and 8")
+            outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+            shutil.rmtree(out_dir)
+        assert "config_echo.json" in outputs[0] and len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1], name
+    report("determinism", "every output file of all five subcommands, config_echo.json "
+                          "included, byte-identical at thread counts 1 and 8")

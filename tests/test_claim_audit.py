@@ -89,7 +89,7 @@ def test_audit_mass_conservation_rows():
 
 
 def test_audit_transport_relation_rows():
-    reports = ca.audit_transport_relation(ca.default_transport_scenarios())
+    reports = ca.audit_transport_relation()
     by_id = {r.claim_id: r for r in reports}
     assert by_id["transport-relation-zero-field"].residual == 0.0
     for report in reports:

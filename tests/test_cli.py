@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinetics import cli
+from kinetics.collision_kernel import CollisionBranch
+from kinetics.collision_operator import GainNormalization
 from kinetics.errors import ConfigError, ParseError, ValidationError
 from kinetics.transport_solver import load_phase_grid
 
@@ -103,12 +105,18 @@ def test_validation_failure_exits_1_without_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("subcommand, key, value", [
     ("dsmc", "dt", -1), ("transport", "dt", -1), ("collide", "epsilon", 1.5),
-    ("operator", "epsilon", 1.5), ("dsmc", "epsilon", 1.5)])
+    ("operator", "epsilon", 1.5), ("dsmc", "epsilon", 1.5),
+    ("collide", "branch", "sideways"), ("operator", "branch", "sideways"),
+    ("dsmc", "branch", "sideways"), ("operator", "normalization", "x")])
 def test_broken_domain_rule_names_the_key_once(subcommand, key, value):
     parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})
     with pytest.raises(ValidationError) as caught:
         cli.parse_config(json.dumps({"subcommand": subcommand, "parameters": parameters}))
     assert str(caught.value).count(f"parameters.{key}") == 1
+    choices = {"branch": CollisionBranch, "normalization": GainNormalization}.get(key)
+    if choices is not None:
+        allowed = tuple(member.value for member in choices)
+        assert str(caught.value).endswith(f"must be one of {allowed}")
 
 
 @pytest.mark.parametrize("dt, force", [(1e300, [0, 0, 0]), (1e300, [0.6, 0, 0]),
@@ -318,7 +326,7 @@ def test_parse_config_raises_only_config_errors(data, replacement, name_the_subc
     config = {"subcommand": subcommand, "seed": 3, "output_dir": "out",
               "parameters": copy.deepcopy(VALID_PARAMETERS[case])}
     targets = [(config, key) for key in ("subcommand", "seed", "output_dir", "parameters")]
-    targets += [(config["parameters"], key) for key in cli._SCHEMAS[subcommand].fields]
+    targets += [(config["parameters"], key) for key in cli._SUBCOMMANDS[subcommand][0].fields]
     if "distribution" in config["parameters"]:
         distribution = config["parameters"]["distribution"]
         targets += [(distribution, key) for key in DISTRIBUTION_KEYS[distribution["kind"]]]

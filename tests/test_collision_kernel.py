@@ -218,6 +218,11 @@ def test_validation_errors():
     with pytest.raises(SingularRestitution):
         inverse_collide((0, 0, 0), (1, 0, 0), EX, -1.0,
                         CollisionBranch.PASSING, UNIT, UNIT)
+    # no impact has these restitutions, so no impact has an inverse at them
+    for bad_epsilon in (float("nan"), float("inf"), 1.5):
+        for branch in CollisionBranch:
+            with pytest.raises(InvalidRestitution):
+                inverse_collide((0, 0, 0), (1, 0, 0), EX, bad_epsilon, branch, UNIT, UNIT)
     with pytest.raises(ValueError):
         Species(mass=-1.0, diameter=1.0)
     with pytest.raises(ValueError):
