@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     UnderResolved,
     ValidationError,
+    require_count,
     require_positive,
 )
 from .transport_solver import ForceField
@@ -96,26 +97,6 @@ def _nonneg(value, context) -> float:
     return value
 
 
-def _integer(value, context) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{context} must be an integer")
-    return value
-
-
-def _positive_int(value, context) -> int:
-    value = _integer(value, context)
-    if value < 1:
-        raise ValidationError(f"{context} must be >= 1")
-    return value
-
-
-def _nonneg_int(value, context) -> int:
-    value = _integer(value, context)
-    if value < 0:
-        raise ValidationError(f"{context} must be >= 0")
-    return value
-
-
 def _vec3(value, context) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValidationError(f"{context} must be a list of 3 numbers")
@@ -124,6 +105,13 @@ def _vec3(value, context) -> list[float]:
 
 def _restitution(value, context) -> float:
     return _validate_restitution(_number(value, context))
+
+
+def _count(minimum):
+    """Checker accepting an integer of at least minimum."""
+    def check(value, context) -> int:
+        return require_count("value", value, minimum)
+    return check
 
 
 def _choice(enum_type):
@@ -193,21 +181,21 @@ _COLLIDE_SCHEMA = _Schema({
 
 _OPERATOR_SCHEMA = _Schema({
     "vmax": (_positive,),
-    "nodes_per_axis": (_positive_int,),
+    "nodes_per_axis": (_count(1),),
     "distribution": (_distribution_params,),
     "mass": (_positive, 1.0),
     "diameter": (_positive, 1.0),
     "epsilon": (_restitution, 1.0),
     "branch": (_branch, CollisionBranch.REFLECTIVE.value),
     "normalization": (_normalization, GainNormalization.RESTITUTION_WEIGHTED.value),
-    "samples": (_positive_int, 100_000),
+    "samples": (_count(1), 100_000),
     "probes": (_probes,),
 })
 
 _DSMC_SCHEMA = _Schema({
-    "particles": (_positive_int,),
-    "steps": (_nonneg_int,),
-    "sample_every": (_positive_int, 1),
+    "particles": (_count(1),),
+    "steps": (_count(0),),
+    "sample_every": (_count(1), 1),
     "dt": (_positive,),
     "number_density": (_positive, 1.0),
     "epsilon": (_restitution, 1.0),
@@ -220,12 +208,12 @@ _DSMC_SCHEMA = _Schema({
 })
 
 _TRANSPORT_SCHEMA = _Schema({
-    "nx": (_positive_int, 128),
+    "nx": (_count(1), 128),
     "length": (_positive, 10.0),
-    "nv": (_positive_int, 128),
+    "nv": (_count(1), 128),
     "vmax": (_positive, 3.0),
     "dt": (_positive,),
-    "steps": (_nonneg_int,),
+    "steps": (_count(0),),
     "force": (_vec3, [0.0, 0.0, 0.0]),
     "mass": (_positive, 1.0),
     "center_x": (_number, 3.0),
@@ -238,7 +226,7 @@ _TRANSPORT_SCHEMA = _Schema({
 # Every AuditSettings field but the seed, checked by its type, with its default.
 _AUDIT_TYPES = typing.get_type_hints(claim_audit.AuditSettings)
 _AUDIT_SCHEMA = _Schema({
-    field.name: ({int: _positive_int, float: _positive}[_AUDIT_TYPES[field.name]],
+    field.name: ({int: _count(1), float: _positive}[_AUDIT_TYPES[field.name]],
                  field.default)
     for field in fields(claim_audit.AuditSettings) if field.name != "seed"
 })
@@ -269,9 +257,10 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     chosen = declared or subcommand
     if chosen is None:
         raise ValidationError("no subcommand given (config or command line)")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError("seed must be an integer")
+    try:
+        seed = require_count("seed", raw.get("seed", 0), -math.inf)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValidationError("output_dir must be a string")
@@ -373,8 +362,9 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
     sx, sv, amp = p["sigma_x"], p["sigma_v"], p["amplitude"]
 
     def initial(x, v):
-        return amp * np.exp(-((x - x0) ** 2) / (2.0 * sx**2)
-                            - ((v - v0) ** 2) / (2.0 * sv**2))
+        with np.errstate(all="ignore"):  # PhaseGrid1D1V rejects a non-finite grid
+            return amp * np.exp(-((x - x0) ** 2) / (2.0 * sx**2)
+                                - ((v - v0) ** 2) / (2.0 * sv**2))
 
     grid0 = transport_solver.phase_grid_from_function(
         initial, p["nx"], p["length"], p["nv"], p["vmax"])

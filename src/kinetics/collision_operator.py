@@ -31,7 +31,7 @@ from .collision_kernel import (
     transform_velocities,
 )
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import NonFiniteEstimate, require_positive
+from .errors import NonFiniteEstimate, require_count, require_positive
 
 _CHUNK = 1 << 15
 
@@ -61,8 +61,7 @@ class QuadratureSpec:
     normalization: GainNormalization = GainNormalization.RESTITUTION_WEIGHTED
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        require_count("samples", self.samples, 1)
         require_positive("diameter", self.diameter)
         require_positive("mass", self.mass)
         _validate_inverse_restitution(self.epsilon)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import BOLTZMANN
-from .errors import UnderResolved, require_positive
+from .errors import UnderResolved, frozen_array, require_count, require_positive
 
 SNAPSHOT_ORDER_3D = "row-major-z-fastest"
 
@@ -33,8 +33,7 @@ class VelocityGrid:
 
     def __post_init__(self) -> None:
         require_positive("vmax", self.vmax)
-        if self.nodes_per_axis < 4:
-            raise ValueError(f"need at least 4 nodes per axis, got {self.nodes_per_axis}")
+        require_count("nodes_per_axis", self.nodes_per_axis, 4)
 
     @property
     def spacing(self) -> float:
@@ -64,15 +63,11 @@ class DiscreteDistribution:
 
     def __post_init__(self) -> None:
         n = self.grid.nodes_per_axis
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen_array(self, "values", self.values)
         if values.shape != (n, n, n):
             raise ValueError(f"values shape {values.shape} does not match grid {(n, n, n)}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("distribution values must be finite")
         if np.any(values < 0.0):
             raise ValueError("distribution values must be nonnegative")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 class Moments(NamedTuple):

@@ -35,7 +35,7 @@ import numpy as np
 from . import rng
 from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
 from .constants import BOLTZMANN
-from .errors import MajorantExceeded, require_positive
+from .errors import MajorantExceeded, frozen_array, require_count, require_positive
 
 _MAJORANT_RETRIES = 8
 _BOUND_REFRESH_STEPS = 64
@@ -50,14 +50,10 @@ class ParticleEnsemble:
     statistical_weight: float
 
     def __post_init__(self) -> None:
-        velocities = np.ascontiguousarray(self.velocities, dtype=np.float64)
+        velocities = frozen_array(self, "velocities", self.velocities)
         if velocities.ndim != 2 or velocities.shape[1] != 3:
             raise ValueError(f"velocities must be (N, 3), got {velocities.shape}")
-        if not np.all(np.isfinite(velocities)):
-            raise ValueError("velocities must be finite")
         require_positive("statistical_weight", self.statistical_weight)
-        velocities.setflags(write=False)
-        object.__setattr__(self, "velocities", velocities)
 
     @property
     def count(self) -> int:
@@ -98,8 +94,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, density: float,
     weight is density / count; T = 0 collapses every velocity onto the bulk
     velocity exactly.
     """
-    if count < 2:
-        raise ValueError(f"need at least 2 particles, got {count}")
+    require_count("count", count, 2)
     require_positive("density", density)
     if temperature < 0.0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
@@ -251,10 +246,8 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
 
     Row 0 is always the initial state, so n_steps = 0 yields one row.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    require_count("n_steps", n_steps, 0)
+    require_count("sample_every", sample_every, 1)
     mass = ensemble.species.mass
     weight = ensemble.statistical_weight
     volume = ensemble.count * weight / config.number_density

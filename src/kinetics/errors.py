@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all kinetics modules, and the positivity rule."""
+"""Exception hierarchy shared by all kinetics modules, and the value rules."""
 
 import math
+
+import numpy as np
 
 
 def require_positive(name: str, value):
@@ -8,6 +10,25 @@ def require_positive(name: str, value):
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def require_count(name: str, value, minimum):
+    """value, if it is an integer (not a bool) of at least minimum; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def frozen_array(obj, name: str, array) -> np.ndarray:
+    """Set obj.name to an owned, read-only float64 copy of array; ValueError if not finite."""
+    array = np.array(array, dtype=np.float64, order="C")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+    return array
 
 
 class KineticsError(Exception):
@@ -45,7 +66,7 @@ class MajorantExceeded(KineticsError):
 
 
 class NonFiniteEstimate(KineticsError):
-    """Monte Carlo estimate overflowed or became NaN."""
+    """Monte Carlo estimate or transported mass overflowed or became NaN."""
 
 
 class ConfigError(KineticsError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingularity, SpeedExceedsLambda, require_positive
+from .errors import ChartSingularity, SpeedExceedsLambda, frozen_array, require_positive
 
 CHART_GUARD = 1e-9
 _SPHERE_TOL = 1e-12
@@ -27,12 +27,10 @@ class SpherePoint:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(4)
+        theta = frozen_array(self, "theta", np.reshape(self.theta, 4))
         norm_sq = float(theta @ theta)
         if abs(norm_sq - 1.0) > 4.0 * _SPHERE_TOL:
             raise ValueError(f"|theta|^2 = {norm_sq!r} is not 1 within tolerance")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -42,11 +40,7 @@ class ChartCoords:
     vstar: np.ndarray
 
     def __post_init__(self) -> None:
-        vstar = np.asarray(self.vstar, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(vstar)):
-            raise ValueError("chart coordinates must be finite")
-        vstar.setflags(write=False)
-        object.__setattr__(self, "vstar", vstar)
+        frozen_array(self, "vstar", np.reshape(self.vstar, 3))
 
 
 @dataclass(frozen=True)
@@ -56,11 +50,7 @@ class PureQuaternion:
     xi: np.ndarray
 
     def __post_init__(self) -> None:
-        xi = np.asarray(self.xi, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("generator components must be finite")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
+        frozen_array(self, "xi", np.reshape(self.xi, 3))
 
 
 IDENTITY = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -81,7 +71,7 @@ def embed(v, lam: float, hemisphere: str = "lower") -> SpherePoint:
     v = np.asarray(v, dtype=np.float64).reshape(3)
     scaled = v / lam
     rho_sq = float(scaled @ scaled)
-    if rho_sq >= 1.0:
+    if not rho_sq < 1.0:
         raise SpeedExceedsLambda(f"|v| = {math.sqrt(rho_sq) * lam:g} must be below lambda = {lam:g}")
     theta4 = sign * math.sqrt(1.0 - rho_sq)
     return SpherePoint(np.array([scaled[0], scaled[1], scaled[2], theta4]))
@@ -116,7 +106,7 @@ def chart_jacobian(v, lam: float, hemisphere: str = "lower") -> tuple[np.ndarray
     sign = _hemisphere_sign(hemisphere)
     v = np.asarray(v, dtype=np.float64).reshape(3)
     rho_sq = float(v @ v) / lam**2
-    if rho_sq >= 1.0:
+    if not rho_sq < 1.0:
         raise SpeedExceedsLambda(f"|v| must be below lambda = {lam:g}")
     q = math.sqrt(1.0 - rho_sq)
     denom = 1.0 - sign * q

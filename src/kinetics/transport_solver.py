@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import read_snapshot, snapshot_bytes
-from .errors import require_positive
+from .errors import NonFiniteEstimate, frozen_array, require_count, require_positive
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
 # Node shifts at or past this are rejected: base + offset must fit in int64.
@@ -29,12 +29,8 @@ class ForceField:
     mass: float
 
     def __post_init__(self) -> None:
-        force = np.asarray(self.force, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(force)):
-            raise ValueError("force must be finite")
+        frozen_array(self, "force", np.reshape(self.force, 3))
         require_positive("mass", self.mass)
-        force.setflags(write=False)
-        object.__setattr__(self, "force", force)
 
     @property
     def acceleration(self) -> np.ndarray:
@@ -50,12 +46,10 @@ class PhasePoint:
     t: float
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=np.float64).reshape(3)
-        v = np.asarray(self.v, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v)) and np.isfinite(self.t)):
-            raise ValueError("phase point must be finite")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "v", v)
+        frozen_array(self, "r", np.reshape(self.r, 3))
+        frozen_array(self, "v", np.reshape(self.v, 3))
+        if not np.isfinite(self.t):
+            raise ValueError("t must be finite")
 
 
 def exact_solution(f0, field: ForceField, p: PhasePoint) -> float:
@@ -82,16 +76,13 @@ class PhaseGrid1D1V:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, count in (("nx", self.nx), ("nv", self.nv)):
-            if count < 4:
-                raise ValueError(f"{name} must be at least 4, got {count}")
+        require_count("nx", self.nx, 4)
+        require_count("nv", self.nv, 4)
         require_positive("length", self.length)
         require_positive("vmax", self.vmax)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen_array(self, "values", self.values)
         if values.shape != (self.nx, self.nv):
             raise ValueError(f"values shape {values.shape} does not match ({self.nx}, {self.nv})")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     @property
     def x_axis(self) -> np.ndarray:
@@ -202,7 +193,7 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     """
     require_positive("dt", dt)
     ax = float(field.acceleration[0])
-    values = np.asarray(f0.values, dtype=np.float64).copy()
+    values = f0.values
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
     v_shift = ax * dt / f0.dv
@@ -211,15 +202,19 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
                          f"or not below 2**62 nodes")
     x_plan = _x_plan(x_shift_half, f0.nx)
     v_plan = _v_plan(v_shift, f0.nv)
-    mass0 = float(np.sum(values)) * f0.dx * f0.dv
     worst_drift = 0.0
-    for _ in range(n_steps):
-        values = _advect_x(values, x_plan)
-        values = _advect_v(values, v_plan)
-        values = _advect_x(values, x_plan)
-        if mass0 != 0.0:
-            mass = float(np.sum(values)) * f0.dx * f0.dv
-            worst_drift = max(worst_drift, abs(mass - mass0) / abs(mass0))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a non-finite drift
+        mass0 = float(np.sum(values)) * f0.dx * f0.dv
+        for _ in range(n_steps):
+            values = _advect_x(values, x_plan)
+            values = _advect_v(values, v_plan)
+            values = _advect_x(values, x_plan)
+            if mass0 != 0.0:
+                mass = float(np.sum(values)) * f0.dx * f0.dv
+                drift = abs(mass - mass0) / abs(mass0)
+                if not np.isfinite(drift):
+                    raise NonFiniteEstimate(f"mass drift is not finite ({mass0!r} -> {mass!r})")
+                worst_drift = max(worst_drift, drift)
     grid = PhaseGrid1D1V(f0.nx, f0.length, f0.nv, f0.vmax, values)
     return TransportRunResult(grid=grid, mass_drift=worst_drift)
 

@@ -135,6 +135,28 @@ def test_unrepresentable_transport_shift_exits_1_without_outputs(tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error: dt ")
 
 
+@pytest.mark.parametrize("overrides, code, prefix", [
+    # sigma_x**2 underflows to 0, so the initial grid holds NaN: bad input
+    ({"nx": 16, "nv": 16, "center_x": 0.0, "sigma_x": 1e-200}, 1, "error: values must be finite"),
+    # the mass sum overflows: a numerical failure, not a drift of 0
+    ({"nx": 64, "nv": 64, "amplitude": 1e307}, 2, "numerical failure: mass drift is not finite"),
+], ids=["non-finite-grid", "mass-overflow"])
+def test_non_finite_transport_exits_without_outputs(tmp_path, capsys, overrides, code, prefix):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps({
+        "subcommand": "transport",
+        "output_dir": str(out_dir),
+        "parameters": dict({"dt": 0.01, "steps": 3}, **overrides),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["transport", "--config", str(config_path)]) == code
+    assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
 def test_runtime_validation_failure_leaves_no_partial_outputs(tmp_path):
     # passes schema validation but fails inside the run (grid too coarse)
     config_path = tmp_path / "config.json"

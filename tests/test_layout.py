@@ -50,3 +50,11 @@ def test_every_definition_is_used_in_src_or_exported():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and (module, node.name) not in used]
     assert unused == []
+
+
+def test_only_errors_py_sets_frozen_fields():
+    # errors.frozen_array is the one way a value type stores its array field
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "errors.py"
+                 and "object.__setattr__(" in path.read_text(encoding="utf-8")]
+    assert offenders == []

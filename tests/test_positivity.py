@@ -1,5 +1,7 @@
-"""The positive-and-finite rule, at every caller of errors.require_positive."""
+"""The value rules of errors.py at every caller: require_positive,
+frozen_array and require_count."""
 
+import json
 import math
 import re
 
@@ -7,14 +9,24 @@ import numpy as np
 import pytest
 
 from conftest import UNIT_MASS
-from kinetics import dsmc
+from test_cli import VALID_PARAMETERS
+from kinetics import cli, dsmc
 from kinetics.collision_kernel import CollisionBranch, Species, jacobian_numeric
 from kinetics.collision_operator import QuadratureSpec
-from kinetics.distribution import VelocityGrid, bimodal, maxwellian
-from kinetics.sphere_group import chart_jacobian, embed, match_generator
+from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
+from kinetics.errors import ConfigError
+from kinetics.sphere_group import (
+    ChartCoords,
+    PureQuaternion,
+    SpherePoint,
+    chart_jacobian,
+    embed,
+    match_generator,
+)
 from kinetics.transport_solver import (
     ForceField,
     PhaseGrid1D1V,
+    PhasePoint,
     phase_grid_from_function,
     semi_lagrangian_run,
 )
@@ -100,3 +112,81 @@ def test_nonpositive_or_nonfinite_value_is_rejected_by_name(caller, value):
 def test_the_same_callers_accept_a_positive_value(caller):
     _, build = CALLERS[caller]
     build(1.0)
+
+
+# field name, constructor taking the array, a valid array
+FROZEN = {
+    "SpherePoint.theta": ("theta", SpherePoint, (1.0, 0.0, 0.0, 0.0)),
+    "ChartCoords.vstar": ("vstar", ChartCoords, (0.1, 0.05, -0.02)),
+    "PureQuaternion.xi": ("xi", PureQuaternion, (0.3, -0.1, 0.2)),
+    "DiscreteDistribution.values": ("values", lambda a: DiscreteDistribution(
+        VelocityGrid(vmax=4.0, nodes_per_axis=4), a), np.ones((4, 4, 4))),
+    "ParticleEnsemble.velocities": ("velocities", lambda a: dsmc.ParticleEnsemble(
+        velocities=a, species=UNIT, statistical_weight=1.0), np.zeros((2, 3))),
+    "ForceField.force": ("force", lambda a: ForceField(force=a, mass=1.0), EX),
+    "PhasePoint.r": ("r", lambda a: PhasePoint(r=a, v=EX, t=0.0), EX),
+    "PhasePoint.v": ("v", lambda a: PhasePoint(r=EX, v=a, t=0.0), EX),
+    "PhaseGrid1D1V.values": ("values", lambda a: phase_grid(values=a), np.zeros((4, 4))),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("caller", sorted(FROZEN))
+def test_array_field_owns_a_read_only_copy_and_rejects_non_finite_by_name(caller, value):
+    field, build, valid = FROZEN[caller]
+    passed = np.array(valid, dtype=np.float64)
+    stored = getattr(build(passed), field)
+    passed.flat[0] = value
+    np.testing.assert_array_equal(stored, valid)
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite"):
+        build(passed)
+
+
+ENSEMBLE = dsmc.ParticleEnsemble(velocities=np.zeros((2, 3)), species=UNIT,
+                                 statistical_weight=1.0)
+
+
+def cli_key(subcommand, key):
+    """The CLI schema's count rule for one key; its errors name the key."""
+    def build(x):
+        parameters = dict(VALID_PARAMETERS[subcommand], **{key: x})
+        return cli.parse_config(json.dumps({"subcommand": subcommand,
+                                            "parameters": parameters}))
+    return f"parameters.{key}: value", build
+
+
+# name in the error, constructor taking the count, the least count accepted
+COUNTS = {
+    "VelocityGrid.nodes_per_axis": (
+        "nodes_per_axis", lambda n: VelocityGrid(vmax=4.0, nodes_per_axis=n), 4),
+    "PhaseGrid1D1V.nx": ("nx", lambda n: phase_grid(nx=n), 4),
+    "PhaseGrid1D1V.nv": ("nv", lambda n: phase_grid(nv=n), 4),
+    "QuadratureSpec.samples": ("samples", lambda n: spec(samples=n), 1),
+    "sample_maxwellian_ensemble.count": (
+        "count", lambda n: dsmc.sample_maxwellian_ensemble(n, UNIT, 1.0, EX, 1.0, 0), 2),
+    "dsmc.run.n_steps": ("n_steps", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), n), 0),
+    "dsmc.run.sample_every": (
+        "sample_every", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), 1, n), 1),
+    **{f"cli.{subcommand}.{key}": (*cli_key(subcommand, key), minimum)
+       for subcommand, key, minimum in [
+           ("operator", "nodes_per_axis", 1), ("operator", "samples", 1),
+           ("dsmc", "particles", 1), ("dsmc", "steps", 0), ("dsmc", "sample_every", 1),
+           ("transport", "nx", 1), ("transport", "nv", 1), ("transport", "steps", 0),
+           ("audit", "jacobian_configs", 1), ("audit", "stokes_samples", 1),
+           ("audit", "stokes_nodes", 1), ("audit", "mass_samples", 1),
+           ("audit", "mass_nodes", 1)]},
+}
+
+
+@pytest.mark.parametrize("caller", sorted(COUNTS))
+def test_count_accepts_the_least_and_rejects_non_integers_and_fewer_by_name(caller):
+    name, build, minimum = COUNTS[caller]
+    build(minimum)
+    for value in (1.5, True, float(minimum)):
+        with pytest.raises((ValueError, ConfigError),
+                           match=f"^{re.escape(name)} must be an integer"):
+            build(value)
+    with pytest.raises((ValueError, ConfigError),
+                       match=f"^{re.escape(name)} must be at least {minimum}"):
+        build(minimum - 1)

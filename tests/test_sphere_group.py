@@ -52,6 +52,16 @@ def test_embed_rejects_fast_velocities():
         embed((0.1, 0, 0), 1.0, "sideways")
 
 
+@pytest.mark.parametrize("hemisphere", ["lower", "upper"])
+def test_nan_velocity_or_time_is_rejected(hemisphere):
+    with pytest.raises(SpeedExceedsLambda):
+        embed((math.nan, 0, 0), 1.0, hemisphere)
+    with pytest.raises(SpeedExceedsLambda):
+        chart_jacobian((math.nan, 0, 0), 1.0, hemisphere)
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        exp_subgroup(PureQuaternion((0.3, -0.1, 0.2)), math.nan)
+
+
 def test_project_chart_hand_values():
     np.testing.assert_allclose(
         project_chart(SpherePoint((0, 0, 0, -1))).vstar, [0, 0, 0], atol=1e-15)
