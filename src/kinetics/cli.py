@@ -273,12 +273,8 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
 
 
 def config_to_json(config: RunConfig) -> str:
-    payload = {
-        "subcommand": config.subcommand,
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-        "parameters": config.parameters,
-    }
+    payload = {"subcommand": config.subcommand, "seed": config.seed,
+               "output_dir": config.output_dir, "parameters": config.parameters}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -19,7 +19,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .distribution import DiscreteDistribution, interpolate, interpolate_many
 from .errors import NonFiniteEstimate, require_count, require_positive
 
 _CHUNK = 1 << 15
+_RESCALE_ABOVE = 2.0**500  # past this |deviation|, M2 squares it rescaled by a power of two
 
 
 class GainNormalization(enum.Enum):
@@ -115,33 +116,48 @@ def _chunk_sizes(total: int) -> list[int]:
 
 
 def _sum_and_m2(samples: np.ndarray) -> np.ndarray:
-    """Sums, and squared deviations from the mean (M2), along the last axis."""
+    """Sums, M2s (squared deviations from the mean) times 4^-e, and e, along the last axis.
+
+    e is 0 unless the largest |deviation| passes _RESCALE_ABOVE; then it is its frexp exponent.
+    """
     sums = np.sum(samples, axis=-1)
     deviations = samples - (sums / samples.shape[-1])[..., None]
-    return np.stack([sums, np.sum(deviations * deviations, axis=-1)])
+    peak = np.max(np.abs(deviations), axis=-1)
+    exponents = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
+    if np.any(exponents):
+        deviations = np.ldexp(deviations, -exponents[..., None])
+    return np.stack([sums, np.sum(deviations * deviations, axis=-1), exponents])
 
 
-def _mean_and_sem(sizes: list[int], sums: list[float],
-                  m2s: list[float]) -> tuple[float, float]:
-    """Mean and standard error from per-chunk sample counts, sums and M2s.
+def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
+                  exponents: list[float] | None = None) -> tuple[float, float]:
+    """Mean and standard error from per-chunk sample counts, sums, M2s and M2 exponents.
 
     The mean is the sum of the chunk sums over the sample count. The M2s are
     merged in chunk order with the update of Chan, Golub & LeVeque (1979),
     which, unlike sum(x^2) - n mean^2, does not cancel when |mean| dwarfs the
-    spread.
+    spread. M2 is carried times 4^-scale, scale the largest exponent so far;
+    powers of two are exact, so with all exponents 0 this is the plain update.
     """
     total = sum(sizes)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in _estimates
         mean = float(np.sum(sums)) / total
     if total < 2:
         return mean, 0.0
-    count, centre, m2 = 0, 0.0, 0.0
-    for size, chunk_sum, chunk_m2 in zip(sizes, sums, m2s):
+    exponents = [0] * len(sizes) if exponents is None else [int(e) for e in exponents]
+    count, centre, m2, scale = 0, 0.0, 0.0, 0
+    for size, chunk_sum, chunk_m2, exponent in zip(sizes, sums, m2s, exponents):
         delta = float(chunk_sum) / size - centre
+        common = max(scale, exponent, math.frexp(delta)[1] if abs(delta) > _RESCALE_ABOVE else 0)
+        scaled = math.ldexp(delta, -common)
         count += size
-        m2 += float(chunk_m2) + delta * delta * ((count - size) * size / count)
+        m2 = math.ldexp(m2, 2 * (scale - common)) + (
+            math.ldexp(float(chunk_m2), 2 * (exponent - common))
+            + scaled * scaled * ((count - size) * size / count))
         centre += delta * (size / count)
-    return mean, math.sqrt(m2 / (total - 1) / total)
+        scale = common
+    with np.errstate(over="ignore"):  # overflow ends in _estimates
+        return mean, float(np.ldexp(math.sqrt(m2 / (total - 1) / total), scale))
 
 
 def _estimates(sizes: list[int], partials: list[np.ndarray],
@@ -150,10 +166,10 @@ def _estimates(sizes: list[int], partials: list[np.ndarray],
 
     A non-finite estimate (overflow or NaN) raises NonFiniteEstimate, a numerical failure.
     """
-    stats = np.stack(partials, axis=-1).reshape(2, -1, len(sizes))  # (sum|M2, comp, chunk)
+    stats = np.stack(partials, axis=-1).reshape(3, -1, len(sizes))  # (sum|M2|exp, comp, chunk)
     estimates = []
-    for sums, m2s in zip(stats[0], stats[1]):
-        mean, sem = _mean_and_sem(sizes, sums, m2s)
+    for sums, m2s, exponents in zip(*stats):
+        mean, sem = _mean_and_sem(sizes, sums, m2s, exponents)
         value, std_error = weight * mean, weight * sem
         if not (np.isfinite(value) and np.isfinite(std_error)):
             raise NonFiniteEstimate(
@@ -203,43 +219,55 @@ def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
     return _map(lambda node: evaluate_at(f, node, spec), nodes, threads)
 
 
-def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, chunk_index: int,
-                  size: int) -> np.ndarray:
-    """Sums and M2s of the five weak-form integrands for one chunk, shape (2, 5)."""
+def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec,
+                  specs: list[QuadratureSpec], chunk_index: int, size: int) -> list[np.ndarray]:
+    """Per weighting in specs, _sum_and_m2 of the five weak-form integrands for one chunk.
+
+    The draws and lookups depend only on spec's seed, so every weighting shares them.
+    """
     generator = rng.stream(spec.seed, "operator-moments", chunk_index)
     vmax = f.grid.vmax
     v = generator.uniform(-vmax, vmax, (size, 3))
     v1 = generator.uniform(-vmax, vmax, (size, 3))
     n = _unit_sphere(generator, size)
     gn = _dot3(v1 - v, n)
-    ge2 = spec.normalization.gain_factor(spec.epsilon) * spec.epsilon**2
-    mass = spec.mass
-    mu = 0.5 * mass
-    delta_e = 0.5 * (1.0 - spec.epsilon**2) * mu * gn * gn
+    mass, mu = spec.mass, 0.5 * spec.mass
     pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
-    integrands = np.empty((5, size))
+    velocity_sum = (v + v1).T
+    stats = []
     # an overflowing f ends in NonFiniteEstimate in moment_rates, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
         base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
-        integrands[0] = base * (2.0 * ge2 - 2.0)
-        integrands[1:4] = (base * (ge2 - 1.0) * mass) * (v + v1).T
-        integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
-        return _sum_and_m2(integrands)
+        for epsilon, norm in ((s.epsilon, s.normalization) for s in specs):
+            ge2 = norm.gain_factor(epsilon) * epsilon**2
+            delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn * gn
+            integrands = np.empty((5, size))
+            integrands[0] = base * (2.0 * ge2 - 2.0)
+            integrands[1:4] = (base * (ge2 - 1.0) * mass) * velocity_sum
+            integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
+            stats.append(_sum_and_m2(integrands))
+    return stats
 
 
-def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec,
-                 threads: int = 1) -> MomentRates:
+def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec, threads: int = 1, *,
+                 weightings=None) -> MomentRates | list[MomentRates]:
     """Collision rates of density, momentum, and energy (weak form, symmetrized).
 
     Each Monte Carlo sample draws an unordered pair (v, v1) and a direction,
     applies the forward impact, and weighs the change of the invariant; the
     gain weighting enters through the factor G eps^2.
+
+    With weightings, (epsilon, GainNormalization) pairs, returns one MomentRates per
+    pair from one set of draws, each equal to the call at that replace(spec, ...).
     """
+    specs = [spec] if weightings is None else [
+        replace(spec, epsilon=epsilon, normalization=norm) for epsilon, norm in weightings]
     sizes = _chunk_sizes(spec.samples)
-    partials = _map(lambda task: _moment_chunk(f, spec, *task), list(enumerate(sizes)),
+    partials = _map(lambda task: _moment_chunk(f, spec, specs, *task), list(enumerate(sizes)),
                     threads)
     weight = f.grid.hull_volume**2 * 4.0 * np.pi * spec.cross_section
-    estimates = _estimates(sizes, partials, weight)
-    return MomentRates(density=estimates[0],
-                       momentum=(estimates[1], estimates[2], estimates[3]),
-                       energy=estimates[4])
+    rates = []
+    for stats in zip(*partials):  # one weighting's stats, chunk by chunk
+        density, px, py, pz, energy = _estimates(sizes, list(stats), weight)
+        rates.append(MomentRates(density=density, momentum=(px, py, pz), energy=energy))
+    return rates[0] if weightings is None else rates

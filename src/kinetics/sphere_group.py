@@ -133,9 +133,11 @@ def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     """One-parameter subgroup G(tau) = (cos(|u| tau), sin(|u| tau) u/|u|)."""
     xi = u.xi
     speed = math.sqrt(float(xi @ xi))
+    angle = speed * tau  # NaN for an infinite tau even at speed 0
+    if not math.isfinite(angle):
+        raise ValueError(f"tau must be finite with |u| tau finite, got tau = {tau!r}")
     if speed == 0.0:
         return IDENTITY
-    angle = speed * tau
     direction = xi / speed
     s = math.sin(angle)
     return SpherePoint(np.array([

@@ -7,8 +7,9 @@ import numpy as np
 
 from conftest import UNIT_MASS
 from kinetics import claim_audit as ca
+from kinetics import collision_operator, rng
 from kinetics.collision_kernel import CollisionBranch
-from kinetics.collision_operator import GainNormalization, QuadratureSpec
+from kinetics.collision_operator import GainNormalization, QuadratureSpec, moment_rates
 from kinetics.distribution import VelocityGrid, bimodal, maxwellian
 
 
@@ -125,14 +126,58 @@ def test_audit_csv_format_and_metadata_round_trip():
     assert "some-diagnostic: diagnostic" in summary
 
 
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
 def test_audit_rows_rerun_bit_exactly_from_recorded_seed():
     grid = VelocityGrid(vmax=4.5, nodes_per_axis=41)
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
     spec = small_spec(samples=60_000, seed=21)
-    first = ca.audit_mass_conservation([0.8], spec, f)
+    first = ca.audit_mass_conservation([1.0, 0.8], spec, f)
+    assert len(first) == 8
     recorded_seed = first[0].metadata["seed"]
     replay_spec = small_spec(samples=first[0].metadata["samples"],
                              seed=recorded_seed)
-    second = ca.audit_mass_conservation([0.8], replay_spec, f)
-    assert first[0].residual == second[0].residual
-    assert first[0].metadata["density_rate"] == second[0].metadata["density_rate"]
+    second = ca.audit_mass_conservation([1.0, 0.8], replay_spec, f)
+    assert [_bits(r.residual) for r in first] == [_bits(r.residual) for r in second]
+    assert [r.metadata for r in first] == [r.metadata for r in second]
+    # each row alone, from its own metadata and a single-weighting call
+    for row in first:
+        meta = row.metadata
+        norm = next(n for n in GainNormalization if f"-{n.value}-" in row.claim_id)
+        rates = moment_rates(f, small_spec(samples=meta["samples"], seed=meta["seed"],
+                                           epsilon=meta["epsilon"], normalization=norm))
+        if row.claim_id.startswith("density-"):
+            assert _bits(row.residual) == _bits(ca._sigma_ratio(rates.density))
+            assert _bits(meta["density_rate"]) == _bits(rates.density.value)
+            assert _bits(meta["energy_rate"]) == _bits(rates.energy.value)
+        else:
+            assert _bits(row.residual) == _bits(
+                max(ca._sigma_ratio(c) for c in rates.momentum))
+
+
+def test_conservation_audit_draws_and_interpolates_each_chunk_once(monkeypatch):
+    # four weightings share one stream and two lookups per chunk, not four of each
+    grid = VelocityGrid(vmax=4.5, nodes_per_axis=29)
+    f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
+    chunks = 4
+    spec = small_spec(samples=(chunks - 1) * collision_operator._CHUNK + 123, seed=3)
+    streams, lookups = [], []
+    real_stream, real_lookup = rng.stream, collision_operator.interpolate_many
+
+    def counting_stream(seed, *parts):
+        streams.append((seed, *parts))
+        return real_stream(seed, *parts)
+
+    def counting_lookup(*args):
+        lookups.append(len(args[1]))
+        return real_lookup(*args)
+
+    monkeypatch.setattr(rng, "stream", counting_stream)
+    monkeypatch.setattr(collision_operator, "interpolate_many", counting_lookup)
+    reports = ca.audit_mass_conservation([1.0, 0.8], spec, f, threads=2)
+    assert len(reports) == 8
+    assert sorted(streams) == [(3, "operator-moments", i) for i in range(chunks)]
+    assert len(lookups) == 2 * chunks
+    assert sum(lookups) == 2 * spec.samples

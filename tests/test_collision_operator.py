@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import UNIT_MASS
 from quadrature_oracle import brute_force_density_rate, brute_force_rate
-from kinetics import cli, collision_operator
+from kinetics import cli, collision_operator, rng
 from kinetics.claim_audit import equilibrium_ray_probes
-from kinetics.collision_kernel import CollisionBranch
+from kinetics.collision_kernel import CollisionBranch, _dot3
 from kinetics.collision_operator import (
     GainNormalization,
     QuadratureSpec,
@@ -24,7 +24,13 @@ from kinetics.collision_operator import (
     moment_rates,
     pre_collision_pair,
 )
-from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
+from kinetics.distribution import (
+    DiscreteDistribution,
+    VelocityGrid,
+    bimodal,
+    interpolate_many,
+    maxwellian,
+)
 from kinetics.errors import (
     InvalidRestitution,
     NonFiniteEstimate,
@@ -155,6 +161,127 @@ def test_moment_rates_deterministic_across_threads():
     assert serial.density.value == parallel.density.value
     assert serial.energy.value == parallel.energy.value
     assert serial.energy.std_error == parallel.energy.std_error
+
+
+def _bits(rates):
+    components = (rates.density, *rates.momentum, rates.energy)
+    return np.array([[c.value, c.std_error] for c in components]).view(np.uint64)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("samples", [1, collision_operator._CHUNK,
+                                     3 * collision_operator._CHUNK + 17])
+def test_weightings_match_single_spec_calls_bit_for_bit(threads, samples):
+    f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,
+                0.5, (-2, 0, 0), 1.0, UNIT_MASS)
+    weightings = [(epsilon, norm) for epsilon in (1.0, 0.8, 0.3)
+                  for norm in GainNormalization]
+    spec = spec_with(samples=samples, seed=4, epsilon=0.5)
+    shared = moment_rates(f, spec, threads=threads, weightings=weightings)
+    assert len(shared) == len(weightings)
+    for (epsilon, norm), rates in zip(weightings, shared):
+        single = moment_rates(f, spec_with(samples=samples, seed=4, epsilon=epsilon,
+                                           normalization=norm), threads=threads)
+        np.testing.assert_array_equal(_bits(rates), _bits(single))
+    assert isinstance(moment_rates(f, spec, threads=threads), collision_operator.MomentRates)
+
+
+def test_weightings_are_validated_by_the_spec_rules():
+    f = maxwellian(VelocityGrid(vmax=4.5, nodes_per_axis=29), 1.0, (0, 0, 0), 1.0,
+                   UNIT_MASS)
+    with pytest.raises(SingularRestitution):
+        moment_rates(f, spec_with(samples=10),
+                     weightings=[(1.0, GainNormalization.STANDARD_GRANULAR),
+                                 (0.0, GainNormalization.STANDARD_GRANULAR)])
+    with pytest.raises(InvalidRestitution):
+        moment_rates(f, spec_with(samples=10),
+                     weightings=[(1.5, GainNormalization.RESTITUTION_WEIGHTED)])
+
+
+def _reference_moment_chunk(f, spec, chunk_index, size):
+    """Former single-weighting _moment_chunk, kept verbatim."""
+    generator = rng.stream(spec.seed, "operator-moments", chunk_index)
+    vmax = f.grid.vmax
+    v = generator.uniform(-vmax, vmax, (size, 3))
+    v1 = generator.uniform(-vmax, vmax, (size, 3))
+    n = collision_operator._unit_sphere(generator, size)
+    gn = _dot3(v1 - v, n)
+    ge2 = spec.normalization.gain_factor(spec.epsilon) * spec.epsilon**2
+    mass = spec.mass
+    mu = 0.5 * mass
+    delta_e = 0.5 * (1.0 - spec.epsilon**2) * mu * gn * gn
+    pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
+    integrands = np.empty((5, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
+        integrands[0] = base * (2.0 * ge2 - 2.0)
+        integrands[1:4] = (base * (ge2 - 1.0) * mass) * (v + v1).T
+        integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
+        return collision_operator._sum_and_m2(integrands)
+
+
+@pytest.mark.parametrize("chunk_index, size", [(0, collision_operator._CHUNK), (2, 17)])
+def test_shared_moment_chunk_matches_single_weighting_reference(chunk_index, size):
+    f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,
+                0.5, (-2, 0, 0), 1.0, UNIT_MASS)
+    specs = [spec_with(seed=8, epsilon=epsilon, normalization=norm)
+             for epsilon in (1.0, 0.8, 0.3) for norm in GainNormalization]
+    shared = collision_operator._moment_chunk(f, specs[0], specs, chunk_index, size)
+    for spec, stats in zip(specs, shared, strict=True):
+        reference = _reference_moment_chunk(f, spec, chunk_index, size)
+        np.testing.assert_array_equal(stats.view(np.uint64), reference.view(np.uint64))
+
+
+def test_huge_density_gives_finite_rates_and_standard_errors():
+    # integrands near 1e280: squared deviations would overflow without rescaling
+    grid = VelocityGrid(vmax=4.0, nodes_per_axis=41)
+    f = maxwellian(grid, 1e140, (0, 0, 0), 1.0, UNIT_MASS)
+    spec = spec_with(samples=2000, epsilon=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = evaluate_at(f, (0.0, 0.0, 0.0), spec)
+        rates = moment_rates(f, spec)
+    assert estimate.value < 0.0 and 0.0 < estimate.std_error < abs(estimate.value)
+    assert rates.density.value < 0.0
+    assert 0.0 < rates.density.std_error < abs(rates.density.value)
+    for component in (*rates.momentum, rates.energy):
+        assert math.isfinite(component.value) and 0.0 < component.std_error < math.inf
+
+
+@pytest.mark.parametrize("samples", [2000, 3 * collision_operator._CHUNK + 17])
+def test_power_of_two_density_scales_estimates_exactly(samples):
+    # f * 2^465 scales every integrand by 2^930, past the rescale threshold, and
+    # power-of-two scaling is exact, so both estimators must scale bit for bit
+    f = maxwellian(VelocityGrid(vmax=4.0, nodes_per_axis=41), 1.0, (0, 0, 0), 1.0,
+                   UNIT_MASS)
+    big = DiscreteDistribution(f.grid, np.ldexp(f.values, 465))
+    spec = spec_with(samples=samples, epsilon=0.8)
+    small_at, big_at = evaluate_at(f, (0.3, 0.0, -0.2), spec), evaluate_at(
+        big, (0.3, 0.0, -0.2), spec)
+    assert big_at.value == math.ldexp(small_at.value, 930)
+    assert big_at.std_error == math.ldexp(small_at.std_error, 930)
+    small, large = moment_rates(f, spec, threads=2), moment_rates(big, spec, threads=2)
+    for a, b in zip((small.density, *small.momentum, small.energy),
+                    (large.density, *large.momentum, large.energy)):
+        assert b.value == math.ldexp(a.value, 930)
+        assert b.std_error == math.ldexp(a.std_error, 930)
+
+
+def test_sem_merge_rescales_exactly_past_overflow():
+    # spreads that grow chunk by chunk, so the merge must rescale its running M2
+    generator = np.random.default_rng(11)
+    sizes = [4096, 1000, 7]
+    chunks = [3.0 + spread * generator.standard_normal(size)
+              for size, spread in zip(sizes, (1.0, 64.0, 4096.0))]
+    results = []
+    for shift in (0, 900):
+        stats = [collision_operator._sum_and_m2(np.ldexp(c, shift)) for c in chunks]
+        results.append(collision_operator._mean_and_sem(
+            sizes, [s[0] for s in stats], [s[1] for s in stats], [s[2] for s in stats]))
+    (mean, sem), (big_mean, big_sem) = results
+    assert big_mean == math.ldexp(mean, 900)
+    assert big_sem == math.ldexp(sem, 900)
+    assert 0.0 < sem < math.inf
 
 
 def test_rate_estimate_validation_and_spec_errors():

@@ -58,7 +58,7 @@ def test_nan_velocity_or_time_is_rejected(hemisphere):
         embed((math.nan, 0, 0), 1.0, hemisphere)
     with pytest.raises(SpeedExceedsLambda):
         chart_jacobian((math.nan, 0, 0), 1.0, hemisphere)
-    with pytest.raises(ValueError, match="^theta must be finite"):
+    with pytest.raises(ValueError, match="^tau must be finite"):
         exp_subgroup(PureQuaternion((0.3, -0.1, 0.2)), math.nan)
 
 
@@ -170,6 +170,18 @@ def test_exp_subgroup_values():
                                   IDENTITY.theta)
     half_turn = exp_subgroup(PureQuaternion((1, 0, 0)), math.pi)
     np.testing.assert_allclose(half_turn.theta, [-1, 0, 0, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("u, tau", [
+    ((0.3, -0.1, 0.2), math.inf),
+    ((0.3, -0.1, 0.2), -math.inf),
+    ((0.3, -0.1, 0.2), math.nan),
+    ((3.0, 0.0, 0.0), 1e308),      # |u| tau overflows
+    ((0.0, 0.0, 0.0), math.inf),   # even where the subgroup is the identity
+])
+def test_exp_subgroup_names_a_non_finite_angle(u, tau):
+    with pytest.raises(ValueError, match=r"^tau must be finite.*got tau = "):
+        exp_subgroup(PureQuaternion(u), tau)
 
 
 def test_exp_subgroup_homomorphism():
