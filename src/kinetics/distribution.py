@@ -85,7 +85,12 @@ def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity: np.ndarr
     sq = (dx**2)[:, None, None] + (dy**2)[None, :, None] + (dz**2)[None, None, :]
     kt = BOLTZMANN * temperature
     coef = density * (mass / (2.0 * np.pi * kt)) ** 1.5
-    return coef * np.exp(-0.5 * mass * sq / kt)
+    # coef * exp(-0.5 * mass * sq / kt) in place on sq: one grid array, same bits
+    sq *= -0.5 * mass
+    sq /= kt
+    np.exp(sq, out=sq)
+    sq *= coef
+    return sq
 
 
 def _check_resolution(grid: VelocityGrid, bulk_velocity: np.ndarray,

@@ -113,10 +113,11 @@ def moments(v: np.ndarray, m: float, w: float, volume: float) -> EnsembleMoments
     """
     n = v.shape[0]
     density = n * w / volume
-    momentum = m * w * np.sum(v, axis=0) / volume
+    total = np.sum(v, axis=0)
+    momentum = m * w * total / volume
     kinetic = 0.5 * m * w * float(np.sum(v * v)) / volume
-    mean_v = np.mean(v, axis=0)
-    peculiar_sq = float(np.mean(np.sum(v * v, axis=1))) - float(mean_v @ mean_v)
+    mean_v = total / n  # the bits of np.mean(v, axis=0)
+    peculiar_sq = float(np.mean(_dot3(v, v))) - float(mean_v @ mean_v)
     temperature = m * peculiar_sq / (3.0 * BOLTZMANN)
     return EnsembleMoments(density=density, momentum=momentum,
                            kinetic_energy=kinetic, temperature=temperature)
@@ -221,7 +222,7 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
     volume = ensemble.count * weight / config.number_density
     for index in indices:
         if index == indices.start or index % _BOUND_REFRESH_STEPS == 0:
-            bound_sq = float(np.max(np.sum(v * v, axis=1)))
+            bound_sq = float(np.max(_dot3(v, v)))
         generator = rng.stream(config.seed, "dsmc-step", index)
         majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(bound_sq))
         for _ in range(_MAJORANT_RETRIES):

@@ -132,7 +132,11 @@ def quaternion_multiply(a: SpherePoint, b: SpherePoint) -> SpherePoint:
 def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     """One-parameter subgroup G(tau) = (cos(|u| tau), sin(|u| tau) u/|u|)."""
     xi = u.xi
-    speed = math.sqrt(float(xi @ xi))
+    with np.errstate(over="ignore"):
+        speed = math.sqrt(float(xi @ xi))
+    if speed == math.inf:  # |xi| past ~1e154; power-of-two scaling is exact
+        scaled = xi * 2.0**-600
+        speed = math.sqrt(float(scaled @ scaled)) * 2.0**600
     angle = speed * tau  # NaN for an infinite tau even at speed 0
     if not math.isfinite(angle):
         raise ValueError(f"tau must be finite with |u| tau finite, got tau = {tau!r}")

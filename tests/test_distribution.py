@@ -1,5 +1,7 @@
 """Velocity-grid distributions: moments, interpolation, snapshots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,30 @@ def test_bimodal_moments_are_mode_sums():
     expected_momentum = UNIT_MASS * (0.6 * np.array([1.0, 0, 0])
                                      + 0.4 * np.array([-0.5, 0.5, 0]))
     np.testing.assert_allclose(m.momentum, expected_momentum, atol=1e-6 * UNIT_MASS)
+
+
+GAUSSIAN_BUILDS = {
+    "maxwellian": lambda grid: maxwellian(grid, 1.0, (0.5, 0, 0), 1.0, UNIT_MASS),
+    "bimodal": lambda grid: bimodal(grid, 0.5, (1.5, 0, 0), 1.0, 0.5, (-1.5, 0, 0), 1.0,
+                                    UNIT_MASS),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GAUSSIAN_BUILDS))
+def test_gaussian_build_peak_memory_is_one_grid_plus_the_owned_copy(kind):
+    # numpy reports its buffers to tracemalloc; the bound allows the
+    # distribution's owned copy and its two boolean validation masks
+    grid = VelocityGrid(vmax=8.0, nodes_per_axis=101)
+    grid_bytes = 8 * grid.nodes_per_axis**3
+    grid.axis  # cached before tracing
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        GAUSSIAN_BUILDS[kind](grid)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
 
 
 def test_moments_zero_distribution():

@@ -2,8 +2,10 @@
 
 The reference below is the scalar no-time-counter loop: Python-list velocity
 columns, candidates applied in draw order, and a journal that unwinds a
-pierced attempt. The package must reproduce its rows, final velocities and
-single steps bit for bit.
+pierced attempt. Its rows are sampled by ``_reference_moments``, whose
+arithmetic is the former body of ``dsmc.moments`` kept here verbatim. The
+package must reproduce its rows, final velocities and single steps bit for
+bit.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 from conftest import UNIT_MASS
 from kinetics import dsmc, rng
 from kinetics.collision_kernel import CollisionBranch, Species
+from kinetics.constants import BOLTZMANN
 from kinetics.errors import MajorantExceeded
 
 SPECIES = Species(mass=UNIT_MASS, diameter=1.0)
@@ -124,9 +127,21 @@ def _scalar_step(state, config, weight, volume, step_index):
     raise MajorantExceeded("reference sweep exhausted its majorant doublings")
 
 
+def _reference_moments(v, m, w, volume):
+    n = v.shape[0]
+    density = n * w / volume
+    momentum = m * w * np.sum(v, axis=0) / volume
+    kinetic = 0.5 * m * w * float(np.sum(v * v)) / volume
+    mean_v = np.mean(v, axis=0)
+    peculiar_sq = float(np.mean(np.sum(v * v, axis=1))) - float(mean_v @ mean_v)
+    temperature = m * peculiar_sq / (3.0 * BOLTZMANN)
+    return density, momentum, kinetic, temperature
+
+
 def _sample(t, state, weight, volume):
-    m = dsmc.moments(state.as_array(), SPECIES.mass, weight, volume)
-    return [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
+    density, momentum, _, temperature = _reference_moments(state.as_array(), SPECIES.mass,
+                                                           weight, volume)
+    return [t, density, momentum[0], momentum[1], momentum[2], temperature]
 
 
 def reference_run(ensemble, config, n_steps, sample_every):
@@ -200,3 +215,20 @@ def test_waves_match_scalar_sweep_bit_for_bit(case):
         assert (pierced > 0) == must_pierce
         step = range(step_index, step_index + 1)
         _assert_bits_equal(dsmc.advance(ensemble, config, step).velocities, expected)
+
+
+def test_moments_match_reference_bit_for_bit():
+    generator = np.random.default_rng(31)
+    for trial in range(200):
+        n = int(generator.integers(2, 3000))
+        v = generator.standard_normal((n, 3)) * 10.0 ** generator.uniform(-3, 3, 3)
+        v += generator.uniform(-2, 2, 3)
+        if trial % 4 == 0:  # rows and entries of signed zeros
+            v[generator.integers(0, n, 1 + n // 10)] = -0.0
+            v[generator.integers(0, n, 1 + n // 10), 1] = 0.0
+        m, w, volume = 10.0 ** generator.uniform(-26, 0, 3)
+        actual = dsmc.moments(v, m, w, volume)
+        density, momentum, kinetic, temperature = _reference_moments(v, m, w, volume)
+        _assert_bits_equal([actual.density, actual.kinetic_energy, actual.temperature],
+                           [density, kinetic, temperature])
+        _assert_bits_equal(actual.momentum, momentum)

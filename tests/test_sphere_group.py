@@ -178,10 +178,24 @@ def test_exp_subgroup_values():
     ((0.3, -0.1, 0.2), math.nan),
     ((3.0, 0.0, 0.0), 1e308),      # |u| tau overflows
     ((0.0, 0.0, 0.0), math.inf),   # even where the subgroup is the identity
+    ((1e200, 0.0, 0.0), math.nan),  # |u|^2 overflows, |u| does not
+    ((1e200, 0.0, 0.0), 1e200),
 ])
+@pytest.mark.filterwarnings("error")
 def test_exp_subgroup_names_a_non_finite_angle(u, tau):
     with pytest.raises(ValueError, match=r"^tau must be finite.*got tau = "):
         exp_subgroup(PureQuaternion(u), tau)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_subgroup_of_a_generator_whose_square_overflows():
+    u = PureQuaternion((1e200, 0.0, 0.0))
+    np.testing.assert_allclose(exp_subgroup(u, 1e-300).theta, [1.0, 1e-100, 0.0, 0.0],
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(exp_subgroup(u, 0.0).theta, IDENTITY.theta)
+    tilted = exp_subgroup(PureQuaternion((-3e200, 4e200, 0.0)), 1e-200)
+    np.testing.assert_allclose(tilted.theta[1:], [-0.6 * math.sin(5.0), 0.8 * math.sin(5.0), 0.0],
+                               rtol=1e-15, atol=0.0)
 
 
 def test_exp_subgroup_homomorphism():
