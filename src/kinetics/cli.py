@@ -114,9 +114,9 @@ def _count(minimum):
     return check
 
 
-def _choice(enum_type):
-    """Checker accepting the values of an enum, which lists them in its error."""
-    allowed = tuple(member.value for member in enum_type)
+def _choice(allowed):
+    """Checker accepting one of the allowed values, which it lists in its error."""
+    allowed = tuple(allowed)
 
     def check(value, context) -> str:
         if value not in allowed:
@@ -125,8 +125,8 @@ def _choice(enum_type):
     return check
 
 
-_branch = _choice(CollisionBranch)
-_normalization = _choice(GainNormalization)
+_branch = _choice(member.value for member in CollisionBranch)
+_normalization = _choice(member.value for member in GainNormalization)
 
 
 def _string(value, context) -> str:
@@ -141,10 +141,14 @@ def _probes(value, context) -> list[list[float]]:
     return [_vec3(item, f"{context}[{i}]") for i, item in enumerate(value)]
 
 
-def _distribution_params(value, context) -> dict:
+def _object(value, context) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{context} must be an object")
-    kind = value.get("kind")
+    return value
+
+
+def _distribution_params(value, context) -> dict:
+    kind = _object(value, context).get("kind")
     if kind == "maxwellian":
         schema = _Schema({
             "kind": (_string,),
@@ -231,8 +235,6 @@ _AUDIT_SCHEMA = _Schema({
     for field in fields(claim_audit.AuditSettings) if field.name != "seed"
 })
 
-_TOP_LEVEL_KEYS = {"subcommand", "parameters", "seed", "output_dir"}
-
 
 def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     """Validate a JSON config; defaults applied, unknown keys rejected."""
@@ -245,31 +247,17 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         raise ParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("config must be a single JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ValidationError(f"unknown key {sorted(unknown)[0]!r} at top level")
-    declared = raw.get("subcommand")
-    if declared is not None and declared not in SUBCOMMANDS:
-        raise ValidationError(f"subcommand must be one of {SUBCOMMANDS}")
+    top = _CONFIG_SCHEMA.resolve(raw, "config")
+    declared = top["subcommand"]
     if subcommand is not None and declared is not None and declared != subcommand:
         raise ValidationError(
             f"config declares subcommand {declared!r} but {subcommand!r} was requested")
     chosen = declared or subcommand
     if chosen is None:
         raise ValidationError("no subcommand given (config or command line)")
-    try:
-        seed = require_count("seed", raw.get("seed", 0), -math.inf)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ValidationError("output_dir must be a string")
-    params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ValidationError("parameters must be an object")
-    resolved = _SUBCOMMANDS[chosen][0].resolve(params, "parameters")
-    return RunConfig(subcommand=chosen, parameters=resolved, seed=seed,
-                     output_dir=output_dir)
+    resolved = _SUBCOMMANDS[chosen][0].resolve(top["parameters"], "parameters")
+    return RunConfig(subcommand=chosen, parameters=resolved, seed=top["seed"],
+                     output_dir=top["output_dir"])
 
 
 def config_to_json(config: RunConfig) -> str:
@@ -398,6 +386,14 @@ _SUBCOMMANDS = {
     "audit": (_AUDIT_SCHEMA, _run_audit),
 }
 SUBCOMMANDS = tuple(_SUBCOMMANDS)
+
+# The config's own keys; parse_config resolves the parameters by the subcommand's schema.
+_CONFIG_SCHEMA = _Schema({
+    "subcommand": (_choice(SUBCOMMANDS), None),
+    "seed": (_count(-math.inf), 0),
+    "output_dir": (_string, "out"),
+    "parameters": (_object, {}),
+})
 
 
 def run(config: RunConfig, threads: int = 1) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRestitution, NonUnitNormal, SingularRestitution, require_positive
+from .errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal,
+                     SingularRestitution, frozen_array, require_positive)
 
 UNIT_NORMAL_TOL = 1e-9
 
@@ -48,25 +49,22 @@ class Species:
 
 @dataclass(frozen=True)
 class CollisionEvent:
-    """One binary impact: inputs, outgoing velocities, and energy bookkeeping.
+    """Outcome of collide(v1, v2, n, ...): outgoing velocities and energy bookkeeping.
 
     ``w1 - v1 == lambda1 * n`` and ``w2 - v2 == lambda2 * n`` hold by
     construction; ``delta_e`` is the actual kinetic-energy deficit
     KE(pre) - KE(post).
     """
 
-    v1: np.ndarray
-    v2: np.ndarray
-    n: np.ndarray
-    epsilon: float
-    branch: CollisionBranch
-    species1: Species
-    species2: Species
     w1: np.ndarray
     w2: np.ndarray
     lambda1: float
     lambda2: float
     delta_e: float
+
+    def __post_init__(self) -> None:
+        frozen_array(self, "w1", self.w1)
+        frozen_array(self, "w2", self.w2)
 
 
 def _validate_normal(n: np.ndarray) -> np.ndarray:
@@ -134,24 +132,27 @@ def transform_velocities(v1, v2, n, epsilon: float, branch: CollisionBranch,
 
 def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
             s1: Species, s2: Species) -> CollisionEvent:
-    """Apply the selected impact rule to one pair and book the energy deficit."""
+    """Apply the selected impact rule to one pair and book the energy deficit.
+
+    An outcome that overflows or is NaN raises NonFiniteEstimate, a numerical failure.
+    """
     n = _validate_normal(n)
     epsilon = _validate_restitution(epsilon)
     v1 = np.asarray(v1, dtype=np.float64).reshape(3)
     v2 = np.asarray(v2, dtype=np.float64).reshape(3)
     m1, m2 = s1.mass, s2.mass
-    c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
-    lambda1, lambda2 = c1.item(), -c2.item()
-    w1 = v1 + lambda1 * n
-    w2 = v2 + lambda2 * n
-    ke_pre = 0.5 * m1 * float(v1 @ v1) + 0.5 * m2 * float(v2 @ v2)
-    ke_post = 0.5 * m1 * float(w1 @ w1) + 0.5 * m2 * float(w2 @ w2)
-    return CollisionEvent(
-        v1=v1, v2=v2, n=n, epsilon=epsilon, branch=branch,
-        species1=s1, species2=s2,
-        w1=w1, w2=w2, lambda1=lambda1, lambda2=lambda2,
-        delta_e=ke_pre - ke_post,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
+        lambda1, lambda2 = c1.item(), -c2.item()
+        w1 = v1 + lambda1 * n
+        w2 = v2 + lambda2 * n
+        ke_pre = 0.5 * m1 * float(v1 @ v1) + 0.5 * m2 * float(v2 @ v2)
+        ke_post = 0.5 * m1 * float(w1 @ w1) + 0.5 * m2 * float(w2 @ w2)
+        delta_e = ke_pre - ke_post
+    if not np.all(np.isfinite([*w1, *w2, lambda1, lambda2, delta_e])):
+        raise NonFiniteEstimate(f"collision is not finite: lambda1 = {lambda1!r}, "
+                                f"lambda2 = {lambda2!r}, delta_e = {delta_e!r}")
+    return CollisionEvent(w1=w1, w2=w2, lambda1=lambda1, lambda2=lambda2, delta_e=delta_e)
 
 
 def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,

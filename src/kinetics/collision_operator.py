@@ -192,7 +192,8 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
     v = np.asarray(v, dtype=np.float64).reshape(3)
     if not np.all(np.isfinite(v)):
         raise ValueError("probe velocity must be finite")
-    generator = rng.stream(spec.seed, "operator-node", rng.velocity_label(v))
+    # keyed by the probe's bit pattern, so equal probes share one stream
+    generator = rng.stream(spec.seed, "operator-node", rng.derive_key(0, *v))
     vmax = f.grid.vmax
     gain = spec.normalization.gain_factor(spec.epsilon)
     f_probe = interpolate(f, v)

@@ -66,7 +66,7 @@ class MajorantExceeded(KineticsError):
 
 
 class NonFiniteEstimate(KineticsError):
-    """Monte Carlo estimate or transported mass overflowed or became NaN."""
+    """Monte Carlo estimate, collision outcome or transported mass overflowed or became NaN."""
 
 
 class ConfigError(KineticsError):

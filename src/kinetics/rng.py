@@ -23,8 +23,6 @@ def _mix64(x: int) -> int:
 
 
 def _part_to_int(part: int | float | str | bytes) -> int:
-    if isinstance(part, bool):
-        return int(part)
     if isinstance(part, int):
         return part & _MASK64
     if isinstance(part, float):
@@ -44,19 +42,6 @@ def derive_key(seed: int, *parts: int | float | str | bytes) -> int:
     h = _mix64(seed & _MASK64)
     for part in parts:
         h = _mix64((h + _GOLDEN + _part_to_int(part)) & _MASK64)
-    return h
-
-
-def velocity_label(v) -> int:
-    """Stable 64-bit label for a velocity 3-vector (bit pattern, not value hash).
-
-    Equal float triples give equal labels, so duplicated probe nodes receive
-    identical streams.
-    """
-    bits = np.asarray(v, dtype=np.float64).reshape(3).view(np.uint64)
-    h = 0
-    for b in bits:
-        h = _mix64((h + _GOLDEN + int(b)) & _MASK64)
     return h
 
 

@@ -138,6 +138,9 @@ def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
         scaled = xi * 2.0**-600
         speed = math.sqrt(float(scaled @ scaled)) * 2.0**600
     angle = speed * tau  # NaN for an infinite tau even at speed 0
+    if speed == math.inf:  # |xi| past the float range; the scaled speed is >= 2**424
+        xi, speed = scaled, math.sqrt(float(scaled @ scaled))
+        angle = (speed * tau) * 2.0**600
     if not math.isfinite(angle):
         raise ValueError(f"tau must be finite with |u| tau finite, got tau = {tau!r}")
     if speed == 0.0:

@@ -100,9 +100,6 @@ class PhaseGrid1D1V:
     def dv(self) -> float:
         return 2.0 * self.vmax / (self.nv - 1)
 
-    def mass(self) -> float:
-        return float(np.sum(self.values)) * self.dx * self.dv
-
 
 def phase_grid_from_function(fn, nx: int, length: float, nv: int, vmax: float) -> PhaseGrid1D1V:
     """Sample fn(x, v) on the grid nodes."""

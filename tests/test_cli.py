@@ -103,6 +103,27 @@ def test_validation_failure_exits_1_without_outputs(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: |n| = ")
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"outputdir": "x"}, "outputdir"),
+    ({"seed": 1.5}, "config.seed"), ({"seed": True}, "config.seed"),
+    ({"seed": "3"}, "config.seed"),
+    ({"output_dir": 3}, "config.output_dir"),
+    ({"parameters": []}, "config.parameters"),
+    ({"subcommand": "nope"}, "config.subcommand"),
+    ({"subcommand": None}, "config.subcommand"),  # an explicit null is not a subcommand
+])
+def test_bad_top_level_key_is_named(tmp_path, capsys, overrides, key):
+    config = {**MINIMAL_DSMC, "output_dir": str(tmp_path / "out"), **overrides}
+    with pytest.raises(ValidationError, match=key):
+        cli.parse_config(json.dumps(config))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["dsmc", "--config", str(config_path)]) == 1
+    assert not (tmp_path / "out").exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+
+
 @pytest.mark.parametrize("subcommand, key, value", [
     ("dsmc", "dt", -1), ("transport", "dt", -1), ("collide", "epsilon", 1.5),
     ("operator", "epsilon", 1.5), ("dsmc", "epsilon", 1.5),
@@ -191,6 +212,26 @@ def test_numerical_failure_exits_2_without_outputs(tmp_path, capsys):
     assert not out_dir.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("v1, v2", [
+    ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]),  # the impulse overflows
+    ([1e200, 0.0, 0.0], [1e200, 0.0, 0.0]),   # the energy deficit is NaN
+])
+def test_overflowing_collide_exits_2_without_outputs(tmp_path, capsys, v1, v2):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps({
+        "subcommand": "collide",
+        "output_dir": str(out_dir),
+        "parameters": dict(VALID_PARAMETERS["collide"], v1=v1, v2=v2),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["collide", "--config", str(config_path)]) == 2
+    assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: collision is not finite")
 
 
 def test_operator_deterministic_across_thread_counts(tmp_path):

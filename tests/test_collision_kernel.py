@@ -19,7 +19,8 @@ from kinetics.collision_kernel import (
     jacobian_signed,
     transform_velocities,
 )
-from kinetics.errors import InvalidRestitution, NonUnitNormal, SingularRestitution
+from kinetics.errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal,
+                             SingularRestitution)
 
 UNIT = Species(mass=1.0, diameter=1.0)
 EX = np.array([1.0, 0.0, 0.0])
@@ -199,6 +200,29 @@ def test_transform_velocities_broadcasts():
         event = collide(v1[k], v2[k], n[k], 0.6, CollisionBranch.REFLECTIVE, s1, s2)
         np.testing.assert_array_equal(w1[k].view(np.uint64), event.w1.view(np.uint64))
         np.testing.assert_array_equal(w2[k].view(np.uint64), event.w2.view(np.uint64))
+
+
+def test_event_owns_read_only_arrays():
+    v1, v2, n = np.array([0.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), EX.copy()
+    event = collide(v1, v2, n, 0.5, CollisionBranch.REFLECTIVE, UNIT, UNIT)
+    v1[:] = 9.0
+    v2[:] = 9.0
+    n[:] = [0.0, 1.0, 0.0]
+    np.testing.assert_array_equal(event.w1, [1.5, 0.0, 0.0])
+    np.testing.assert_array_equal(event.w2, [0.5, 0.0, 0.0])
+    for array in (event.w1, event.w2):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("v1, v2", [
+    ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]),  # the relative velocity overflows
+    ([1e200, 0.0, 0.0], [1e200, 0.0, 0.0]),   # w is finite, the energies are not
+])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_collision_is_a_numerical_failure(v1, v2):
+    with pytest.raises(NonFiniteEstimate, match="^collision is not finite"):
+        collide(v1, v2, EX, 0.5, CollisionBranch.REFLECTIVE, UNIT, UNIT)
 
 
 def test_validation_errors():

@@ -58,3 +58,23 @@ def test_only_errors_py_sets_frozen_fields():
                  if path.name != "errors.py"
                  and "object.__setattr__(" in path.read_text(encoding="utf-8")]
     assert offenders == []
+
+
+
+def test_every_array_field_of_a_value_type_is_frozen():
+    # each np.ndarray field of a frozen dataclass is stored in __post_init__ by
+    # frozen_array(self, "<field>", ...), so no value type aliases a caller's array
+    missing = []
+    for module, tree in _trees().items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and "dataclass(frozen=True)" in map(ast.unparse, cls.decorator_list)):
+                continue
+            post_init = "".join(ast.unparse(item) for item in cls.body
+                                if isinstance(item, ast.FunctionDef)
+                                and item.name == "__post_init__")
+            missing += [f"{module}.py:{cls.name}.{item.target.id}" for item in cls.body
+                        if isinstance(item, ast.AnnAssign)
+                        and ast.unparse(item.annotation) == "np.ndarray"
+                        and f"frozen_array(self, '{item.target.id}'," not in post_init]
+    assert missing == []

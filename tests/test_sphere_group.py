@@ -198,6 +198,20 @@ def test_exp_subgroup_of_a_generator_whose_square_overflows():
                                rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_exp_subgroup_of_a_generator_whose_norm_overflows():
+    # |u| = 1.5e308 sqrt(2) is past the float range; the angle is scaled, not the speed
+    u = PureQuaternion((1.5e308, 1.5e308, 0.0))
+    np.testing.assert_array_equal(exp_subgroup(u, 0.0).theta, IDENTITY.theta)
+    assert np.all(np.isfinite(exp_subgroup(u, 1e-300).theta))
+    angle = 1.5 * math.sqrt(2.0)  # at tau = 1e-308
+    side = math.sin(angle) / math.sqrt(2.0)
+    np.testing.assert_allclose(exp_subgroup(u, 1e-308).theta,
+                               [math.cos(angle), side, side, 0.0], rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match=r"^tau must be finite.*got tau = 1.0"):
+        exp_subgroup(u, 1.0)
+
+
 def test_exp_subgroup_homomorphism():
     rng = np.random.default_rng(24)
     for _ in range(100):
