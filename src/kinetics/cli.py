@@ -185,7 +185,7 @@ _COLLIDE_SCHEMA = _Schema({
 
 _OPERATOR_SCHEMA = _Schema({
     "vmax": (_positive,),
-    "nodes_per_axis": (_count(1),),
+    "nodes_per_axis": (_count(4),),
     "distribution": (_distribution_params,),
     "mass": (_positive, 1.0),
     "diameter": (_positive, 1.0),
@@ -197,7 +197,7 @@ _OPERATOR_SCHEMA = _Schema({
 })
 
 _DSMC_SCHEMA = _Schema({
-    "particles": (_count(1),),
+    "particles": (_count(2),),
     "steps": (_count(0),),
     "sample_every": (_count(1), 1),
     "dt": (_positive,),
@@ -212,9 +212,9 @@ _DSMC_SCHEMA = _Schema({
 })
 
 _TRANSPORT_SCHEMA = _Schema({
-    "nx": (_count(1), 128),
+    "nx": (_count(4), 128),
     "length": (_positive, 10.0),
-    "nv": (_count(1), 128),
+    "nv": (_count(4), 128),
     "vmax": (_positive, 3.0),
     "dt": (_positive,),
     "steps": (_count(0),),
@@ -227,10 +227,12 @@ _TRANSPORT_SCHEMA = _Schema({
     "amplitude": (_positive, 1.0),
 })
 
-# Every AuditSettings field but the seed, checked by its type, with its default.
+# Every AuditSettings field but the seed, checked by its type, with its default;
+# a node count takes VelocityGrid's minimum.
 _AUDIT_TYPES = typing.get_type_hints(claim_audit.AuditSettings)
 _AUDIT_SCHEMA = _Schema({
-    field.name: ({int: _count(1), float: _positive}[_AUDIT_TYPES[field.name]],
+    field.name: (_count(4) if field.name.endswith("_nodes")
+                 else {int: _count(1), float: _positive}[_AUDIT_TYPES[field.name]],
                  field.default)
     for field in fields(claim_audit.AuditSettings) if field.name != "seed"
 })
@@ -316,10 +318,8 @@ def _run_operator(config: RunConfig, threads: int) -> dict:
         samples=p["samples"], seed=config.seed, diameter=p["diameter"],
         mass=p["mass"], epsilon=p["epsilon"], branch=CollisionBranch(p["branch"]),
         normalization=GainNormalization(p["normalization"]))
-    probes = [np.asarray(probe) for probe in p["probes"]]
-    estimates = evaluate_field(f, probes, spec, threads=threads)
-    rows = [[probe[0], probe[1], probe[2], est.value, est.std_error]
-            for probe, est in zip(probes, estimates)]
+    estimates = evaluate_field(f, p["probes"], spec, threads=threads)
+    rows = [[*probe, est.value, est.std_error] for probe, est in zip(p["probes"], estimates)]
     return {"rates.csv": claim_audit.csv_text(
         ["vx", "vy", "vz", "rate", "std_error"], rows)}
 
@@ -335,9 +335,8 @@ def _run_dsmc(config: RunConfig, threads: int) -> dict:
         branch=CollisionBranch(p["branch"]), seed=config.seed,
         majorant_relative_speed=p["majorant_relative_speed"])
     series = dsmc.run(ensemble, cfg, p["steps"], p["sample_every"])
-    rows = [list(row) for row in series]
     return {"timeseries.csv": claim_audit.csv_text(
-        ["t", "density", "px", "py", "pz", "temperature"], rows)}
+        ["t", "density", "px", "py", "pz", "temperature"], series)}
 
 
 def _run_transport(config: RunConfig, threads: int) -> dict:

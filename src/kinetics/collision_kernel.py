@@ -201,7 +201,6 @@ def actual_energy_loss(v1, v2, n, epsilon: float, s1: Species, s2: Species) -> f
 
 def jacobian_analytic(epsilon: float, branch: CollisionBranch) -> float:
     """|det| of the 6x6 pair-velocity map at fixed n; equals epsilon."""
-    epsilon = _validate_restitution(epsilon)
     return abs(jacobian_signed(epsilon, branch))
 
 
@@ -216,10 +215,10 @@ def jacobian_signed(epsilon: float, branch: CollisionBranch) -> float:
 
 
 def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
-                     s1: Species, s2: Species, h: float | None = None) -> float:
+                     s1: Species, s2: Species) -> float:
     """|det| of the pair-velocity map by central finite differences.
 
-    Step defaults to 1e-5 * max(1, |v|_inf), balancing truncation against
+    The step is 1e-5 * max(1, |v|_inf), balancing truncation against
     round-off for 64-bit floats.
     """
     n = _validate_normal(n)
@@ -227,10 +226,7 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     v1 = np.asarray(v1, dtype=np.float64).reshape(3)
     v2 = np.asarray(v2, dtype=np.float64).reshape(3)
     x0 = np.concatenate([v1, v2])
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
-    else:
-        require_positive("h", h)
+    h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
 
     def f(x: np.ndarray) -> np.ndarray:
         w1, w2 = transform_velocities(x[:3], x[3:], n, epsilon, branch, s1.mass, s2.mass)

@@ -130,7 +130,7 @@ def _sum_and_m2(samples: np.ndarray) -> np.ndarray:
 
 
 def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
-                  exponents: list[float] | None = None) -> tuple[float, float]:
+                  exponents: list[float]) -> tuple[float, float]:
     """Mean and standard error from per-chunk sample counts, sums, M2s and M2 exponents.
 
     The mean is the sum of the chunk sums over the sample count. The M2s are
@@ -144,9 +144,8 @@ def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
         mean = float(np.sum(sums)) / total
     if total < 2:
         return mean, 0.0
-    exponents = [0] * len(sizes) if exponents is None else [int(e) for e in exponents]
     count, centre, m2, scale = 0, 0.0, 0.0, 0
-    for size, chunk_sum, chunk_m2, exponent in zip(sizes, sums, m2s, exponents):
+    for size, chunk_sum, chunk_m2, exponent in zip(sizes, sums, m2s, map(int, exponents)):
         delta = float(chunk_sum) / size - centre
         common = max(scale, exponent, math.frexp(delta)[1] if abs(delta) > _RESCALE_ABOVE else 0)
         scaled = math.ldexp(delta, -common)

@@ -76,12 +76,23 @@ class Moments(NamedTuple):
     kinetic_energy: float
 
 
-def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity: np.ndarray,
-                     temperature: float, mass: float) -> np.ndarray:
+def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
+                     temperature: float, mass: float, temperature_name: str) -> np.ndarray:
+    """One Maxwellian mode at the nodes; UnderResolved where the grid cannot hold it."""
+    require_positive(temperature_name, temperature)
+    u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
+    vth = np.sqrt(BOLTZMANN * temperature / mass)
+    if grid.spacing > vth / 3.0:
+        raise UnderResolved(
+            f"spacing {grid.spacing:g} exceeds a third of the thermal speed {vth:g}")
+    speed = float(np.linalg.norm(u))
+    if grid.vmax < speed + 4.0 * vth:
+        raise UnderResolved(
+            f"vmax {grid.vmax:g} below |u| + 4 thermal speeds = {speed + 4.0 * vth:g}")
     ax = grid.axis
-    dx = ax - bulk_velocity[0]
-    dy = ax - bulk_velocity[1]
-    dz = ax - bulk_velocity[2]
+    dx = ax - u[0]
+    dy = ax - u[1]
+    dz = ax - u[2]
     sq = (dx**2)[:, None, None] + (dy**2)[None, :, None] + (dz**2)[None, None, :]
     kt = BOLTZMANN * temperature
     coef = density * (mass / (2.0 * np.pi * kt)) ** 1.5
@@ -93,27 +104,13 @@ def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity: np.ndarr
     return sq
 
 
-def _check_resolution(grid: VelocityGrid, bulk_velocity: np.ndarray,
-                      temperature: float, mass: float) -> None:
-    vth = np.sqrt(BOLTZMANN * temperature / mass)
-    if grid.spacing > vth / 3.0:
-        raise UnderResolved(
-            f"spacing {grid.spacing:g} exceeds a third of the thermal speed {vth:g}")
-    speed = float(np.linalg.norm(bulk_velocity))
-    if grid.vmax < speed + 4.0 * vth:
-        raise UnderResolved(
-            f"vmax {grid.vmax:g} below |u| + 4 thermal speeds = {speed + 4.0 * vth:g}")
-
-
 def maxwellian(grid: VelocityGrid, density: float, bulk_velocity,
                temperature: float, mass: float) -> DiscreteDistribution:
     """Drifting Maxwellian sampled at the grid nodes."""
     require_positive("density", density)
-    require_positive("temperature", temperature)
     require_positive("mass", mass)
-    u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
-    _check_resolution(grid, u, temperature, mass)
-    return DiscreteDistribution(grid, _gaussian_values(grid, density, u, temperature, mass))
+    return DiscreteDistribution(grid, _gaussian_values(grid, density, bulk_velocity,
+                                                       temperature, mass, "temperature"))
 
 
 def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
@@ -127,10 +124,7 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
             raise ValueError(f"density{mode} must be nonnegative, got {density}")
         if density == 0.0:
             continue
-        require_positive(f"temperature{mode}", temperature)
-        u = np.asarray(u, dtype=np.float64).reshape(3)
-        _check_resolution(grid, u, temperature, mass)
-        total += _gaussian_values(grid, density, u, temperature, mass)
+        total += _gaussian_values(grid, density, u, temperature, mass, f"temperature{mode}")
     return DiscreteDistribution(grid, total)
 
 

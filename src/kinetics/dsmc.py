@@ -35,7 +35,8 @@ import numpy as np
 from . import rng
 from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
 from .constants import BOLTZMANN
-from .errors import MajorantExceeded, frozen_array, require_count, require_positive
+from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_count,
+                     require_positive)
 
 _MAJORANT_RETRIES = 8
 _BOUND_REFRESH_STEPS = 64
@@ -161,6 +162,10 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig,
     n = v.shape[0]
     expected = (0.5 * n * (n - 1) * weight * math.pi * species.diameter**2
                 * majorant * config.dt / volume)
+    pairs = n * (n - 1) // 2
+    if not expected <= pairs:  # past this some pair would be drawn twice in one step
+        raise ValueError(f"dt {config.dt!r} is too long for no-time-counter selection: "
+                         f"{expected!r} expected candidates exceed the {pairs} pairs")
     n_candidates = int(math.floor(expected + generator.uniform()))
     if n_candidates == 0:
         return bound_sq
@@ -254,8 +259,12 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
     volume = ensemble.count * weight / config.number_density
 
     def row(t: float, v: np.ndarray) -> list[float]:
-        m = moments(v, mass, weight, volume)
-        return [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            m = moments(v, mass, weight, volume)
+        values = [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteEstimate(f"moments are not finite at t = {t!r}")
+        return values
 
     rows = [row(0.0, ensemble.velocities)]
 

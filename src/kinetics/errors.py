@@ -66,7 +66,7 @@ class MajorantExceeded(KineticsError):
 
 
 class NonFiniteEstimate(KineticsError):
-    """Monte Carlo estimate, collision outcome or transported mass overflowed or became NaN."""
+    """An estimate, collision outcome, particle moment or transported mass is inf or NaN."""
 
 
 class ConfigError(KineticsError):

@@ -167,15 +167,13 @@ def match_generator(force, mass: float, lam: float, hemisphere: str = "lower") -
     return PureQuaternion(np.array([target[1], target[2], target[0]]))
 
 
-def pushforward_derivative(g, u: PureQuaternion, step: float | None = None) -> float:
+def pushforward_derivative(g, u: PureQuaternion) -> float:
     """Central-difference d/dtau of g(chart(G(tau))) at tau = 0.
 
-    Step defaults to 1e-5 / max(1, |u|) so the truncation error stays O(1e-10)
+    The step is 1e-5 / max(1, |u|), so the truncation error stays O(1e-10)
     for smooth fields.
     """
-    speed = float(np.linalg.norm(u.xi))
-    if step is None:
-        step = 1e-5 / max(1.0, speed)
+    step = 1e-5 / max(1.0, float(np.linalg.norm(u.xi)))
     plus = g(project_chart(exp_subgroup(u, step)).vstar)
     minus = g(project_chart(exp_subgroup(u, -step)).vstar)
     return (plus - minus) / (2.0 * step)

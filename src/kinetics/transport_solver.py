@@ -122,38 +122,28 @@ def _cubic_weights(t: np.ndarray):
 def _x_plan(shifts: np.ndarray, nx: int):
     """Back-trace plan along axis 0 for a per-column node shift.
 
-    Consecutive columns that share an integer base form one group; each group
-    holds, per offset -1, 0, 1, 2, the first source row and the weight row.
+    Its source is the values stacked on themselves, whose rows start..start+nx
+    are the rows rolled by start. Consecutive columns that share an integer
+    base form one group, with one (weight row, destination, source) term per
+    offset -1, 0, 1, 2.
     """
     tau = -shifts
     base = np.floor(tau).astype(np.int64)
     weights = _cubic_weights(tau - base)
     edges = [0, *(np.flatnonzero(np.diff(base)) + 1).tolist(), base.shape[0]]
-    return [(j, k, [(int(base[j] + offset) % nx, w[None, j:k])
-                    for offset, w in zip((-1, 0, 1, 2), weights)])
-            for j, k in zip(edges[:-1], edges[1:])]
-
-
-def _advect_x(values: np.ndarray, plan) -> np.ndarray:
-    """Periodic back-trace along axis 0 by the shifts of an _x_plan.
-
-    Rows start..start+nx of the doubled array are the rows rolled by start.
-    """
-    nx = values.shape[0]
-    doubled = np.concatenate((values, values))
-    out = np.zeros_like(values)
-    for j, k, terms in plan:
-        block = out[:, j:k]
-        for start, w in terms:
-            block += w * doubled[start:start + nx, j:k]
-    return out
+    plan = []
+    for j, k in zip(edges[:-1], edges[1:]):
+        for offset, w in zip((-1, 0, 1, 2), weights):
+            start = int(base[j] + offset) % nx
+            plan.append((w[None, j:k], np.s_[:, j:k], np.s_[start:start + nx, j:k]))
+    return plan
 
 
 def _v_plan(shift: float, nv: int):
     """Back-trace plan along axis 1 for a uniform node shift.
 
-    One (weight, destination columns, source columns) triple per offset whose
-    source columns overlap the hull; the rest of the hull has zero inflow.
+    One (weight, destination, source) term per offset whose source columns
+    overlap the hull; the rest of the hull has zero inflow.
     """
     tau = -shift
     base = int(np.floor(tau))
@@ -163,15 +153,16 @@ def _v_plan(shift: float, nv: int):
         d = base + offset
         lo, hi = max(0, -d), min(nv, nv - d)
         if lo < hi:
-            plan.append((float(w), slice(lo, hi), slice(lo + d, hi + d)))
+            plan.append((float(w), np.s_[:, lo:hi], np.s_[:, lo + d:hi + d]))
     return plan
 
 
-def _advect_v(values: np.ndarray, plan) -> np.ndarray:
-    """Back-trace along axis 1 by the shift of a _v_plan; zero outside the hull."""
-    out = np.zeros_like(values)
+def _advect(source: np.ndarray, plan, shape) -> np.ndarray:
+    """Sum of the plan's terms out[dst] += w * source[src], from +0.0, in plan order."""
+    out = np.zeros_like(source, shape=shape)
     for w, dst, src in plan:
-        out[:, dst] += w * values[:, src]
+        block = out[dst]  # a view, so the add writes through without storing back
+        block += w * source[src]
     return out
 
 
@@ -202,10 +193,11 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     worst_drift = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a non-finite drift
         mass0 = float(np.sum(values)) * f0.dx * f0.dv
+        shape = values.shape
         for _ in range(n_steps):
-            values = _advect_x(values, x_plan)
-            values = _advect_v(values, v_plan)
-            values = _advect_x(values, x_plan)
+            values = _advect(np.concatenate((values, values)), x_plan, shape)
+            values = _advect(values, v_plan, shape)
+            values = _advect(np.concatenate((values, values)), x_plan, shape)
             if mass0 != 0.0:
                 mass = float(np.sum(values)) * f0.dx * f0.dv
                 drift = abs(mass - mass0) / abs(mass0)

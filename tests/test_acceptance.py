@@ -188,8 +188,7 @@ def test_stokes_claim_audit():
         assert abs(estimate.value) > 3.0 * estimate.std_error
         oracle = brute_force_rate(f, center, spec, 8, 8, 8)
         assert np.sign(oracle) == np.sign(estimate.value)
-    scenario = ca.StokesScenario("bimodal", f, centers)
-    row = ca.audit_stokes_claim([scenario], spec, threads=2)[0]
+    row = ca.audit_stokes_claim([("bimodal", f, centers)], spec, threads=2)[0]
     assert row.verdict == "inconsistent"
     elapsed = time.time() - start
     assert elapsed < 120.0

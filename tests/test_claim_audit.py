@@ -48,10 +48,8 @@ def test_audit_stokes_distinguishes_equilibrium_from_bimodal():
     bi_grid = VelocityGrid(vmax=6.0, nodes_per_axis=61)
     f_bi = bimodal(bi_grid, 0.5, (2, 0, 0), 1.0, 0.5, (-2, 0, 0), 1.0, UNIT_MASS)
     scenarios = [
-        ca.StokesScenario("maxwellian", f_eq,
-                          ca.equilibrium_ray_probes(eq_grid, vth)),
-        ca.StokesScenario("bimodal", f_bi,
-                          [np.array([2.0, 0, 0]), np.array([-2.0, 0, 0])]),
+        ("maxwellian", f_eq, ca.equilibrium_ray_probes(eq_grid, vth)),
+        ("bimodal", f_bi, [np.array([2.0, 0, 0]), np.array([-2.0, 0, 0])]),
     ]
     spec = small_spec(samples=100_000, seed=0)
     reports = ca.audit_stokes_claim(scenarios, spec, threads=4)

@@ -423,3 +423,42 @@ def test_failed_write_leaves_no_outputs(tmp_path, monkeypatch, capsys):
     assert list(out_dir.iterdir()) == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs: ")
+
+
+def _failing_run(tmp_path, capsys, subcommand, parameters, code):
+    """The one stderr line of a run that exits with code, writes nothing and warns not."""
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps({"subcommand": subcommand, "output_dir": str(out_dir),
+                                       "parameters": parameters}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([subcommand, "--config", str(config_path)]) == code
+    assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("overrides, code, prefix", [
+    # more expected candidates than pairs: the step is too long for NTC selection
+    ({"temperature": 1e300}, 1, "error: dt 0.01 is too long for no-time-counter selection"),
+    ({"dt": 1e12}, 1, "error: dt 1000000000000.0 is too long for no-time-counter selection"),
+    # |v|^2 overflows: a numerical failure, not a nan temperature or a traceback
+    ({"steps": 0, "bulk_velocity": [1e200, 0, 0]}, 2, "numerical failure: moments are not finite"),
+    ({"bulk_velocity": [1e200, 0, 0]}, 2, "numerical failure: moments are not finite"),
+], ids=["hot", "long-dt", "overflow-no-steps", "overflow-steps"])
+def test_dsmc_failure_exits_without_outputs(tmp_path, capsys, overrides, code, prefix):
+    parameters = dict({"particles": 200, "steps": 5, "dt": 0.01}, **overrides)
+    assert _failing_run(tmp_path, capsys, "dsmc", parameters, code).startswith(prefix)
+
+
+@pytest.mark.parametrize("subcommand, key, value, minimum", [
+    ("operator", "nodes_per_axis", 2, 4), ("audit", "stokes_nodes", 3, 4),
+    ("audit", "mass_nodes", 3, 4), ("transport", "nx", 3, 4), ("transport", "nv", 3, 4),
+    ("dsmc", "particles", 1, 2)])
+def test_count_below_the_domain_minimum_names_the_key(tmp_path, capsys, subcommand, key,
+                                                      value, minimum):
+    parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})
+    line = _failing_run(tmp_path, capsys, subcommand, parameters, 1)
+    assert line == f"error: parameters.{key}: value must be at least {minimum}, got {value}"

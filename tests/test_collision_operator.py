@@ -313,7 +313,8 @@ def test_overflowing_estimate_is_a_numerical_failure():
             moment_rates(f, spec_with(samples=2 * collision_operator._CHUNK + 1),
                          threads=2)
         # finite chunk sums whose total overflows
-        mean, _ = collision_operator._mean_and_sem([2, 2], [1e308, 1e308], [0.0, 0.0])
+        mean, _ = collision_operator._mean_and_sem([2, 2], [1e308, 1e308], [0.0, 0.0],
+                                                   [0, 0])
         assert mean == np.inf
 
 
@@ -355,7 +356,7 @@ def test_sem_merge_is_stable_when_the_mean_dwarfs_the_spread():
     chunks = [1e9 + generator.standard_normal(size) for size in sizes]
     stats = [collision_operator._sum_and_m2(chunk) for chunk in chunks]
     mean, sem = collision_operator._mean_and_sem(
-        sizes, [s[0] for s in stats], [s[1] for s in stats])
+        sizes, [s[0] for s in stats], [s[1] for s in stats], [s[2] for s in stats])
     samples = np.concatenate(chunks)
     total = samples.size
     assert mean == float(np.sum([np.sum(c) for c in chunks])) / total

@@ -78,3 +78,69 @@ def test_every_array_field_of_a_value_type_is_frozen():
                         and ast.unparse(item.annotation) == "np.ndarray"
                         and f"frozen_array(self, '{item.target.id}'," not in post_init]
     assert missing == []
+
+
+# (module, function, parameter) left at its default by every src caller, and why
+UNSET_BY_DESIGN = {
+    ("cli", "main", "argv"): "entry point: None reads the process arguments",
+    ("claim_audit", "audit_energy_formula", "n_configs"):
+        "the acceptance test runs 300 configs for a stronger oracle",
+    ("sphere_group", "embed", "hemisphere"): "the chart's two embeddings",
+    ("sphere_group", "match_generator", "hemisphere"): "the chart's two embeddings",
+}
+
+
+def _callee(func, local, modules):
+    """(defining module or None, name) of a called expression; None for a module-level
+    name that this module neither defines nor imports from the package."""
+    if isinstance(func, ast.Name):
+        return local.get(func.id, (None, func.id))
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id in modules:
+            return modules[func.value.id], func.attr
+        return None, func.attr
+    return None
+
+
+def test_every_defaulted_parameter_is_set_by_a_src_caller():
+    # a default that no call in src/kinetics overrides is a parameter nothing sets;
+    # make it the code. Module-level functions are matched through the package's
+    # imports, methods and nested functions by their bare name.
+    trees = _trees()
+    passed = set()
+    for module, tree in trees.items():
+        local = {node.name: (module, node.name) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        local[alias.asname or alias.name] = (node.module, alias.name)
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            target = _callee(call.func, local, modules)
+            passed |= {(target, index) for index in range(len(call.args))}
+            passed |= {(target, keyword.arg) for keyword in call.keywords}
+    unset = []
+    for module, tree in trees.items():
+        top = {id(node) for node in tree.body}
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            target = (module if id(node) in top else None, node.name)
+            params = node.args.posonlyargs + node.args.args
+            first = len(params) - len(node.args.defaults)
+            offset = 1 if id(node) in methods else 0  # self
+            defaulted = [(index - offset, params[index].arg)
+                         for index in range(first, len(params))]
+            defaulted += [(None, param.arg) for param, default
+                          in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            unset += [f"{module}.py:{node.name}({name})" for index, name in defaulted
+                      if (target, index) not in passed and (target, name) not in passed
+                      and (module, node.name, name) not in UNSET_BY_DESIGN]
+    assert unset == []

@@ -11,7 +11,7 @@ import pytest
 from conftest import UNIT_MASS
 from test_cli import VALID_PARAMETERS
 from kinetics import cli, dsmc
-from kinetics.collision_kernel import CollisionBranch, Species, jacobian_numeric
+from kinetics.collision_kernel import CollisionBranch, Species
 from kinetics.collision_operator import QuadratureSpec
 from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
 from kinetics.errors import ConfigError
@@ -95,8 +95,6 @@ CALLERS = {
     "embed.lambda": ("lambda", lambda x: embed((0.1, 0, 0), x)),
     "chart_jacobian.lambda": ("lambda", lambda x: chart_jacobian((0.1, 0, 0), x)),
     "match_generator.mass": ("mass", lambda x: match_generator(EX, x, 1.0)),
-    "jacobian_numeric.h": ("h", lambda x: jacobian_numeric(
-        (0, 0, 0), EX, EX, 0.5, REFLECTIVE, UNIT, UNIT, h=x)),
 }
 
 
@@ -170,12 +168,12 @@ COUNTS = {
         "sample_every", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), 1, n), 1),
     **{f"cli.{subcommand}.{key}": (*cli_key(subcommand, key), minimum)
        for subcommand, key, minimum in [
-           ("operator", "nodes_per_axis", 1), ("operator", "samples", 1),
-           ("dsmc", "particles", 1), ("dsmc", "steps", 0), ("dsmc", "sample_every", 1),
-           ("transport", "nx", 1), ("transport", "nv", 1), ("transport", "steps", 0),
+           ("operator", "nodes_per_axis", 4), ("operator", "samples", 1),
+           ("dsmc", "particles", 2), ("dsmc", "steps", 0), ("dsmc", "sample_every", 1),
+           ("transport", "nx", 4), ("transport", "nv", 4), ("transport", "steps", 0),
            ("audit", "jacobian_configs", 1), ("audit", "stokes_samples", 1),
-           ("audit", "stokes_nodes", 1), ("audit", "mass_samples", 1),
-           ("audit", "mass_nodes", 1)]},
+           ("audit", "stokes_nodes", 4), ("audit", "mass_samples", 1),
+           ("audit", "mass_nodes", 4)]},
 }
 
 

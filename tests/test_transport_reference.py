@@ -1,9 +1,9 @@
 """Run-once back-trace plans against the per-step advection they replace.
 
 ``_reference_advect_x``, ``_reference_advect_v`` and the step loop in
-``_reference_run`` are the former bodies of ``transport_solver._advect_x``,
-``transport_solver._advect_v`` and ``semi_lagrangian_run``, kept here verbatim
-as the reference. ``semi_lagrangian_run`` must give the same value bits and
+``_reference_run`` are the former per-step bodies of the x and v half-steps
+and of ``semi_lagrangian_run``, kept here verbatim as the reference; both
+half-steps now run through ``transport_solver._advect``. ``semi_lagrangian_run`` must give the same value bits and
 the same ``mass_drift``.
 
 Each half-step starts its sums from +0.0, so it never returns -0.0 and its
@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from kinetics.transport_solver import (
     ForceField,
     PhaseGrid1D1V,
-    _advect_v,
-    _advect_x,
+    _advect,
     _cubic_weights,
     _v_plan,
     _x_plan,
@@ -88,8 +87,10 @@ def _initial_values(nx: int, nv: int, seed: int) -> np.ndarray:
 NODES = st.integers(min_value=4, max_value=64)
 
 
-# In all but the last example the grid spacing is 1 in x and 2**-3 in v, so
+# In the first seven examples the grid spacing is 1 in x and 2**-3 in v, so
 # the node shifts are exact: x shifts are v * dt / 2, v shifts force * dt * 8.
+# In the last, x shifts of -7.5 to 7.5 step by 5/3 nodes, so every column is
+# its own x-plan group and the shifts are inexact.
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.0, steps=3, seed=0)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.25, steps=3, seed=1)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=-0.25, steps=3, seed=2)
@@ -98,6 +99,7 @@ NODES = st.integers(min_value=4, max_value=64)
 @example(nx=5, nv=7, length=5.0, vmax=0.375, dt=123.0, force=0.0, steps=2, seed=4)
 @example(nx=5, nv=7, length=5.0, vmax=0.375, dt=0.3, force=-9.0, steps=2, seed=5)
 @example(nx=7, nv=6, length=3.0, vmax=2.0, dt=0.2, force=1.5, steps=0, seed=6)
+@example(nx=12, nv=10, length=6.0, vmax=3.0, dt=2.5, force=0.7, steps=3, seed=8)
 @settings(deadline=None, max_examples=200)
 @given(nx=NODES, nv=NODES,
        length=st.floats(min_value=0.5, max_value=50.0),
@@ -117,6 +119,8 @@ def test_semi_lagrangian_run_matches_per_step_reference(nx, nv, length, vmax, dt
     assert got.mass_drift == want_drift
 
 
+# x shifts spread over +-200 nodes: every column is its own x-plan group
+@example(nx=5, nv=8, scale=200.0, v_shift=0.3, seed=0)
 @settings(deadline=None, max_examples=200)
 @given(nx=NODES, nv=NODES,
        scale=st.floats(min_value=0.0, max_value=200.0),
@@ -131,8 +135,9 @@ def test_half_steps_match_per_step_reference(nx, nv, scale, v_shift, seed):
     on_node = rng.random(nv) < 0.3
     x_shifts[on_node] = np.round(x_shifts[on_node])
     np.testing.assert_array_equal(
-        _advect_x(values, _x_plan(x_shifts, nx)).view(np.uint64),
+        _advect(np.concatenate((values, values)), _x_plan(x_shifts, nx), values.shape)
+        .view(np.uint64),
         _reference_advect_x(values, x_shifts).view(np.uint64))
     np.testing.assert_array_equal(
-        _advect_v(values, _v_plan(v_shift, nv)).view(np.uint64),
+        _advect(values, _v_plan(v_shift, nv), values.shape).view(np.uint64),
         _reference_advect_v(values, v_shift).view(np.uint64))
