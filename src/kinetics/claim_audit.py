@@ -302,15 +302,9 @@ class AuditSettings:
     mass_nodes: int = 61
 
 
-def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditReport]:
-    """Run the full battery and return the rows in a stable order."""
-    from .constants import BOLTZMANN
-
-    vth = math.sqrt(BOLTZMANN * settings.temperature / settings.mass)
-    reports: list[AuditReport] = [audit_jacobian(seed=settings.seed,
-                                                 n_configs=settings.jacobian_configs)]
-    reports.extend(audit_energy_formula(seed=settings.seed))
-
+def _stokes_reports(settings: AuditSettings, vth: float, spec: QuadratureSpec,
+                    threads: int) -> list[AuditReport]:
+    """The Stokes audit rows; its grids are freed on return, before the next stage builds."""
     eq_grid = VelocityGrid(vmax=STOKES_VMAX_THERMAL * vth,
                            nodes_per_axis=settings.stokes_nodes)
     f_eq = maxwellian(eq_grid, density=1.0, bulk_velocity=(0.0, 0.0, 0.0),
@@ -322,14 +316,25 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
                    0.5, (-drift, 0.0, 0.0), settings.temperature, settings.mass)
     bi_probes = equilibrium_ray_probes(bi_grid, vth)
     bi_probes.extend([np.array([drift, 0.0, 0.0]), np.array([-drift, 0.0, 0.0])])
+    scenarios = [("maxwellian", f_eq, equilibrium_ray_probes(eq_grid, vth)),
+                 ("bimodal", f_bi, bi_probes)]
+    return audit_stokes_claim(scenarios, spec, threads=threads)
+
+
+def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditReport]:
+    """Run the full battery and return the rows in a stable order."""
+    from .constants import BOLTZMANN
+
+    vth = math.sqrt(BOLTZMANN * settings.temperature / settings.mass)
+    reports: list[AuditReport] = [audit_jacobian(seed=settings.seed,
+                                                 n_configs=settings.jacobian_configs)]
+    reports.extend(audit_energy_formula(seed=settings.seed))
     stokes_spec = QuadratureSpec(
         samples=settings.stokes_samples, seed=settings.seed,
         diameter=settings.diameter, mass=settings.mass, epsilon=1.0,
         branch=CollisionBranch.REFLECTIVE,
         normalization=GainNormalization.RESTITUTION_WEIGHTED)
-    scenarios = [("maxwellian", f_eq, equilibrium_ray_probes(eq_grid, vth)),
-                 ("bimodal", f_bi, bi_probes)]
-    reports.extend(audit_stokes_claim(scenarios, stokes_spec, threads=threads))
+    reports.extend(_stokes_reports(settings, vth, stokes_spec, threads))
 
     chain_points = [np.array([0.0, 0.0, 0.0]), np.array([0.3, 0.0, 0.0]),
                     np.array([0.1, -0.2, 0.25]), np.array([-0.4, 0.1, 0.2])]

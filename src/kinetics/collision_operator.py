@@ -201,12 +201,16 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
     for size in sizes:
         v1 = generator.uniform(-vmax, vmax, (size, 3))
         n = _unit_sphere(generator, size)
-        pre_a, pre_b = pre_collision_pair(v[None, :], v1, n, spec.epsilon, spec.branch)
-        gn = _dot3(v[None, :] - v1, n)
-        # an overflowing f ends in NonFiniteEstimate below, not in warnings
+        # overflow ends in NonFiniteEstimate below, not in warnings; where the f terms
+        # vanish the integrand is 0 even if |g . n| overflowed (a probe far past the hull)
         with np.errstate(over="ignore", invalid="ignore"):
-            integrand = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
-                         - f_probe * interpolate_many(f, v1)) * np.abs(gn)
+            pre_a, pre_b = pre_collision_pair(v[None, :], v1, n, spec.epsilon, spec.branch)
+            gn = _dot3(v[None, :] - v1, n)
+            f_terms = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
+                       - f_probe * interpolate_many(f, v1))
+            integrand = np.abs(gn)
+            integrand *= f_terms
+            integrand[f_terms == 0.0] = 0.0
             stats.append(_sum_and_m2(integrand))
     weight = f.grid.hull_volume * 4.0 * np.pi * spec.cross_section
     return _estimates(sizes, stats, weight)[0]

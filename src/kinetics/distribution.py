@@ -66,7 +66,7 @@ class DiscreteDistribution:
         values = frozen_array(self, "values", self.values)
         if values.shape != (n, n, n):
             raise ValueError(f"values shape {values.shape} does not match grid {(n, n, n)}")
-        if np.any(values < 0.0):
+        if values.min() < 0.0:
             raise ValueError("distribution values must be nonnegative")
 
 
@@ -78,7 +78,10 @@ class Moments(NamedTuple):
 
 def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
                      temperature: float, mass: float, temperature_name: str) -> np.ndarray:
-    """One Maxwellian mode at the nodes; UnderResolved where the grid cannot hold it."""
+    """One Maxwellian mode at the nodes; UnderResolved where the grid cannot hold it.
+
+    The array is fresh and sealed, so a DiscreteDistribution adopts it without a copy.
+    """
     require_positive(temperature_name, temperature)
     u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
     vth = np.sqrt(BOLTZMANN * temperature / mass)
@@ -101,6 +104,7 @@ def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
     sq /= kt
     np.exp(sq, out=sq)
     sq *= coef
+    sq.setflags(write=False)
     return sq
 
 
@@ -125,6 +129,7 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
         if density == 0.0:
             continue
         total += _gaussian_values(grid, density, u, temperature, mass, f"temperature{mode}")
+    total.setflags(write=False)
     return DiscreteDistribution(grid, total)
 
 

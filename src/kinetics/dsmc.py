@@ -103,6 +103,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, density: float,
     sigma = math.sqrt(BOLTZMANN * temperature / species.mass)
     generator = rng.stream(seed, "dsmc-maxwellian")
     velocities = u[None, :] + sigma * generator.standard_normal((count, 3))
+    velocities.setflags(write=False)  # fresh, so the ensemble adopts it
     return ParticleEnsemble(velocities=velocities, species=species,
                             statistical_weight=density / count)
 
@@ -242,6 +243,7 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
         bound_sq = swept
         if on_step is not None:
             on_step(index, v)
+    v.setflags(write=False)  # this call's own copy, so the ensemble adopts it
     return ParticleEnsemble(velocities=v, species=ensemble.species,
                             statistical_weight=weight)
 

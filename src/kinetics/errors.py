@@ -21,12 +21,29 @@ def require_count(name: str, value, minimum):
     return value
 
 
-def frozen_array(obj, name: str, array) -> np.ndarray:
-    """Set obj.name to an owned, read-only float64 copy of array; ValueError if not finite."""
-    array = np.array(array, dtype=np.float64, order="C")
-    if not np.all(np.isfinite(array)):
+def _sealed(array) -> bool:
+    """Whether array is a plain, owned, read-only, C-contiguous float64 ndarray."""
+    return (type(array) is np.ndarray and array.dtype == np.float64
+            and array.flags.c_contiguous and array.flags.owndata
+            and not array.flags.writeable)
+
+
+def frozen_array(obj, name: str, array, shape=None) -> np.ndarray:
+    """Set obj.name to an owned, read-only float64 array, reshaped to shape if given.
+
+    A sealed array (see _sealed) of that shape is stored as it is, so a
+    builder that seals its fresh array and drops it hands it over without a
+    copy; anything else is copied. Nothing in the package unseals an array,
+    so the stored one cannot change. ValueError if it is not finite.
+    """
+    if shape is not None and np.shape(array) != shape:
+        array = np.reshape(array, shape)
+    if not _sealed(array):
+        array = np.array(array, dtype=np.float64, order="C")
+        array.setflags(write=False)
+    # min propagates NaN, and min and max catch -inf and +inf, without a full-size mask
+    if array.size and not (np.isfinite(array.min()) and np.isfinite(array.max())):
         raise ValueError(f"{name} must be finite")
-    array.setflags(write=False)
     object.__setattr__(obj, name, array)
     return array
 

@@ -27,7 +27,7 @@ class SpherePoint:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = frozen_array(self, "theta", np.reshape(self.theta, 4))
+        theta = frozen_array(self, "theta", self.theta, (4,))
         norm_sq = float(theta @ theta)
         if abs(norm_sq - 1.0) > 4.0 * _SPHERE_TOL:
             raise ValueError(f"|theta|^2 = {norm_sq!r} is not 1 within tolerance")
@@ -40,7 +40,7 @@ class ChartCoords:
     vstar: np.ndarray
 
     def __post_init__(self) -> None:
-        frozen_array(self, "vstar", np.reshape(self.vstar, 3))
+        frozen_array(self, "vstar", self.vstar, (3,))
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class PureQuaternion:
     xi: np.ndarray
 
     def __post_init__(self) -> None:
-        frozen_array(self, "xi", np.reshape(self.xi, 3))
+        frozen_array(self, "xi", self.xi, (3,))
 
 
 IDENTITY = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))

@@ -29,7 +29,7 @@ class ForceField:
     mass: float
 
     def __post_init__(self) -> None:
-        frozen_array(self, "force", np.reshape(self.force, 3))
+        frozen_array(self, "force", self.force, (3,))
         require_positive("mass", self.mass)
 
     @property
@@ -46,8 +46,8 @@ class PhasePoint:
     t: float
 
     def __post_init__(self) -> None:
-        frozen_array(self, "r", np.reshape(self.r, 3))
-        frozen_array(self, "v", np.reshape(self.v, 3))
+        frozen_array(self, "r", self.r, (3,))
+        frozen_array(self, "v", self.v, (3,))
         if not np.isfinite(self.t):
             raise ValueError("t must be finite")
 
@@ -65,6 +65,13 @@ def exact_solution(f0, field: ForceField, p: PhasePoint) -> float:
     return float(f0(r0, v0))
 
 
+def _check_mesh(nx: int, length: float, nv: int, vmax: float) -> None:
+    require_count("nx", nx, 4)
+    require_count("nv", nv, 4)
+    require_positive("length", length)
+    require_positive("vmax", vmax)
+
+
 @dataclass(frozen=True)
 class PhaseGrid1D1V:
     """Phase-space samples, shape (nx, nv); x periodic, v node-centered."""
@@ -76,10 +83,7 @@ class PhaseGrid1D1V:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        require_count("nx", self.nx, 4)
-        require_count("nv", self.nv, 4)
-        require_positive("length", self.length)
-        require_positive("vmax", self.vmax)
+        _check_mesh(self.nx, self.length, self.nv, self.vmax)
         values = frozen_array(self, "values", self.values)
         if values.shape != (self.nx, self.nv):
             raise ValueError(f"values shape {values.shape} does not match ({self.nx}, {self.nv})")
@@ -102,11 +106,17 @@ class PhaseGrid1D1V:
 
 
 def phase_grid_from_function(fn, nx: int, length: float, nv: int, vmax: float) -> PhaseGrid1D1V:
-    """Sample fn(x, v) on the grid nodes."""
-    grid = PhaseGrid1D1V(nx, length, nv, vmax, np.zeros((nx, nv)))
-    x = grid.x_axis[:, None]
-    v = grid.v_axis[None, :]
-    return PhaseGrid1D1V(nx, length, nv, vmax, fn(x, v))
+    """Sample fn(x, v) on the grid nodes; x and v are the x_axis column and v_axis row.
+
+    fn must return a new array, as arithmetic on x and v does: the result is
+    sealed read-only and the grid adopts it without a copy.
+    """
+    _check_mesh(nx, length, nv, vmax)
+    x = (np.arange(nx) * (length / nx))[:, None]
+    v = np.linspace(-vmax, vmax, nv)[None, :]
+    values = np.asarray(fn(x, v), dtype=np.float64)
+    values.setflags(write=False)
+    return PhaseGrid1D1V(nx, length, nv, vmax, values)
 
 
 def _cubic_weights(t: np.ndarray):
@@ -204,6 +214,7 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
                 if not np.isfinite(drift):
                     raise NonFiniteEstimate(f"mass drift is not finite ({mass0!r} -> {mass!r})")
                 worst_drift = max(worst_drift, drift)
+    values.setflags(write=False)  # the last step's fresh array, adopted by the grid
     grid = PhaseGrid1D1V(f0.nx, f0.length, f0.nv, f0.vmax, values)
     return TransportRunResult(grid=grid, mass_drift=worst_drift)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -179,3 +180,27 @@ def test_conservation_audit_draws_and_interpolates_each_chunk_once(monkeypatch):
     assert sorted(streams) == [(3, "operator-moments", i) for i in range(chunks)]
     assert len(lookups) == 2 * chunks
     assert sum(lookups) == 2 * spec.samples
+
+
+def test_audit_battery_peak_memory_is_one_maxwellian_grid_plus_an_allowance():
+    # numpy reports its buffers to tracemalloc. The Stokes Maxwellian is adopted
+    # without a copy and freed before the conservation grid is built, so the peak
+    # is that grid while the 61^3 bimodal is built beside it (the sum and one
+    # mode: 3.6 MB), plus about 0.8 MB that the interpreter keeps from the first
+    # audits; 4.5 MB in all when measured. The allowance is 2 MB above the
+    # bimodal build. A second 14 MB grid, as a copied Maxwellian is, exceeds it.
+    settings = ca.AuditSettings(jacobian_configs=2, stokes_samples=2000, stokes_nodes=121,
+                                mass_samples=4096)
+    grid_bytes = 8 * settings.stokes_nodes**3
+    allowance = 2 * 8 * ca.BIMODAL_NODES**3 + 2_000_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reports = ca.run_all_audits(settings, threads=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 16
+    assert peak <= grid_bytes + allowance, (
+        f"peak {peak / 1e6:.1f} MB = one {grid_bytes / 1e6:.1f} MB grid "
+        f"+ {(peak - grid_bytes) / 1e6:.1f} MB")

@@ -214,6 +214,26 @@ def test_numerical_failure_exits_2_without_outputs(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
 
+def test_probe_far_past_the_hull_has_rate_zero_without_warnings(tmp_path):
+    # |g . n| and the pre-collision pair overflow there, but f and the gain pair's
+    # f-product are 0, so the rate is exactly 0
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps({
+        "subcommand": "operator",
+        "output_dir": str(out_dir),
+        "parameters": {"vmax": 4.0, "nodes_per_axis": 41,
+                       "distribution": {"kind": "maxwellian"},
+                       "mass": 1.380649e-23, "samples": 2000,
+                       "probes": [[1.7e308, 1.7e308, 0.0], [1e200, 0.0, 0.0]]},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["operator", "--config", str(config_path)]) == 0
+    rows = (out_dir / "rates.csv").read_text().splitlines()
+    assert rows[1:] == ["1.7e+308,1.7e+308,0.0,0.0,0.0", "1e+200,0.0,0.0,0.0,0.0"]
+
+
 @pytest.mark.parametrize("v1, v2", [
     ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]),  # the impulse overflows
     ([1e200, 0.0, 0.0], [1e200, 0.0, 0.0]),   # the energy deficit is NaN

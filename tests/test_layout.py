@@ -60,6 +60,19 @@ def test_only_errors_py_sets_frozen_fields():
     assert offenders == []
 
 
+def test_no_array_is_unsealed():
+    # frozen_array adopts a sealed array, so the package may seal arrays but never
+    # make one writeable again: every setflags call passes exactly write=False
+    offenders = [f"{module}.py:{node.lineno}" for module, tree in _trees().items()
+                 for node in ast.walk(tree)
+                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "setflags"
+                     and (node.args or [(k.arg, ast.unparse(k.value))
+                                        for k in node.keywords] != [("write", "False")]))
+                 or (isinstance(node, ast.Attribute) and node.attr == "writeable"
+                     and isinstance(node.ctx, ast.Store))]
+    assert offenders == []
+
 
 def test_every_array_field_of_a_value_type_is_frozen():
     # each np.ndarray field of a frozen dataclass is stored in __post_init__ by

@@ -141,6 +141,38 @@ def test_array_field_owns_a_read_only_copy_and_rejects_non_finite_by_name(caller
         build(passed)
 
 
+@pytest.mark.parametrize("caller", sorted(FROZEN))
+def test_array_field_adopts_a_sealed_owned_array(caller):
+    field, build, valid = FROZEN[caller]
+    passed = np.array(valid, dtype=np.float64)
+    passed.setflags(write=False)
+    assert getattr(build(passed), field) is passed
+
+
+@pytest.mark.parametrize("caller", sorted(FROZEN))
+def test_array_field_copies_a_read_only_view_of_a_writeable_base(caller):
+    field, build, valid = FROZEN[caller]
+    base = np.array(valid, dtype=np.float64)
+    view = base[...]
+    view.setflags(write=False)
+    stored = getattr(build(view), field)
+    base.flat[0] = 7.0
+    assert stored is not view
+    np.testing.assert_array_equal(stored, valid)
+    assert stored.flags.owndata and not stored.flags.writeable
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("caller", sorted(FROZEN))
+def test_array_field_rejects_a_sealed_non_finite_array_by_name(caller, value):
+    field, build, valid = FROZEN[caller]
+    passed = np.array(valid, dtype=np.float64)
+    passed.flat[-1] = value
+    passed.setflags(write=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite"):
+        build(passed)
+
+
 ENSEMBLE = dsmc.ParticleEnsemble(velocities=np.zeros((2, 3)), species=UNIT,
                                  statistical_weight=1.0)
 
