@@ -46,28 +46,22 @@ GAUSS_OFFSET = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
 
 @dataclass(frozen=True)
 class AuditReport:
-    """One audited claim: residual, threshold, mechanical verdict, metadata."""
+    """One audited claim: residual, threshold (NaN for a diagnostic row), metadata."""
 
     claim_id: str
     paper_ref: str
     residual: float
     tolerance_or_sigma: float
-    verdict: str
     metadata: dict = field(default_factory=dict)
 
-
-def _graded(claim_id: str, ref: str, residual: float, threshold: float,
-            metadata: dict) -> AuditReport:
-    verdict = VERDICT_CONSISTENT if residual <= threshold else VERDICT_INCONSISTENT
-    return AuditReport(claim_id=claim_id, paper_ref=ref, residual=float(residual),
-                       tolerance_or_sigma=float(threshold), verdict=verdict,
-                       metadata=metadata)
-
-
-def _diagnostic(claim_id: str, ref: str, residual: float, metadata: dict) -> AuditReport:
-    return AuditReport(claim_id=claim_id, paper_ref=ref, residual=float(residual),
-                       tolerance_or_sigma=float("nan"), verdict=VERDICT_DIAGNOSTIC,
-                       metadata=metadata)
+    @property
+    def verdict(self) -> str:
+        """Derived from the numbers, so no report can contradict them."""
+        if math.isnan(self.tolerance_or_sigma):
+            return VERDICT_DIAGNOSTIC
+        if self.residual <= self.tolerance_or_sigma:
+            return VERDICT_CONSISTENT
+        return VERDICT_INCONSISTENT
 
 
 def _sigma_ratio(estimate: RateEstimate) -> float:
@@ -75,7 +69,7 @@ def _sigma_ratio(estimate: RateEstimate) -> float:
         return 0.0
     if estimate.std_error == 0.0:
         return float("inf")
-    return abs(estimate.value) / estimate.std_error
+    return float(abs(estimate.value) / estimate.std_error)
 
 
 def audit_jacobian(seed: int = 0, n_configs: int = 100) -> AuditReport:
@@ -95,11 +89,11 @@ def audit_jacobian(seed: int = 0, n_configs: int = 100) -> AuditReport:
             n /= np.linalg.norm(n)
             det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
             worst = max(worst, abs(det - epsilon))
-    return _graded(
+    return AuditReport(
         "pair-map-determinant-equals-restitution",
         "claim: the pair-velocity map contracts phase-space volume by exactly "
         "the restitution coefficient",
-        worst, 1e-6,
+        float(worst), 1e-6,
         {"seed": seed, "configs_per_branch": n_configs},
     )
 
@@ -139,11 +133,11 @@ def audit_energy_formula(seed: int = 0, n_configs: int = 200) -> list[AuditRepor
                                 abs(discrepancy - predicted) / max(formula, 1e-300))
     ref = ("claim: energy loss depends on the full relative speed; the impact "
            "rules dissipate only the component along the impact normal")
-    head_on = _graded("energy-loss-formula-head-on", ref, worst_head_on, 1e-12,
-                      {"seed": seed, "configs": n_configs})
-    oblique = _graded("energy-loss-formula-oblique", ref, worst_oblique, 1e-12,
-                      {"seed": seed, "configs": n_configs,
-                       "closed_form_residual": worst_closed_form})
+    head_on = AuditReport("energy-loss-formula-head-on", ref, float(worst_head_on), 1e-12,
+                          {"seed": seed, "configs": n_configs})
+    oblique = AuditReport("energy-loss-formula-oblique", ref, float(worst_oblique), 1e-12,
+                          {"seed": seed, "configs": n_configs,
+                           "closed_form_residual": worst_closed_form})
     return [head_on, oblique]
 
 
@@ -182,7 +176,7 @@ def audit_stokes_claim(scenarios, spec: QuadratureSpec, threads: int = 1) -> lis
     for label, distribution, probes in scenarios:
         estimates = evaluate_field(distribution, probes, spec, threads=threads)
         worst = max(_sigma_ratio(e) for e in estimates)
-        reports.append(_graded(
+        reports.append(AuditReport(
             f"vanishing-collision-term-{label}",
             "claim: the collision term vanishes identically, making the "
             "kinetic equation collisionless",
@@ -218,11 +212,11 @@ def audit_chain_rule(points, lam: float, force, mass: float) -> AuditReport:
             matrix_form = float((matrix.T @ accel) @ grad)
             differences.append(abs(scalar_form - matrix_form))
     differences = np.array(differences)
-    return _diagnostic(
+    return AuditReport(
         "scalar-determinant-force-term",
         "comparison: scalar-determinant chain rule versus the full derivative "
         "matrix of the chart",
-        float(differences.max()),
+        float(differences.max()), math.nan,
         {"lambda": lam, "hemisphere": "lower", "points": len(points),
          "median_difference": float(np.median(differences)),
          "force": force.tolist(), "mass": mass},
@@ -240,7 +234,7 @@ def audit_mass_conservation(epsilons, spec_template: QuadratureSpec,
         common = {"seed": spec_template.seed, "samples": spec_template.samples,
                   "epsilon": epsilon}
         tag = f"{norm.value}-eps{epsilon:g}"
-        reports.append(_graded(
+        reports.append(AuditReport(
             f"density-conservation-{tag}",
             "claim test: particle number is conserved by the collision "
             "term under this gain weighting",
@@ -248,7 +242,7 @@ def audit_mass_conservation(epsilons, spec_template: QuadratureSpec,
             {**common, "density_rate": rates.density.value,
              "density_sigma": rates.density.std_error,
              "energy_rate": rates.energy.value, "energy_sigma": rates.energy.std_error}))
-        reports.append(_graded(
+        reports.append(AuditReport(
             f"momentum-conservation-{tag}",
             "claim test: momentum is conserved by the collision term "
             "under this gain weighting",
@@ -268,13 +262,13 @@ TRANSPORT_FIELDS = {
 
 def audit_transport_relation() -> list[AuditReport]:
     """Residual of f(v,t) + theta'(t) f(orbit(theta(t))) - C(v); diagnostic."""
-    return [_diagnostic(
+    return [AuditReport(
         f"transport-relation-{label}",
         "diagnostic: residual of the integrated transport relation along "
         "a one-parameter subgroup orbit",
-        sphere_group.transport_relation_residual(
+        float(sphere_group.transport_relation_residual(
             test_field, TRANSPORT_GENERATOR, lambda t: t, lambda vstar: 0.0,
-            TRANSPORT_TIMES, TRANSPORT_PROBE),
+            TRANSPORT_TIMES, TRANSPORT_PROBE)), math.nan,
         {"times": [float(t) for t in TRANSPORT_TIMES],
          "generator": TRANSPORT_GENERATOR.xi.tolist()},
     ) for label, test_field in TRANSPORT_FIELDS.items()]

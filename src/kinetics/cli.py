@@ -4,7 +4,8 @@ Configs are strict: unknown keys are rejected by name, defaults are applied
 and echoed to ``config_echo.json``, and outputs are published only after the
 run succeeds: every output goes to a temp file first and none is renamed into
 place until all are written, so failed runs leave no partial set. Exit codes:
-0 success, 1 configuration, validation or output failure, 2 numerical failure.
+0 success, 1 usage, configuration, validation, allocation or output failure,
+2 numerical failure or arithmetic overflow.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     ConfigError,
     KineticsError,
     ParseError,
-    UnderResolved,
     ValidationError,
     require_count,
     require_positive,
@@ -61,8 +61,7 @@ class _Schema:
     def resolve(self, params: dict, context: str) -> dict:
         unknown = set(params) - set(self.fields)
         if unknown:
-            raise ValidationError(
-                f"unknown key {sorted(unknown)[0]!r} in {context}")
+            raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in {context}")
         resolved = {}
         for name, (checker, *default) in self.fields.items():
             if name in params:
@@ -147,28 +146,32 @@ def _object(value, context) -> dict:
     return value
 
 
+# Each distribution kind's schema and builder. A builder looks maxwellian or bimodal
+# up in this module when called, so a wrapper installed here sees every build.
+_DISTRIBUTIONS = {
+    "maxwellian": (_Schema({
+        "kind": (_string,),
+        "density": (_positive, 1.0),
+        "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
+        "temperature": (_positive, 1.0),
+    }), lambda grid, d, mass: maxwellian(grid, d["density"], d["bulk_velocity"],
+                                         d["temperature"], mass)),
+    "bimodal": (_Schema({
+        "kind": (_string,),
+        "density1": (_nonneg, 0.5),
+        "bulk_velocity1": (_vec3,),
+        "temperature1": (_positive, 1.0),
+        "density2": (_nonneg, 0.5),
+        "bulk_velocity2": (_vec3,),
+        "temperature2": (_positive, 1.0),
+    }), lambda grid, d, mass: bimodal(grid, d["density1"], d["bulk_velocity1"], d["temperature1"],
+                                      d["density2"], d["bulk_velocity2"], d["temperature2"], mass)),
+}
+
+
 def _distribution_params(value, context) -> dict:
-    kind = _object(value, context).get("kind")
-    if kind == "maxwellian":
-        schema = _Schema({
-            "kind": (_string,),
-            "density": (_positive, 1.0),
-            "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
-            "temperature": (_positive, 1.0),
-        })
-    elif kind == "bimodal":
-        schema = _Schema({
-            "kind": (_string,),
-            "density1": (_nonneg, 0.5),
-            "bulk_velocity1": (_vec3,),
-            "temperature1": (_positive, 1.0),
-            "density2": (_nonneg, 0.5),
-            "bulk_velocity2": (_vec3,),
-            "temperature2": (_positive, 1.0),
-        })
-    else:
-        raise ValidationError(f"{context}.kind must be 'maxwellian' or 'bimodal'")
-    return schema.resolve(value, context)
+    kind = _choice(_DISTRIBUTIONS)(_object(value, context).get("kind"), f"{context}.kind")
+    return _DISTRIBUTIONS[kind][0].resolve(value, context)
 
 
 _COLLIDE_SCHEMA = _Schema({
@@ -281,9 +284,8 @@ def _publish(root: Path, outputs: dict[str, str | bytes]) -> None:
         for name, tmp in zip(outputs, temps):
             os.replace(tmp, root / name)
     except BaseException:
-        for tmp in temps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for tmp in filter(os.path.exists, temps):
+            os.unlink(tmp)
         raise
 
 
@@ -293,27 +295,16 @@ def _run_collide(config: RunConfig, threads: int) -> dict:
     s2 = Species(mass=p["mass2"], diameter=p["diameter2"])
     event = collide(p["v1"], p["v2"], p["n"], p["epsilon"],
                     CollisionBranch(p["branch"]), s1, s2)
-    row = list(event.w1) + list(event.w2) + [event.lambda1, event.lambda2,
-                                             event.delta_e]
+    row = [*event.w1, *event.w2, event.lambda1, event.lambda2, event.delta_e]
     return {"collision.csv": claim_audit.csv_text(
         ["w1x", "w1y", "w1z", "w2x", "w2y", "w2z", "lambda1", "lambda2",
          "delta_e"], [row])}
 
 
-def _build_distribution(p: dict):
-    grid = VelocityGrid(vmax=p["vmax"], nodes_per_axis=p["nodes_per_axis"])
-    d = p["distribution"]
-    if d["kind"] == "maxwellian":
-        return maxwellian(grid, d["density"], d["bulk_velocity"],
-                          d["temperature"], p["mass"])
-    return bimodal(grid, d["density1"], d["bulk_velocity1"], d["temperature1"],
-                   d["density2"], d["bulk_velocity2"], d["temperature2"],
-                   p["mass"])
-
-
 def _run_operator(config: RunConfig, threads: int) -> dict:
     p = config.parameters
-    f = _build_distribution(p)
+    grid = VelocityGrid(vmax=p["vmax"], nodes_per_axis=p["nodes_per_axis"])
+    f = _DISTRIBUTIONS[p["distribution"]["kind"]][1](grid, p["distribution"], p["mass"])
     spec = QuadratureSpec(
         samples=p["samples"], seed=config.seed, diameter=p["diameter"],
         mass=p["mass"], epsilon=p["epsilon"], branch=CollisionBranch(p["branch"]),
@@ -353,11 +344,8 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
         initial, p["nx"], p["length"], p["nv"], p["vmax"])
     field = ForceField(force=p["force"], mass=p["mass"])
     result = transport_solver.semi_lagrangian_run(grid0, field, p["dt"], p["steps"])
-    final = result.grid
-    t_end = p["dt"] * p["steps"]
-    ax = field.acceleration[0]
-    x_grid = final.x_axis[:, None]
-    v_grid = final.v_axis[None, :]
+    final, t_end, ax = result.grid, p["dt"] * p["steps"], field.acceleration[0]
+    x_grid, v_grid = final.x_axis[:, None], final.v_axis[None, :]
     exact = initial(x_grid - v_grid * t_end + 0.5 * ax * t_end**2,
                     v_grid - ax * t_end)
     linf = float(np.max(np.abs(final.values - exact)))
@@ -395,59 +383,57 @@ _CONFIG_SCHEMA = _Schema({
 })
 
 
-def run(config: RunConfig, threads: int = 1) -> int:
-    """Execute a validated config; outputs appear only on success."""
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration failure: argparse's message, exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def run(args: argparse.Namespace) -> int:
+    """Read, parse, run and publish; the one place a failure becomes an exit code.
+
+    Bad input, an unreadable config or an unmet allocation exits 1 and a numerical
+    failure or an arithmetic overflow exits 2, each with one line on stderr.
+    """
     try:
-        outputs = _SUBCOMMANDS[config.subcommand][1](config, threads)
-    except (ConfigError, ValueError, UnderResolved) as exc:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:  # missing, not UTF-8, a NUL in the path
+            raise ConfigError(f"cannot read config: {exc}") from None
+        config = parse_config(text, subcommand=args.subcommand)
+        overrides = {"output_dir": args.output_dir, "seed": args.seed}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        if args.threads < 1:
+            raise ValidationError("--threads must be >= 1")
+        outputs = _SUBCOMMANDS[config.subcommand][1](config, args.threads)
+        try:
+            _publish(Path(config.output_dir),
+                     {"config_echo.json": config_to_json(config), **outputs})
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs: {exc}") from None
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KineticsError as exc:
+    except (KineticsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    try:
-        _publish(Path(config.output_dir),
-                 {"config_echo.json": config_to_json(config), **outputs})
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinetics",
         description="collision kernels, collision-term quadrature, particle "
                     "oracle, transport, and claim audits")
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--config", required=True, help="path to a JSON config")
-        sub.add_argument("--output-dir", default=None,
-                         help="override the config's output directory")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the config's seed")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker cap; results are identical at any value")
-    args = parser.parse_args(argv)
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(text, subcommand=args.subcommand)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.output_dir is not None:
-        config = replace(config, output_dir=args.output_dir)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(config, threads=args.threads)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON config")
+    parser.add_argument("--output-dir", help="override the config's output directory")
+    parser.add_argument("--seed", type=int, help="override the config's seed")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker cap; results are identical at any value")
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

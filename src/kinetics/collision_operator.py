@@ -19,7 +19,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,9 +223,9 @@ def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
     return _map(lambda node: evaluate_at(f, node, spec), nodes, threads)
 
 
-def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec,
-                  specs: list[QuadratureSpec], chunk_index: int, size: int) -> list[np.ndarray]:
-    """Per weighting in specs, _sum_and_m2 of the five weak-form integrands for one chunk.
+def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: list,
+                  chunk_index: int, size: int) -> list[np.ndarray]:
+    """Per (epsilon, G) weighting, _sum_and_m2 of the five weak-form integrands of one chunk.
 
     The draws and lookups depend only on spec's seed, so every weighting shares them.
     """
@@ -242,7 +242,7 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec,
     # an overflowing f ends in NonFiniteEstimate in moment_rates, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
         base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
-        for epsilon, norm in ((s.epsilon, s.normalization) for s in specs):
+        for epsilon, norm in weightings:
             ge2 = norm.gain_factor(epsilon) * epsilon**2
             delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn * gn
             integrands = np.empty((5, size))
@@ -254,24 +254,27 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec,
 
 
 def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec, threads: int = 1, *,
-                 weightings=None) -> MomentRates | list[MomentRates]:
+                 weightings=None) -> list[MomentRates]:
     """Collision rates of density, momentum, and energy (weak form, symmetrized).
 
     Each Monte Carlo sample draws an unordered pair (v, v1) and a direction,
     applies the forward impact, and weighs the change of the invariant; the
     gain weighting enters through the factor G eps^2.
 
-    With weightings, (epsilon, GainNormalization) pairs, returns one MomentRates per
-    pair from one set of draws, each equal to the call at that replace(spec, ...).
+    Returns one MomentRates per (epsilon, GainNormalization) pair in weightings, all
+    from one set of draws, each equal to the call at that replace(spec, ...) alone;
+    without weightings, the one pair is spec's own.
     """
-    specs = [spec] if weightings is None else [
-        replace(spec, epsilon=epsilon, normalization=norm) for epsilon, norm in weightings]
+    if weightings is None:
+        weightings = [(spec.epsilon, spec.normalization)]
+    weightings = [(_validate_inverse_restitution(epsilon), norm)  # QuadratureSpec's rule
+                  for epsilon, norm in weightings]
     sizes = _chunk_sizes(spec.samples)
-    partials = _map(lambda task: _moment_chunk(f, spec, specs, *task), list(enumerate(sizes)),
-                    threads)
+    partials = _map(lambda task: _moment_chunk(f, spec, weightings, *task),
+                    list(enumerate(sizes)), threads)
     weight = f.grid.hull_volume**2 * 4.0 * np.pi * spec.cross_section
     rates = []
     for stats in zip(*partials):  # one weighting's stats, chunk by chunk
         density, px, py, pz, energy = _estimates(sizes, list(stats), weight)
         rates.append(MomentRates(density=density, momentum=(px, py, pz), energy=energy))
-    return rates[0] if weightings is None else rates
+    return rates

@@ -52,8 +52,9 @@ class KineticsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# The three input-rejecting kernel errors are also ValueErrors, so callers that
-# map bad input to a configuration failure catch them without a special case.
+# The errors that reject input (the kernel's three, and a grid too coarse for its
+# distribution) are also ValueErrors, so callers that map bad input to a
+# configuration failure catch them without a special case.
 class NonUnitNormal(KineticsError, ValueError):
     """Collision normal deviates from unit length beyond tolerance."""
 
@@ -66,16 +67,16 @@ class SingularRestitution(KineticsError, ValueError):
     """Inverse collision requested at a restitution where it is singular."""
 
 
+class UnderResolved(KineticsError, ValueError):
+    """Velocity grid too coarse or too small for the requested distribution."""
+
+
 class SpeedExceedsLambda(KineticsError):
     """Velocity magnitude at or above the embedding radius."""
 
 
 class ChartSingularity(KineticsError):
     """Chart evaluation too close to the excluded projection point."""
-
-
-class UnderResolved(KineticsError):
-    """Velocity grid too coarse or too small for the requested distribution."""
 
 
 class MajorantExceeded(KineticsError):

@@ -205,7 +205,7 @@ def test_cross_oracle_moment_rates():
     spec = QuadratureSpec(samples=2_000_000, seed=5, diameter=1.0, mass=UNIT_MASS,
                           epsilon=0.8, branch=CollisionBranch.REFLECTIVE,
                           normalization=GainNormalization.STANDARD_GRANULAR)
-    rates = moment_rates(f, spec, threads=4)
+    rates = moment_rates(f, spec, threads=4)[0]
 
     replicas = 16
     window_steps = 10

@@ -97,16 +97,19 @@ def test_audit_transport_relation_rows():
 
 
 def test_verdict_is_mechanical():
-    graded = ca._graded("x", "ref", 2.0, 3.0, {})
-    assert graded.verdict == "consistent"
-    graded = ca._graded("x", "ref", 3.5, 3.0, {})
-    assert graded.verdict == "inconsistent"
+    # derived from residual and threshold, so a report cannot contradict its numbers
+    assert ca.AuditReport("x", "ref", 2.0, 3.0).verdict == "consistent"
+    assert ca.AuditReport("x", "ref", 3.0, 3.0).verdict == "consistent"
+    assert ca.AuditReport("x", "ref", 3.5, 3.0).verdict == "inconsistent"
+    assert ca.AuditReport("x", "ref", math.inf, 3.0).verdict == "inconsistent"
+    assert ca.AuditReport("x", "ref", math.nan, 3.0).verdict == "inconsistent"
+    assert ca.AuditReport("x", "ref", 0.25, math.nan).verdict == "diagnostic-only"
 
 
 def test_audit_csv_format_and_metadata_round_trip():
     reports = [
         ca.audit_jacobian(seed=0, n_configs=5),
-        ca._diagnostic("some-diagnostic", "ref text", 0.25, {"alpha": 1, "b": [1, 2]}),
+        ca.AuditReport("some-diagnostic", "ref text", 0.25, math.nan, {"alpha": 1, "b": [1, 2]}),
     ]
     text = ca.audit_csv_text(reports)
     lines = text.strip().split("\n")
@@ -146,7 +149,7 @@ def test_audit_rows_rerun_bit_exactly_from_recorded_seed():
         meta = row.metadata
         norm = next(n for n in GainNormalization if f"-{n.value}-" in row.claim_id)
         rates = moment_rates(f, small_spec(samples=meta["samples"], seed=meta["seed"],
-                                           epsilon=meta["epsilon"], normalization=norm))
+                                           epsilon=meta["epsilon"], normalization=norm))[0]
         if row.claim_id.startswith("density-"):
             assert _bits(row.residual) == _bits(ca._sigma_ratio(rates.density))
             assert _bits(meta["density_rate"]) == _bits(rates.density.value)

@@ -7,7 +7,7 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kinetics import cli
@@ -482,3 +482,94 @@ def test_count_below_the_domain_minimum_names_the_key(tmp_path, capsys, subcomma
     parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})
     line = _failing_run(tmp_path, capsys, subcommand, parameters, 1)
     assert line == f"error: parameters.{key}: value must be at least {minimum}, got {value}"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["dsmc"], ["dsmc", "--config", "{config}", "--threads", "abc"],
+    ["nope", "--config", "{config}"], ["dsmc", "--config", "{config}", "extra"],
+], ids=["no-subcommand", "no-config", "threads-not-an-integer", "unknown-subcommand",
+        "extra-argument"])
+def test_usage_error_exits_1_without_outputs(tmp_path, capsys, argv):
+    # a usage error is a configuration failure, not exit 2, the numerical code
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_text(json.dumps(dict(MINIMAL_DSMC, output_dir=str(out_dir))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as caught:
+            cli.main([token.format(config=config_path) for token in argv])
+    assert caught.value.code == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kinetics ")
+    assert err.splitlines()[-1].startswith("kinetics: error: ")
+
+
+@pytest.mark.parametrize("prefix, path_suffix", [(b"\xff", ""), (b"", "\x00")],
+                         ids=["not-utf8", "nul-in-path"])
+def test_unreadable_config_exits_1_without_outputs(tmp_path, capsys, prefix, path_suffix):
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    config_path.write_bytes(prefix + json.dumps(dict(MINIMAL_DSMC,
+                                                     output_dir=str(out_dir))).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dsmc", "--config", str(config_path) + path_suffix]) == 1
+    assert not out_dir.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read config: ")
+
+
+@pytest.mark.parametrize("subcommand, parameters", [
+    # the first large arrays need 728 TiB (10^7 x 10^7 floats) and 21 PiB
+    # (10^15 x 3), so they fail at once on any machine
+    ("operator", dict(VALID_PARAMETERS["operator"], nodes_per_axis=10**7,
+                      mass=1.380649e-23)),
+    ("dsmc", dict(MINIMAL_DSMC["parameters"], particles=10**15)),
+], ids=["operator-grid", "dsmc-ensemble"])
+def test_unmet_allocation_exits_1_without_outputs(tmp_path, capsys, subcommand, parameters):
+    line = _failing_run(tmp_path, capsys, subcommand, parameters, 1)
+    assert line.startswith("error: Unable to allocate ")
+
+
+def test_arithmetic_overflow_exits_2_without_outputs(tmp_path, capsys):
+    # t_end**2 of the exact solution overflows a float: a numerical failure
+    line = _failing_run(tmp_path, capsys, "transport",
+                        {"vmax": 1e-300, "dt": 1e200, "steps": 1}, 2)
+    assert line.startswith("numerical failure: ")
+
+
+# Config paths, relative to the test's working directory: missing, a directory,
+# not UTF-8, not JSON.
+UNREADABLE_CONFIGS = {"missing.json": None, "directory": "dir", "binary.json": b"\xff\xfe{}",
+                      "text.txt": b"not json"}
+ARGV_TOKENS = st.one_of(
+    st.sampled_from([*cli.SUBCOMMANDS, "nope"]),
+    st.sampled_from(["--config", "--output-dir", "--seed", "--threads", "--help", "-h",
+                     "--conf", "--", "-1", "0", "abc"]),
+    st.sampled_from(sorted(UNREADABLE_CONFIGS)),
+    # lone surrogates excluded: the test's captured stderr cannot encode them
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.lists(ARGV_TOKENS, max_size=7))
+def test_any_argv_exits_by_the_contract(tmp_path, monkeypatch, argv):
+    """main returns 0, 1 or 2, or argparse exits 0 (help) or 1; nothing else escapes."""
+    monkeypatch.chdir(tmp_path)
+    for name, content in UNREADABLE_CONFIGS.items():
+        if content == "dir":
+            os.makedirs(name, exist_ok=True)
+        elif content is not None:
+            with open(name, "wb") as handle:
+                handle.write(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert cli.main(argv) in (0, 1, 2)
+        except SystemExit as exc:
+            assert exc.code in (0, 1)
+    assert sorted(os.listdir()) == sorted(name for name, content in UNREADABLE_CONFIGS.items()
+                                          if content is not None)

@@ -114,7 +114,7 @@ def test_moment_rates_elastic_invariants_are_exact_zeros():
     grid = VelocityGrid(vmax=4.5, nodes_per_axis=41)
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
     for norm in GainNormalization:
-        rates = moment_rates(f, spec_with(samples=50_000, normalization=norm))
+        rates = moment_rates(f, spec_with(samples=50_000, normalization=norm))[0]
         assert rates.density.value == 0.0 and rates.density.std_error == 0.0
         for component in rates.momentum:
             assert component.value == 0.0
@@ -126,7 +126,7 @@ def test_moment_rates_standard_granular_cooling():
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
     spec = spec_with(samples=500_000, epsilon=0.8,
                      normalization=GainNormalization.STANDARD_GRANULAR)
-    rates = moment_rates(f, spec, threads=4)
+    rates = moment_rates(f, spec, threads=4)[0]
     # density and momentum integrands vanish identically for this weighting
     assert rates.density.value == 0.0
     for component in rates.momentum:
@@ -139,7 +139,7 @@ def test_moment_rates_restitution_weighted_loses_mass():
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
     spec = spec_with(samples=500_000, epsilon=0.8,
                      normalization=GainNormalization.RESTITUTION_WEIGHTED)
-    rates = moment_rates(f, spec, threads=4)
+    rates = moment_rates(f, spec, threads=4)[0]
     assert abs(rates.density.value) > 3.0 * rates.density.std_error
     for component in rates.momentum:
         assert abs(component.value) <= 3.0 * component.std_error
@@ -156,8 +156,8 @@ def test_moment_rates_deterministic_across_threads():
     grid = VelocityGrid(vmax=4.5, nodes_per_axis=41)
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
     spec = spec_with(samples=150_000, epsilon=0.75)
-    serial = moment_rates(f, spec, threads=1)
-    parallel = moment_rates(f, spec, threads=4)
+    serial = moment_rates(f, spec, threads=1)[0]
+    parallel = moment_rates(f, spec, threads=4)[0]
     assert serial.density.value == parallel.density.value
     assert serial.energy.value == parallel.energy.value
     assert serial.energy.std_error == parallel.energy.std_error
@@ -181,9 +181,14 @@ def test_weightings_match_single_spec_calls_bit_for_bit(threads, samples):
     assert len(shared) == len(weightings)
     for (epsilon, norm), rates in zip(weightings, shared):
         single = moment_rates(f, spec_with(samples=samples, seed=4, epsilon=epsilon,
-                                           normalization=norm), threads=threads)
+                                           normalization=norm), threads=threads)[0]
         np.testing.assert_array_equal(_bits(rates), _bits(single))
-    assert isinstance(moment_rates(f, spec, threads=threads), collision_operator.MomentRates)
+    # without weightings, the one weighting is the spec's own
+    [own] = moment_rates(f, spec, threads=threads)
+    [pair] = moment_rates(f, spec, threads=threads,
+                          weightings=[(spec.epsilon, spec.normalization)])
+    assert isinstance(own, collision_operator.MomentRates)
+    np.testing.assert_array_equal(_bits(own), _bits(pair))
 
 
 def test_weightings_are_validated_by_the_spec_rules():
@@ -226,7 +231,8 @@ def test_shared_moment_chunk_matches_single_weighting_reference(chunk_index, siz
                 0.5, (-2, 0, 0), 1.0, UNIT_MASS)
     specs = [spec_with(seed=8, epsilon=epsilon, normalization=norm)
              for epsilon in (1.0, 0.8, 0.3) for norm in GainNormalization]
-    shared = collision_operator._moment_chunk(f, specs[0], specs, chunk_index, size)
+    shared = collision_operator._moment_chunk(
+        f, specs[0], [(spec.epsilon, spec.normalization) for spec in specs], chunk_index, size)
     for spec, stats in zip(specs, shared, strict=True):
         reference = _reference_moment_chunk(f, spec, chunk_index, size)
         np.testing.assert_array_equal(stats.view(np.uint64), reference.view(np.uint64))
@@ -240,7 +246,7 @@ def test_huge_density_gives_finite_rates_and_standard_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimate = evaluate_at(f, (0.0, 0.0, 0.0), spec)
-        rates = moment_rates(f, spec)
+        rates = moment_rates(f, spec)[0]
     assert estimate.value < 0.0 and 0.0 < estimate.std_error < abs(estimate.value)
     assert rates.density.value < 0.0
     assert 0.0 < rates.density.std_error < abs(rates.density.value)
@@ -260,7 +266,7 @@ def test_power_of_two_density_scales_estimates_exactly(samples):
         big, (0.3, 0.0, -0.2), spec)
     assert big_at.value == math.ldexp(small_at.value, 930)
     assert big_at.std_error == math.ldexp(small_at.std_error, 930)
-    small, large = moment_rates(f, spec, threads=2), moment_rates(big, spec, threads=2)
+    [small], [large] = moment_rates(f, spec, threads=2), moment_rates(big, spec, threads=2)
     for a, b in zip((small.density, *small.momentum, small.energy),
                     (large.density, *large.momentum, large.energy)):
         assert b.value == math.ldexp(a.value, 930)
