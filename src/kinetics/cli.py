@@ -29,6 +29,7 @@ from .distribution import VelocityGrid, bimodal, maxwellian
 from .errors import (
     ConfigError,
     KineticsError,
+    NonFiniteEstimate,
     ParseError,
     ValidationError,
     require_count,
@@ -319,8 +320,7 @@ def _run_dsmc(config: RunConfig, threads: int) -> dict:
     p = config.parameters
     species = Species(mass=p["mass"], diameter=p["diameter"])
     ensemble = dsmc.sample_maxwellian_ensemble(
-        p["particles"], species, p["number_density"], p["bulk_velocity"],
-        p["temperature"], config.seed)
+        p["particles"], species, p["bulk_velocity"], p["temperature"], config.seed)
     cfg = dsmc.DsmcConfig(
         dt=p["dt"], number_density=p["number_density"], epsilon=p["epsilon"],
         branch=CollisionBranch(p["branch"]), seed=config.seed,
@@ -345,9 +345,14 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
     field = ForceField(force=p["force"], mass=p["mass"])
     result = transport_solver.semi_lagrangian_run(grid0, field, p["dt"], p["steps"])
     final, t_end, ax = result.grid, p["dt"] * p["steps"], field.acceleration[0]
+    try:
+        t_end_sq = t_end**2
+    except OverflowError:
+        t_end_sq = math.inf
+    if t_end_sq == math.inf:  # t_end past ~1.3e154, or dt * steps itself past the float range
+        raise NonFiniteEstimate(f"t_end = dt * steps = {t_end!r} overflows the exact solution")
     x_grid, v_grid = final.x_axis[:, None], final.v_axis[None, :]
-    exact = initial(x_grid - v_grid * t_end + 0.5 * ax * t_end**2,
-                    v_grid - ax * t_end)
+    exact = initial(x_grid - v_grid * t_end + 0.5 * ax * t_end_sq, v_grid - ax * t_end)
     linf = float(np.max(np.abs(final.values - exact)))
     return {"transport.csv": claim_audit.csv_text(
                 ["metric", "value"],

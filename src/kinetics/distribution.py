@@ -63,9 +63,7 @@ class DiscreteDistribution:
 
     def __post_init__(self) -> None:
         n = self.grid.nodes_per_axis
-        values = frozen_array(self, "values", self.values)
-        if values.shape != (n, n, n):
-            raise ValueError(f"values shape {values.shape} does not match grid {(n, n, n)}")
+        values = frozen_array(self, "values", self.values, (n, n, n))
         if values.min() < 0.0:
             raise ValueError("distribution values must be nonnegative")
 

@@ -1,7 +1,8 @@
 """Spatially homogeneous direct-simulation particle gas.
 
-Candidate pairs follow the no-time-counter scheme: the expected candidate
-count per step is N(N-1)/2 * w * pi d^2 * g_max * dt / V, and a candidate
+Candidate pairs follow the no-time-counter scheme: the ensemble fills a unit
+volume, so at number density rho the expected candidate count per step is
+N(N-1)/2 * (rho/N) * pi d^2 * g_max * dt, and a candidate
 with relative velocity g and a direction n drawn uniformly on the sphere is
 accepted with probability |g . n| / g_max. Accepted pairs are transformed by
 the selected impact rule, so the realized collision frequency matches the
@@ -44,17 +45,15 @@ _BOUND_REFRESH_STEPS = 64
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Simulator particles: velocities (N, 3) and molecules per particle."""
+    """Simulator particles in a unit volume: velocities (N, 3) of one species."""
 
     velocities: np.ndarray
     species: Species
-    statistical_weight: float
 
     def __post_init__(self) -> None:
         velocities = frozen_array(self, "velocities", self.velocities)
         if velocities.ndim != 2 or velocities.shape[1] != 3:
-            raise ValueError(f"velocities must be (N, 3), got {velocities.shape}")
-        require_positive("statistical_weight", self.statistical_weight)
+            raise ValueError(f"velocities must have shape (N, 3), got {velocities.shape}")
 
     @property
     def count(self) -> int:
@@ -86,17 +85,13 @@ class EnsembleMoments(NamedTuple):
     temperature: float
 
 
-def sample_maxwellian_ensemble(count: int, species: Species, density: float,
-                               bulk_velocity, temperature: float,
-                               seed: int) -> ParticleEnsemble:
+def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
+                               temperature: float, seed: int) -> ParticleEnsemble:
     """Gaussian velocities with the requested mean and temperature.
 
-    The ensemble represents a unit simulation volume, so the statistical
-    weight is density / count; T = 0 collapses every velocity onto the bulk
-    velocity exactly.
+    T = 0 collapses every velocity onto the bulk velocity exactly.
     """
     require_count("count", count, 2)
-    require_positive("density", density)
     if temperature < 0.0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
@@ -104,20 +99,19 @@ def sample_maxwellian_ensemble(count: int, species: Species, density: float,
     generator = rng.stream(seed, "dsmc-maxwellian")
     velocities = u[None, :] + sigma * generator.standard_normal((count, 3))
     velocities.setflags(write=False)  # fresh, so the ensemble adopts it
-    return ParticleEnsemble(velocities=velocities, species=species,
-                            statistical_weight=density / count)
+    return ParticleEnsemble(velocities=velocities, species=species)
 
 
-def moments(v: np.ndarray, m: float, w: float, volume: float) -> EnsembleMoments:
-    """Per-volume density, momentum, kinetic energy and granular temperature (K).
+def moments(v: np.ndarray, m: float, density: float) -> EnsembleMoments:
+    """Density as given, then momentum, kinetic energy per volume and temperature (K).
 
-    v is (N, 3); m is the particle mass and w the molecules per particle.
+    v is (N, 3) in a unit volume, so each particle of mass m counts density / N times.
     """
     n = v.shape[0]
-    density = n * w / volume
+    w = density / n
     total = np.sum(v, axis=0)
-    momentum = m * w * total / volume
-    kinetic = 0.5 * m * w * float(np.sum(v * v)) / volume
+    momentum = m * w * total
+    kinetic = 0.5 * m * w * float(np.sum(v * v))
     mean_v = total / n  # the bits of np.mean(v, axis=0)
     peculiar_sq = float(np.mean(_dot3(v, v))) - float(mean_v @ mean_v)
     temperature = m * peculiar_sq / (3.0 * BOLTZMANN)
@@ -151,8 +145,7 @@ def _wave_schedule(first: np.ndarray, second: np.ndarray, n: int) -> list[np.nda
     return waves
 
 
-def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig,
-                  species: Species, weight: float, volume: float,
+def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: Species,
                   generator: np.random.Generator, majorant: float) -> float | None:
     """One candidate sweep on v in place; the new speed bound, or None if pierced.
 
@@ -161,8 +154,8 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig,
     the whole ensemble every step.
     """
     n = v.shape[0]
-    expected = (0.5 * n * (n - 1) * weight * math.pi * species.diameter**2
-                * majorant * config.dt / volume)
+    expected = (0.5 * n * (n - 1) * (config.number_density / n) * math.pi
+                * species.diameter**2 * majorant * config.dt)
     pairs = n * (n - 1) // 2
     if not expected <= pairs:  # past this some pair would be drawn twice in one step
         raise ValueError(f"dt {config.dt!r} is too long for no-time-counter selection: "
@@ -224,16 +217,13 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
     if ensemble.count < 2 and len(indices):
         raise ValueError("need at least 2 particles to step")
     v = np.array(ensemble.velocities)
-    weight = ensemble.statistical_weight
-    volume = ensemble.count * weight / config.number_density
     for index in indices:
         if index == indices.start or index % _BOUND_REFRESH_STEPS == 0:
             bound_sq = float(np.max(_dot3(v, v)))
         generator = rng.stream(config.seed, "dsmc-step", index)
         majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(bound_sq))
         for _ in range(_MAJORANT_RETRIES):
-            swept = _attempt_step(v, bound_sq, config, ensemble.species, weight,
-                                  volume, generator, majorant)
+            swept = _attempt_step(v, bound_sq, config, ensemble.species, generator, majorant)
             if swept is not None:
                 break
             majorant *= 2.0
@@ -244,8 +234,7 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
         if on_step is not None:
             on_step(index, v)
     v.setflags(write=False)  # this call's own copy, so the ensemble adopts it
-    return ParticleEnsemble(velocities=v, species=ensemble.species,
-                            statistical_weight=weight)
+    return ParticleEnsemble(velocities=v, species=ensemble.species)
 
 
 def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
@@ -257,12 +246,10 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
     require_count("n_steps", n_steps, 0)
     require_count("sample_every", sample_every, 1)
     mass = ensemble.species.mass
-    weight = ensemble.statistical_weight
-    volume = ensemble.count * weight / config.number_density
 
     def row(t: float, v: np.ndarray) -> list[float]:
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            m = moments(v, mass, weight, volume)
+            m = moments(v, mass, config.number_density)
         values = [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
         if not np.all(np.isfinite(values)):
             raise NonFiniteEstimate(f"moments are not finite at t = {t!r}")

@@ -29,15 +29,15 @@ def _sealed(array) -> bool:
 
 
 def frozen_array(obj, name: str, array, shape=None) -> np.ndarray:
-    """Set obj.name to an owned, read-only float64 array, reshaped to shape if given.
+    """Set obj.name to an owned, read-only float64 array, of exactly shape if given.
 
     A sealed array (see _sealed) of that shape is stored as it is, so a
     builder that seals its fresh array and drops it hands it over without a
     copy; anything else is copied. Nothing in the package unseals an array,
-    so the stored one cannot change. ValueError if it is not finite.
+    so the stored one cannot change. ValueError if of another shape or not finite.
     """
     if shape is not None and np.shape(array) != shape:
-        array = np.reshape(array, shape)
+        raise ValueError(f"{name} must have shape {shape}, got {np.shape(array)}")
     if not _sealed(array):
         array = np.array(array, dtype=np.float64, order="C")
         array.setflags(write=False)

@@ -84,9 +84,7 @@ class PhaseGrid1D1V:
 
     def __post_init__(self) -> None:
         _check_mesh(self.nx, self.length, self.nv, self.vmax)
-        values = frozen_array(self, "values", self.values)
-        if values.shape != (self.nx, self.nv):
-            raise ValueError(f"values shape {values.shape} does not match ({self.nx}, {self.nv})")
+        frozen_array(self, "values", self.values, (self.nx, self.nv))
 
     @property
     def x_axis(self) -> np.ndarray:

@@ -96,8 +96,7 @@ def test_conservation():
         worst = max(worst, float(np.max(np.abs(after - before) / scale)))
     assert worst < 1e-12
 
-    ensemble = dsmc.sample_maxwellian_ensemble(100_000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=1)
+    ensemble = dsmc.sample_maxwellian_ensemble(100_000, SPECIES, (0, 0, 0), 1.0, seed=1)
     v0 = ensemble.velocities
     ke0 = float(np.sum(v0 * v0))
     p0 = np.sum(v0, axis=0)
@@ -212,15 +211,14 @@ def test_cross_oracle_moment_rates():
     dt = 2.5e-3
     slopes = []
     for r in range(replicas):
-        ensemble = dsmc.sample_maxwellian_ensemble(20_000, SPECIES, 1.0,
-                                                   (0, 0, 0), 1.0, seed=100 + r)
-        weight = ensemble.statistical_weight
-        e0 = dsmc.moments(ensemble.velocities, UNIT_MASS, weight, 1.0).kinetic_energy
+        ensemble = dsmc.sample_maxwellian_ensemble(20_000, SPECIES, (0, 0, 0), 1.0,
+                                                   seed=100 + r)
+        e0 = dsmc.moments(ensemble.velocities, UNIT_MASS, 1.0).kinetic_energy
         config = dsmc.DsmcConfig(dt=dt, number_density=1.0, epsilon=0.8,
                                  branch=CollisionBranch.REFLECTIVE, seed=200 + r,
                                  majorant_relative_speed=1.0)
         final = dsmc.advance(ensemble, config, range(window_steps))
-        e1 = dsmc.moments(final.velocities, UNIT_MASS, weight, 1.0).kinetic_energy
+        e1 = dsmc.moments(final.velocities, UNIT_MASS, 1.0).kinetic_energy
         slopes.append((e1 - e0) / (window_steps * dt))
     slopes = np.array(slopes)
     dsmc_rate = float(np.mean(slopes))
@@ -359,8 +357,7 @@ def test_transport():
 
 def test_dsmc_cooling_sanity():
     start = time.time()
-    ensemble = dsmc.sample_maxwellian_ensemble(100_000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=6)
+    ensemble = dsmc.sample_maxwellian_ensemble(100_000, SPECIES, (0, 0, 0), 1.0, seed=6)
     config = dsmc.DsmcConfig(dt=2.5e-3, number_density=1.0, epsilon=0.9,
                              branch=CollisionBranch.REFLECTIVE, seed=7,
                              majorant_relative_speed=1.0)

@@ -10,7 +10,8 @@ from conftest import UNIT_MASS
 from kinetics import claim_audit as ca
 from kinetics import collision_operator, rng
 from kinetics.collision_kernel import CollisionBranch
-from kinetics.collision_operator import GainNormalization, QuadratureSpec, moment_rates
+from kinetics.collision_operator import (GainNormalization, QuadratureSpec, RateEstimate,
+                                         moment_rates)
 from kinetics.distribution import VelocityGrid, bimodal, maxwellian
 
 
@@ -104,6 +105,12 @@ def test_verdict_is_mechanical():
     assert ca.AuditReport("x", "ref", math.inf, 3.0).verdict == "inconsistent"
     assert ca.AuditReport("x", "ref", math.nan, 3.0).verdict == "inconsistent"
     assert ca.AuditReport("x", "ref", 0.25, math.nan).verdict == "diagnostic-only"
+
+
+def test_sigma_ratio_of_a_rate_without_spread():
+    # a nonzero rate known exactly is infinitely many standard errors from zero
+    assert ca._sigma_ratio(RateEstimate(value=-1e-3, std_error=0.0)) == math.inf
+    assert ca._sigma_ratio(RateEstimate(value=0.0, std_error=0.0)) == 0.0
 
 
 def test_audit_csv_format_and_metadata_round_trip():

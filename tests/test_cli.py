@@ -445,7 +445,7 @@ def test_failed_write_leaves_no_outputs(tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs: ")
 
 
-def _failing_run(tmp_path, capsys, subcommand, parameters, code):
+def _failing_run(tmp_path, capsys, subcommand, parameters, code, options=()):
     """The one stderr line of a run that exits with code, writes nothing and warns not."""
     config_path = tmp_path / "config.json"
     out_dir = tmp_path / "out"
@@ -453,7 +453,7 @@ def _failing_run(tmp_path, capsys, subcommand, parameters, code):
                                        "parameters": parameters}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main([subcommand, "--config", str(config_path)]) == code
+        assert cli.main([subcommand, "--config", str(config_path), *options]) == code
     assert not out_dir.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -537,6 +537,29 @@ def test_arithmetic_overflow_exits_2_without_outputs(tmp_path, capsys):
     line = _failing_run(tmp_path, capsys, "transport",
                         {"vmax": 1e-300, "dt": 1e200, "steps": 1}, 2)
     assert line.startswith("numerical failure: ")
+    assert "t_end = dt * steps = 1e+200" in line
+
+
+def test_infinite_transport_end_time_exits_2_without_outputs(tmp_path, capsys):
+    # dt * steps itself overflows; the exact solution would be nan, not an error
+    line = _failing_run(tmp_path, capsys, "transport",
+                        {"vmax": 1e-300, "dt": 1e308, "steps": 2}, 2)
+    assert line == "numerical failure: t_end = dt * steps = inf overflows the exact solution"
+
+
+BIMODAL = VALID_PARAMETERS["operator-bimodal"]
+
+
+@pytest.mark.parametrize("subcommand, parameters, options, line", [
+    ("dsmc", {"particles": 200, "steps": 5}, (),
+     "error: missing required key 'dt' in parameters"),
+    ("operator", dict(BIMODAL, distribution=dict(BIMODAL["distribution"], density1=-0.5)), (),
+     "error: parameters.distribution.density1 must be nonnegative"),
+    ("dsmc", MINIMAL_DSMC["parameters"], ("--threads", "0"), "error: --threads must be >= 1"),
+], ids=["missing-key", "negative-mode-density", "zero-threads"])
+def test_rejected_run_names_its_reason(tmp_path, capsys, subcommand, parameters, options,
+                                       line):
+    assert _failing_run(tmp_path, capsys, subcommand, parameters, 1, options) == line
 
 
 # Config paths, relative to the test's working directory: missing, a directory,

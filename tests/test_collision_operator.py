@@ -54,6 +54,14 @@ def test_zero_distribution_gives_zero_estimate():
     assert estimate.std_error == 0.0
 
 
+@pytest.mark.parametrize("probe", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                   (0.0, 0.0, -math.inf)])
+def test_evaluate_at_rejects_a_non_finite_probe_by_name(probe):
+    f = DiscreteDistribution(VelocityGrid(vmax=4.0, nodes_per_axis=17), np.ones((17, 17, 17)))
+    with pytest.raises(ValueError, match="^probe velocity must be finite$"):
+        evaluate_at(f, probe, spec_with())
+
+
 def test_elastic_maxwellian_fixed_point_small():
     grid = VelocityGrid(vmax=5.5, nodes_per_axis=197)
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)

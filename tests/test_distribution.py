@@ -90,6 +90,13 @@ def test_bimodal_zero_density_mode_degenerates():
     np.testing.assert_array_equal(f_degenerate.values, f_single.values)
 
 
+@pytest.mark.parametrize("mode", [1, 2])
+def test_bimodal_rejects_a_negative_mode_density_by_name(mode):
+    density1, density2 = (-0.5, 0.5) if mode == 1 else (0.5, -0.5)
+    with pytest.raises(ValueError, match=f"^density{mode} must be nonnegative, got -0.5$"):
+        bimodal(GRID, density1, (1.0, 0, 0), 1.0, density2, (-1.0, 0, 0), 1.0, UNIT_MASS)
+
+
 def test_bimodal_moments_are_mode_sums():
     f = bimodal(GRID, 0.6, (1.0, 0, 0), 1.0, 0.4, (-0.5, 0.5, 0), 1.3, UNIT_MASS)
     m = moments(f, UNIT_MASS)
@@ -207,6 +214,8 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
 @pytest.mark.parametrize("mangle, reason", [
     (lambda raw: raw[:raw.index(b"\n")], "no header line"),
     (lambda raw: b'"header"' + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: b"{nodes" + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: b"\xff" + raw, "not a JSON object"),
     (lambda raw: raw.replace(b'"nodes_per_axis": 5, ', b"", 1),
      "nodes_per_axis is missing"),
     (lambda raw: raw.replace(b'"nodes_per_axis": 5', b'"nodes_per_axis": "5"', 1),

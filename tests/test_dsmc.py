@@ -25,7 +25,7 @@ def config_with(**overrides) -> dsmc.DsmcConfig:
 
 def test_sample_ensemble_zero_temperature_is_exact():
     u = (5.0, -1.0, 2.0)
-    ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, 1.0, u, 0.0, seed=1)
+    ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, u, 0.0, seed=1)
     np.testing.assert_array_equal(ensemble.velocities,
                                   np.tile(np.asarray(u), (100, 1)))
 
@@ -33,27 +33,25 @@ def test_sample_ensemble_zero_temperature_is_exact():
 def test_sample_ensemble_mean_within_clt_bound():
     count = 40_000
     u = np.array([5.0, 0.0, 0.0])
-    ensemble = dsmc.sample_maxwellian_ensemble(count, SPECIES, 1.0, u, 1.0, seed=2)
+    ensemble = dsmc.sample_maxwellian_ensemble(count, SPECIES, u, 1.0, seed=2)
     sigma = 1.0  # thermal speed at T = 1 with mass = k_B
     bound = 5.0 * sigma / np.sqrt(count)
     np.testing.assert_allclose(np.mean(ensemble.velocities, axis=0), u, atol=bound)
-    moments = dsmc.moments(ensemble.velocities, SPECIES.mass,
-                           ensemble.statistical_weight, 1.0)
+    moments = dsmc.moments(ensemble.velocities, SPECIES.mass, 1.0)
     assert moments.temperature == pytest.approx(1.0, rel=0.05)
     assert moments.density == pytest.approx(1.0)
 
 
 def test_sample_ensemble_seed_determinism():
-    a = dsmc.sample_maxwellian_ensemble(500, SPECIES, 1.0, (0, 0, 0), 1.0, seed=3)
-    b = dsmc.sample_maxwellian_ensemble(500, SPECIES, 1.0, (0, 0, 0), 1.0, seed=3)
+    a = dsmc.sample_maxwellian_ensemble(500, SPECIES, (0, 0, 0), 1.0, seed=3)
+    b = dsmc.sample_maxwellian_ensemble(500, SPECIES, (0, 0, 0), 1.0, seed=3)
     np.testing.assert_array_equal(a.velocities, b.velocities)
-    c = dsmc.sample_maxwellian_ensemble(500, SPECIES, 1.0, (0, 0, 0), 1.0, seed=4)
+    c = dsmc.sample_maxwellian_ensemble(500, SPECIES, (0, 0, 0), 1.0, seed=4)
     assert np.any(c.velocities != a.velocities)
 
 
 def test_step_conserves_momentum_and_elastic_energy():
-    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, 1.0, (0.5, 0, 0),
-                                               1.0, seed=5)
+    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, (0.5, 0, 0), 1.0, seed=5)
     v0 = ensemble.velocities
     p0 = np.sum(v0, axis=0)
     ke0 = float(np.sum(v0 * v0))
@@ -68,8 +66,7 @@ def test_step_conserves_momentum_and_elastic_energy():
 
 
 def test_inelastic_temperature_decays_monotonically():
-    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=6)
+    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, (0, 0, 0), 1.0, seed=6)
     series = dsmc.run(ensemble, config_with(epsilon=0.9, dt=0.05), 200,
                       sample_every=10)
     temperatures = series[:, 5]
@@ -78,8 +75,7 @@ def test_inelastic_temperature_decays_monotonically():
 
 
 def test_run_zero_steps_returns_initial_sample():
-    ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, 1.0, (1, 2, 3),
-                                               1.0, seed=7)
+    ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, (1, 2, 3), 1.0, seed=7)
     series = dsmc.run(ensemble, config_with(), 0)
     assert series.shape == (1, 6)
     assert series[0, 0] == 0.0
@@ -87,16 +83,14 @@ def test_run_zero_steps_returns_initial_sample():
 
 
 def test_elastic_temperature_flat_over_run():
-    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=8)
+    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, (0, 0, 0), 1.0, seed=8)
     series = dsmc.run(ensemble, config_with(dt=0.05), 300, sample_every=50)
     temperatures = series[:, 5]
     assert (temperatures.max() - temperatures.min()) / temperatures[0] < 1e-6
 
 
 def test_run_is_deterministic():
-    ensemble = dsmc.sample_maxwellian_ensemble(1000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=9)
+    ensemble = dsmc.sample_maxwellian_ensemble(1000, SPECIES, (0, 0, 0), 1.0, seed=9)
     a = dsmc.run(ensemble, config_with(epsilon=0.8, dt=0.05), 40, sample_every=5)
     b = dsmc.run(ensemble, config_with(epsilon=0.8, dt=0.05), 40, sample_every=5)
     np.testing.assert_array_equal(a, b)
@@ -106,8 +100,7 @@ def test_run_is_deterministic():
 
 
 def test_step_is_a_pure_function_of_inputs():
-    ensemble = dsmc.sample_maxwellian_ensemble(1000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=13)
+    ensemble = dsmc.sample_maxwellian_ensemble(1000, SPECIES, (0, 0, 0), 1.0, seed=13)
     a = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(4, 5))
     b = dsmc.advance(ensemble, config_with(epsilon=0.8, dt=0.05), range(4, 5))
     np.testing.assert_array_equal(a.velocities, b.velocities)
@@ -116,8 +109,7 @@ def test_step_is_a_pure_function_of_inputs():
 
 
 def test_small_cooling_exponent_is_haff_like():
-    ensemble = dsmc.sample_maxwellian_ensemble(10_000, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=10)
+    ensemble = dsmc.sample_maxwellian_ensemble(10_000, SPECIES, (0, 0, 0), 1.0, seed=10)
     series = dsmc.run(ensemble, config_with(epsilon=0.9, dt=0.02), 800,
                       sample_every=20)
     exponent, _ = fit_cooling_exponent(series[:, 0], series[:, 5])
@@ -126,10 +118,21 @@ def test_small_cooling_exponent_is_haff_like():
 
 def test_majorant_hard_error_after_bounded_retries(monkeypatch):
     monkeypatch.setattr(dsmc, "_MAJORANT_RETRIES", 0)
-    ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=11)
+    ensemble = dsmc.sample_maxwellian_ensemble(100, SPECIES, (0, 0, 0), 1.0, seed=11)
     with pytest.raises(MajorantExceeded):
         dsmc.advance(ensemble, config_with(dt=5.0), range(1))
+
+
+def test_sample_ensemble_rejects_a_negative_temperature_by_name():
+    with pytest.raises(ValueError, match=r"^temperature must be nonnegative, got -1\.0$"):
+        dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), -1.0, seed=0)
+
+
+def test_advance_needs_two_particles_to_step():
+    lone = dsmc.ParticleEnsemble(velocities=np.zeros((1, 3)), species=SPECIES)
+    assert dsmc.advance(lone, config_with(), range(0)).count == 1
+    with pytest.raises(ValueError, match="^need at least 2 particles to step$"):
+        dsmc.advance(lone, config_with(), range(1))
 
 
 def test_config_and_ensemble_validation():
@@ -140,10 +143,9 @@ def test_config_and_ensemble_validation():
     with pytest.raises(ValueError):
         config_with(epsilon=0.0)
     with pytest.raises(ValueError):
-        dsmc.sample_maxwellian_ensemble(1, SPECIES, 1.0, (0, 0, 0), 1.0, seed=0)
+        dsmc.sample_maxwellian_ensemble(1, SPECIES, (0, 0, 0), 1.0, seed=0)
     with pytest.raises(ValueError):
-        dsmc.ParticleEnsemble(velocities=np.zeros((5, 2)), species=SPECIES,
-                              statistical_weight=1.0)
+        dsmc.ParticleEnsemble(velocities=np.zeros((5, 2)), species=SPECIES)
 
 
 def test_timeseries_csv(tmp_path):
@@ -159,11 +161,34 @@ def test_timeseries_csv(tmp_path):
     assert lines[0] == "t,density,px,py,pz,temperature"
     parsed = np.array([[float(cell) for cell in line.split(",")]
                        for line in lines[1:]])
-    ensemble = dsmc.sample_maxwellian_ensemble(200, SPECIES, 1.0, (0, 0, 0),
-                                               1.0, seed=12)
+    ensemble = dsmc.sample_maxwellian_ensemble(200, SPECIES, (0, 0, 0), 1.0, seed=12)
     series = dsmc.run(ensemble, config_with(dt=0.05, seed=12), 10, sample_every=5)
     assert parsed.shape == series.shape
     np.testing.assert_array_equal(parsed.view(np.uint64), series.view(np.uint64))
+
+
+# particles * (number_density / particles) rounds away from number_density for each
+@pytest.mark.parametrize("particles, number_density", [(7, 0.9), (25, 7.0), (49, 1.0)])
+def test_timeseries_density_is_the_configured_number_density(tmp_path, particles,
+                                                             number_density):
+    """The density column is number_density, and the first momentum m (n/N) sum v, in bits."""
+    assert particles * (number_density / particles) != number_density
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "subcommand": "dsmc", "seed": 4, "output_dir": str(out_dir),
+        "parameters": {"particles": particles, "steps": 6, "sample_every": 2, "dt": 0.05,
+                       "number_density": number_density, "mass": UNIT_MASS},
+    }))
+    assert cli.main(["dsmc", "--config", str(config_path)]) == 0
+    rows = (out_dir / "timeseries.csv").read_text().splitlines()[1:]
+    table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert table.shape == (4, 6)
+    np.testing.assert_array_equal(table[:, 1].view(np.uint64),
+                                  np.full(4, number_density).view(np.uint64))
+    v = dsmc.sample_maxwellian_ensemble(particles, SPECIES, (0, 0, 0), 1.0, seed=4).velocities
+    momentum = UNIT_MASS * (number_density / particles) * np.sum(v, axis=0)
+    np.testing.assert_array_equal(table[0, 2:5].view(np.uint64), momentum.view(np.uint64))
 
 
 @st.composite

@@ -3,9 +3,11 @@
 The reference below is the scalar no-time-counter loop: Python-list velocity
 columns, candidates applied in draw order, and a journal that unwinds a
 pierced attempt. Its rows are sampled by ``_reference_moments``, whose
-arithmetic is the former body of ``dsmc.moments`` kept here verbatim. The
-package must reproduce its rows, final velocities and single steps bit for
-bit.
+arithmetic is the former body of ``dsmc.moments`` kept here verbatim; it
+still takes molecules per particle and a volume, which for an ensemble
+filling a unit volume are number_density / N and 1. The package must
+reproduce its rows, final velocities and single steps bit for bit, and
+``dsmc.moments`` must report the density it is given.
 """
 
 import math
@@ -144,11 +146,15 @@ def _sample(t, state, weight, volume):
     return [t, density, momentum[0], momentum[1], momentum[2], temperature]
 
 
+def _unit_volume(ensemble, config):
+    """(molecules per particle, volume) of an ensemble filling a unit volume."""
+    return config.number_density / ensemble.count, 1.0
+
+
 def reference_run(ensemble, config, n_steps, sample_every):
     """(rows, final velocities, pierced attempts) of the scalar sweep."""
     state = _Columns(ensemble.velocities)
-    weight = ensemble.statistical_weight
-    volume = ensemble.count * weight / config.number_density
+    weight, volume = _unit_volume(ensemble, config)
     rows = [_sample(0.0, state, weight, volume)]
     for index in range(n_steps):
         if index and index % dsmc._BOUND_REFRESH_STEPS == 0:
@@ -161,13 +167,12 @@ def reference_run(ensemble, config, n_steps, sample_every):
 
 def reference_step(ensemble, config, step_index):
     state = _Columns(ensemble.velocities)
-    volume = ensemble.count * ensemble.statistical_weight / config.number_density
-    _scalar_step(state, config, ensemble.statistical_weight, volume, step_index)
+    _scalar_step(state, config, *_unit_volume(ensemble, config), step_index)
     return state.as_array(), state.pierced
 
 
 def _maxwellian_n2000():
-    ensemble = dsmc.sample_maxwellian_ensemble(2000, SPECIES, 1.0, (0.2, 0.0, 0.0),
+    ensemble = dsmc.sample_maxwellian_ensemble(2000, SPECIES, (0.2, 0.0, 0.0),
                                                1.0, seed=21)
     config = dsmc.DsmcConfig(dt=0.05, number_density=1.0, epsilon=0.8,
                              branch=CollisionBranch.REFLECTIVE, seed=22,
@@ -183,8 +188,7 @@ def _shells_n4000_pierce():
     raw = rng.stream(23, "shells").standard_normal((4000, 3))
     unit = raw / np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
     velocities = np.concatenate([unit[:1200], 0.5 * unit[1200:]])
-    ensemble = dsmc.ParticleEnsemble(velocities=velocities, species=SPECIES,
-                                     statistical_weight=1.0 / 4000)
+    ensemble = dsmc.ParticleEnsemble(velocities=velocities, species=SPECIES)
     config = dsmc.DsmcConfig(dt=0.5, number_density=1.0, epsilon=0.7,
                              branch=CollisionBranch.REFLECTIVE, seed=24,
                              majorant_relative_speed=0.1)
@@ -226,9 +230,10 @@ def test_moments_match_reference_bit_for_bit():
         if trial % 4 == 0:  # rows and entries of signed zeros
             v[generator.integers(0, n, 1 + n // 10)] = -0.0
             v[generator.integers(0, n, 1 + n // 10), 1] = 0.0
-        m, w, volume = 10.0 ** generator.uniform(-26, 0, 3)
-        actual = dsmc.moments(v, m, w, volume)
-        density, momentum, kinetic, temperature = _reference_moments(v, m, w, volume)
+        m = 10.0 ** generator.uniform(-26, 0)
+        density = 10.0 ** generator.uniform(-26, 26)
+        actual = dsmc.moments(v, m, density)
+        _, momentum, kinetic, temperature = _reference_moments(v, m, density / n, 1.0)
         _assert_bits_equal([actual.density, actual.kinetic_energy, actual.temperature],
                            [density, kinetic, temperature])
         _assert_bits_equal(actual.momentum, momentum)

@@ -75,11 +75,6 @@ CALLERS = {
                                   lambda x: dsmc_config(number_density=x)),
     "DsmcConfig.majorant_relative_speed": (
         "majorant_relative_speed", lambda x: dsmc_config(majorant_relative_speed=x)),
-    "ParticleEnsemble.statistical_weight": (
-        "statistical_weight", lambda x: dsmc.ParticleEnsemble(
-            velocities=np.zeros((2, 3)), species=UNIT, statistical_weight=x)),
-    "sample_maxwellian_ensemble.density": (
-        "density", lambda x: dsmc.sample_maxwellian_ensemble(4, UNIT, x, EX, 1.0, 0)),
     "ForceField.mass": ("mass", lambda x: ForceField(force=EX, mass=x)),
     "PhaseGrid1D1V.length": ("length", lambda x: phase_grid(length=x)),
     "PhaseGrid1D1V.vmax": ("vmax", lambda x: phase_grid(vmax=x)),
@@ -112,26 +107,27 @@ def test_the_same_callers_accept_a_positive_value(caller):
     build(1.0)
 
 
-# field name, constructor taking the array, a valid array
+# field name, constructor taking the array, a valid array, an array of another shape
 FROZEN = {
-    "SpherePoint.theta": ("theta", SpherePoint, (1.0, 0.0, 0.0, 0.0)),
-    "ChartCoords.vstar": ("vstar", ChartCoords, (0.1, 0.05, -0.02)),
-    "PureQuaternion.xi": ("xi", PureQuaternion, (0.3, -0.1, 0.2)),
+    "SpherePoint.theta": ("theta", SpherePoint, (1.0, 0.0, 0.0, 0.0), [[1.0, 0.0, 0.0, 0.0]]),
+    "ChartCoords.vstar": ("vstar", ChartCoords, (0.1, 0.05, -0.02), (0.1, 0.05)),
+    "PureQuaternion.xi": ("xi", PureQuaternion, (0.3, -0.1, 0.2), [[0.3, -0.1, 0.2]]),
     "DiscreteDistribution.values": ("values", lambda a: DiscreteDistribution(
-        VelocityGrid(vmax=4.0, nodes_per_axis=4), a), np.ones((4, 4, 4))),
+        VelocityGrid(vmax=4.0, nodes_per_axis=4), a), np.ones((4, 4, 4)), np.ones((4, 4, 5))),
     "ParticleEnsemble.velocities": ("velocities", lambda a: dsmc.ParticleEnsemble(
-        velocities=a, species=UNIT, statistical_weight=1.0), np.zeros((2, 3))),
-    "ForceField.force": ("force", lambda a: ForceField(force=a, mass=1.0), EX),
-    "PhasePoint.r": ("r", lambda a: PhasePoint(r=a, v=EX, t=0.0), EX),
-    "PhasePoint.v": ("v", lambda a: PhasePoint(r=EX, v=a, t=0.0), EX),
-    "PhaseGrid1D1V.values": ("values", lambda a: phase_grid(values=a), np.zeros((4, 4))),
+        velocities=a, species=UNIT), np.zeros((2, 3)), np.zeros((3, 2))),
+    "ForceField.force": ("force", lambda a: ForceField(force=a, mass=1.0), EX, (1.0, 2.0)),
+    "PhasePoint.r": ("r", lambda a: PhasePoint(r=a, v=EX, t=0.0), EX, (EX, EX, EX)),
+    "PhasePoint.v": ("v", lambda a: PhasePoint(r=EX, v=a, t=0.0), EX, (*EX, 0.0)),
+    "PhaseGrid1D1V.values": ("values", lambda a: phase_grid(values=a), np.zeros((4, 4)),
+                             np.zeros(16)),
 }
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("caller", sorted(FROZEN))
 def test_array_field_owns_a_read_only_copy_and_rejects_non_finite_by_name(caller, value):
-    field, build, valid = FROZEN[caller]
+    field, build, valid, _ = FROZEN[caller]
     passed = np.array(valid, dtype=np.float64)
     stored = getattr(build(passed), field)
     passed.flat[0] = value
@@ -143,7 +139,7 @@ def test_array_field_owns_a_read_only_copy_and_rejects_non_finite_by_name(caller
 
 @pytest.mark.parametrize("caller", sorted(FROZEN))
 def test_array_field_adopts_a_sealed_owned_array(caller):
-    field, build, valid = FROZEN[caller]
+    field, build, valid, _ = FROZEN[caller]
     passed = np.array(valid, dtype=np.float64)
     passed.setflags(write=False)
     assert getattr(build(passed), field) is passed
@@ -151,7 +147,7 @@ def test_array_field_adopts_a_sealed_owned_array(caller):
 
 @pytest.mark.parametrize("caller", sorted(FROZEN))
 def test_array_field_copies_a_read_only_view_of_a_writeable_base(caller):
-    field, build, valid = FROZEN[caller]
+    field, build, valid, _ = FROZEN[caller]
     base = np.array(valid, dtype=np.float64)
     view = base[...]
     view.setflags(write=False)
@@ -165,7 +161,7 @@ def test_array_field_copies_a_read_only_view_of_a_writeable_base(caller):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("caller", sorted(FROZEN))
 def test_array_field_rejects_a_sealed_non_finite_array_by_name(caller, value):
-    field, build, valid = FROZEN[caller]
+    field, build, valid, _ = FROZEN[caller]
     passed = np.array(valid, dtype=np.float64)
     passed.flat[-1] = value
     passed.setflags(write=False)
@@ -173,8 +169,15 @@ def test_array_field_rejects_a_sealed_non_finite_array_by_name(caller, value):
         build(passed)
 
 
-ENSEMBLE = dsmc.ParticleEnsemble(velocities=np.zeros((2, 3)), species=UNIT,
-                                 statistical_weight=1.0)
+@pytest.mark.parametrize("caller", sorted(FROZEN))
+def test_array_field_rejects_another_shape_naming_both_shapes(caller):
+    field, build, _, wrong = FROZEN[caller]
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must have shape \\(.+\\), "
+                                         f"got {re.escape(str(np.shape(wrong)))}$"):
+        build(wrong)
+
+
+ENSEMBLE = dsmc.ParticleEnsemble(velocities=np.zeros((2, 3)), species=UNIT)
 
 
 def cli_key(subcommand, key):
@@ -194,7 +197,7 @@ COUNTS = {
     "PhaseGrid1D1V.nv": ("nv", lambda n: phase_grid(nv=n), 4),
     "QuadratureSpec.samples": ("samples", lambda n: spec(samples=n), 1),
     "sample_maxwellian_ensemble.count": (
-        "count", lambda n: dsmc.sample_maxwellian_ensemble(n, UNIT, 1.0, EX, 1.0, 0), 2),
+        "count", lambda n: dsmc.sample_maxwellian_ensemble(n, UNIT, EX, 1.0, 0), 2),
     "dsmc.run.n_steps": ("n_steps", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), n), 0),
     "dsmc.run.sample_every": (
         "sample_every", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), 1, n), 1),

@@ -5,7 +5,10 @@ streams with before derive_key took its place, kept verbatim, so the probe
 streams (and every rate the operator writes) keep their bits.
 """
 
+import re
+
 import numpy as np
+import pytest
 
 from kinetics import rng
 from kinetics.collision_kernel import CollisionBranch
@@ -65,3 +68,10 @@ def test_a_bool_part_keys_as_its_int():
     for seed in (0, 1, 7, 2**63, -5):
         assert derive_key(seed, True) == derive_key(seed, 1)
         assert derive_key(seed, False) == derive_key(seed, 0)
+
+
+@pytest.mark.parametrize("part", [None, 1.5j, [1, 2]])
+def test_an_unsupported_key_part_is_rejected_by_its_type(part):
+    with pytest.raises(TypeError, match=f"^cannot derive a stream from part of type "
+                                        f"{re.escape(repr(type(part)))}$"):
+        rng.stream(0, "label", part)

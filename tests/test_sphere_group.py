@@ -62,6 +62,11 @@ def test_nan_velocity_or_time_is_rejected(hemisphere):
         exp_subgroup(PureQuaternion((0.3, -0.1, 0.2)), math.nan)
 
 
+def test_off_sphere_point_is_rejected_with_its_norm():
+    with pytest.raises(ValueError, match=r"^\|theta\|\^2 = 1\.25 is not 1 within tolerance$"):
+        SpherePoint((1.0, 0.5, 0.0, 0.0))
+
+
 def test_project_chart_hand_values():
     np.testing.assert_allclose(
         project_chart(SpherePoint((0, 0, 0, -1))).vstar, [0, 0, 0], atol=1e-15)

@@ -138,6 +138,12 @@ def test_semi_lagrangian_validation():
             PhaseGrid1D1V(nx, 10.0, nv, 3.0, np.zeros((nx, nv)))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_phase_point_rejects_a_non_finite_time_by_name(t):
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        PhasePoint(r=(0.0, 0.0, 0.0), v=(1.0, 0.0, 0.0), t=t)
+
+
 def test_phase_snapshot_round_trip(tmp_path):
     grid = phase_grid_from_function(blob, 48, 10.0, 40, 3.0)
     path = tmp_path / "phase.bin"
