@@ -49,7 +49,6 @@ from .sphere_group import (
 from .transport_solver import (
     ForceField,
     PhaseGrid1D1V,
-    PhasePoint,
     exact_solution,
     load_phase_grid,
 )

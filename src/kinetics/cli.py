@@ -340,19 +340,18 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
             return amp * np.exp(-((x - x0) ** 2) / (2.0 * sx**2)
                                 - ((v - v0) ** 2) / (2.0 * sv**2))
 
+    field = ForceField(force=p["force"], mass=p["mass"])
     grid0 = transport_solver.phase_grid_from_function(
         initial, p["nx"], p["length"], p["nv"], p["vmax"])
-    field = ForceField(force=p["force"], mass=p["mass"])
     result = transport_solver.semi_lagrangian_run(grid0, field, p["dt"], p["steps"])
-    final, t_end, ax = result.grid, p["dt"] * p["steps"], field.acceleration[0]
+    final, t_end = result.grid, p["dt"] * p["steps"]
     try:
-        t_end_sq = t_end**2
-    except OverflowError:
-        t_end_sq = math.inf
-    if t_end_sq == math.inf:  # t_end past ~1.3e154, or dt * steps itself past the float range
-        raise NonFiniteEstimate(f"t_end = dt * steps = {t_end!r} overflows the exact solution")
-    x_grid, v_grid = final.x_axis[:, None], final.v_axis[None, :]
-    exact = initial(x_grid - v_grid * t_end + 0.5 * ax * t_end_sq, v_grid - ax * t_end)
+        exact = transport_solver.exact_solution(
+            lambda r, w: initial(r[0], w[0]), field, (final.x_axis[:, None], 0.0, 0.0),
+            (final.v_axis[None, :], 0.0, 0.0), t_end)
+    except (ValueError, OverflowError):  # dt * steps past the float range, or its square
+        raise NonFiniteEstimate(f"t_end = dt * steps = {t_end!r} overflows the exact solution"
+                                ) from None
     linf = float(np.max(np.abs(final.values - exact)))
     return {"transport.csv": claim_audit.csv_text(
                 ["metric", "value"],

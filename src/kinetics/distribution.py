@@ -74,6 +74,16 @@ class Moments(NamedTuple):
     kinetic_energy: float
 
 
+def _node_array(grid: VelocityGrid) -> np.ndarray:
+    """A zeroed (n, n, n) array; MemoryError naming nodes_per_axis if none can be allocated."""
+    n = grid.nodes_per_axis
+    try:
+        return np.zeros((n, n, n))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can hold
+        raise MemoryError(f"nodes_per_axis {n} needs {8 * n**3} bytes for one grid "
+                          f"array, more than can be allocated") from None
+
+
 def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
                      temperature: float, mass: float, temperature_name: str) -> np.ndarray:
     """One Maxwellian mode at the nodes; UnderResolved where the grid cannot hold it.
@@ -90,11 +100,12 @@ def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
     if grid.vmax < speed + 4.0 * vth:
         raise UnderResolved(
             f"vmax {grid.vmax:g} below |u| + 4 thermal speeds = {speed + 4.0 * vth:g}")
+    sq = _node_array(grid)
     ax = grid.axis
     dx = ax - u[0]
     dy = ax - u[1]
     dz = ax - u[2]
-    sq = (dx**2)[:, None, None] + (dy**2)[None, :, None] + (dz**2)[None, None, :]
+    np.add((dx**2)[:, None, None] + (dy**2)[None, :, None], (dz**2)[None, None, :], out=sq)
     kt = BOLTZMANN * temperature
     coef = density * (mass / (2.0 * np.pi * kt)) ** 1.5
     # coef * exp(-0.5 * mass * sq / kt) in place on sq: one grid array, same bits
@@ -119,7 +130,7 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
             density2: float, u2, temperature2: float, mass: float) -> DiscreteDistribution:
     """Sum of two Maxwellian modes; a mode with zero density contributes nothing."""
     require_positive("mass", mass)
-    total = np.zeros((grid.nodes_per_axis,) * 3)
+    total = _node_array(grid)
     for mode, (density, u, temperature) in enumerate(((density1, u1, temperature1),
                                                       (density2, u2, temperature2)), 1):
         if density < 0.0:

@@ -9,6 +9,7 @@ back-traces with cubic interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,38 +32,33 @@ class ForceField:
     def __post_init__(self) -> None:
         frozen_array(self, "force", self.force, (3,))
         require_positive("mass", self.mass)
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            finite = np.all(np.isfinite(self.acceleration))
+        if not finite:
+            raise ValueError(f"force / mass must be finite, got "
+                             f"{self.force.tolist()} / {self.mass!r}")
 
     @property
     def acceleration(self) -> np.ndarray:
         return self.force / self.mass
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Position (m), velocity (m/s), time (s)."""
+def exact_solution(f0, field: ForceField, x, v, t: float):
+    """The transport solution with initial data f0 at positions x, velocities v, time t.
 
-    r: np.ndarray
-    v: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        frozen_array(self, "r", self.r, (3,))
-        frozen_array(self, "v", self.v, (3,))
-        if not np.isfinite(self.t):
-            raise ValueError("t must be finite")
-
-
-def exact_solution(f0, field: ForceField, p: PhasePoint) -> float:
-    """Value at p of the transport solution with initial data f0.
-
-    The solution is constant along characteristics, so this back-traces to
-    t = 0: f0(r - v t + a t^2 / 2, v - a t).
+    x and v hold three components each; a component is a number or an array,
+    and the components broadcast. The solution is constant along
+    characteristics, so this back-traces to t = 0 and returns
+    f0(x - v t + a t^2 / 2, v - a t), each argument a list of three components.
+    ValueError if t is not finite; OverflowError if t**2 is past the float range.
     """
-    a = field.acceleration
-    t = p.t
-    r0 = p.r - p.v * t + 0.5 * a * t * t
-    v0 = p.v - a * t
-    return float(f0(r0, v0))
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    t_sq = float(t) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a foot past the float range; f0 decides
+        r0 = [xi - vi * t + 0.5 * ai * t_sq for xi, vi, ai in zip(x, v, field.acceleration)]
+        v0 = [vi - ai * t for vi, ai in zip(v, field.acceleration)]
+    return f0(r0, v0)
 
 
 def _check_mesh(nx: int, length: float, nv: int, vmax: float) -> None:
@@ -70,6 +66,8 @@ def _check_mesh(nx: int, length: float, nv: int, vmax: float) -> None:
     require_count("nv", nv, 4)
     require_positive("length", length)
     require_positive("vmax", vmax)
+    require_positive("length / nx", length / nx)
+    require_positive("2 * vmax / (nv - 1)", 2.0 * float(vmax) / (nv - 1))
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,12 @@ def _cubic_weights(t: np.ndarray):
 
 
 def _x_plan(shifts: np.ndarray, nx: int):
-    """Back-trace plan along axis 0 for a per-column node shift.
+    """Back-trace plan along axis 1 for a per-row node shift.
 
-    Its source is the values stacked on themselves, whose rows start..start+nx
-    are the rows rolled by start. Consecutive columns that share an integer
-    base form one group, with one (weight row, destination, source) term per
-    offset -1, 0, 1, 2.
+    Its source is the values laid side by side, whose columns start..start+nx
+    are the columns rolled by start. Consecutive rows that share an integer
+    base form one group, a contiguous block of rows, with one (weight column,
+    destination, source) term per offset -1, 0, 1, 2.
     """
     tau = -shifts
     base = np.floor(tau).astype(np.int64)
@@ -143,14 +141,14 @@ def _x_plan(shifts: np.ndarray, nx: int):
     for j, k in zip(edges[:-1], edges[1:]):
         for offset, w in zip((-1, 0, 1, 2), weights):
             start = int(base[j] + offset) % nx
-            plan.append((w[None, j:k], np.s_[:, j:k], np.s_[start:start + nx, j:k]))
+            plan.append((w[j:k, None], np.s_[j:k], np.s_[j:k, start:start + nx]))
     return plan
 
 
 def _v_plan(shift: float, nv: int):
-    """Back-trace plan along axis 1 for a uniform node shift.
+    """Back-trace plan along axis 0 for a uniform node shift.
 
-    One (weight, destination, source) term per offset whose source columns
+    One (weight, destination, source) term per offset whose source rows
     overlap the hull; the rest of the hull has zero inflow.
     """
     tau = -shift
@@ -161,7 +159,7 @@ def _v_plan(shift: float, nv: int):
         d = base + offset
         lo, hi = max(0, -d), min(nv, nv - d)
         if lo < hi:
-            plan.append((float(w), np.s_[:, lo:hi], np.s_[:, lo + d:hi + d]))
+            plan.append((float(w), np.s_[lo:hi], np.s_[lo + d:hi + d]))
     return plan
 
 
@@ -185,11 +183,14 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     """Advance n_steps of Strang-split advection; reports relative mass drift.
 
     The velocity axis is driven by the x-component of the force. The shifts
-    are fixed for the run, so both back-trace plans are built once.
+    are fixed for the run, so both back-trace plans are built once. The run
+    keeps the grid velocity-major, shape (nv, nx), so every term of both
+    half-steps is a block of contiguous rows; the mass is summed over an
+    x-major copy, in the order of a sum over the grid's own values.
     """
     require_positive("dt", dt)
     ax = float(field.acceleration[0])
-    values = f0.values
+    values = f0.values.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
     v_shift = ax * dt / f0.dv
@@ -200,19 +201,20 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     v_plan = _v_plan(v_shift, f0.nv)
     worst_drift = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a non-finite drift
-        mass0 = float(np.sum(values)) * f0.dx * f0.dv
+        mass0 = float(np.sum(f0.values)) * f0.dx * f0.dv
         shape = values.shape
         for _ in range(n_steps):
-            values = _advect(np.concatenate((values, values)), x_plan, shape)
+            values = _advect(np.concatenate((values, values), axis=1), x_plan, shape)
             values = _advect(values, v_plan, shape)
-            values = _advect(np.concatenate((values, values)), x_plan, shape)
+            values = _advect(np.concatenate((values, values), axis=1), x_plan, shape)
             if mass0 != 0.0:
-                mass = float(np.sum(values)) * f0.dx * f0.dv
+                mass = float(np.sum(values.T.copy())) * f0.dx * f0.dv
                 drift = abs(mass - mass0) / abs(mass0)
                 if not np.isfinite(drift):
                     raise NonFiniteEstimate(f"mass drift is not finite ({mass0!r} -> {mass!r})")
                 worst_drift = max(worst_drift, drift)
-    values.setflags(write=False)  # the last step's fresh array, adopted by the grid
+    values = values.T.copy()
+    values.setflags(write=False)  # a fresh array, adopted by the grid
     grid = PhaseGrid1D1V(f0.nx, f0.length, f0.nv, f0.vmax, values)
     return TransportRunResult(grid=grid, mass_drift=worst_drift)
 

@@ -39,7 +39,6 @@ from kinetics.sphere_group import (
 )
 from kinetics.transport_solver import (
     ForceField,
-    PhasePoint,
     exact_solution,
     phase_grid_from_function,
     semi_lagrangian_run,
@@ -343,10 +342,8 @@ def test_transport():
         v = rng.uniform(-2, 2, 3)
         t = float(rng.uniform(0, 2))
         s = float(rng.uniform(0, 2))
-        base = exact_solution(f0, field3, PhasePoint(r=r, v=v, t=t))
-        advanced = exact_solution(
-            f0, field3,
-            PhasePoint(r=r + v * s + 0.5 * a3 * s * s, v=v + a3 * s, t=t + s))
+        base = exact_solution(f0, field3, r, v, t)
+        advanced = exact_solution(f0, field3, r + v * s + 0.5 * a3 * s * s, v + a3 * s, t + s)
         worst = max(worst, abs(advanced - base))
     assert worst < 1e-12
     elapsed = time.time() - start

@@ -445,6 +445,9 @@ def test_failed_write_leaves_no_outputs(tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs: ")
 
 
+BIMODAL = VALID_PARAMETERS["operator-bimodal"]
+
+
 def _failing_run(tmp_path, capsys, subcommand, parameters, code, options=()):
     """The one stderr line of a run that exits with code, writes nothing and warns not."""
     config_path = tmp_path / "config.json"
@@ -520,16 +523,39 @@ def test_unreadable_config_exits_1_without_outputs(tmp_path, capsys, prefix, pat
     assert len(lines) == 1 and lines[0].startswith("error: cannot read config: ")
 
 
-@pytest.mark.parametrize("subcommand, parameters", [
-    # the first large arrays need 728 TiB (10^7 x 10^7 floats) and 21 PiB
-    # (10^15 x 3), so they fail at once on any machine
+@pytest.mark.parametrize("subcommand, parameters, prefix", [
+    # the first large arrays need 8 * 10^21 bytes (10^7 cubed floats) and
+    # 21 PiB (10^15 x 3), so they fail at once on any machine; the grid's
+    # is allocated before any temporary and its failure names the key
     ("operator", dict(VALID_PARAMETERS["operator"], nodes_per_axis=10**7,
-                      mass=1.380649e-23)),
-    ("dsmc", dict(MINIMAL_DSMC["parameters"], particles=10**15)),
-], ids=["operator-grid", "dsmc-ensemble"])
-def test_unmet_allocation_exits_1_without_outputs(tmp_path, capsys, subcommand, parameters):
+                      mass=1.380649e-23),
+     "error: nodes_per_axis 10000000 needs 8000000000000000000000 bytes for one grid array"),
+    ("operator", dict(BIMODAL, nodes_per_axis=10**7, mass=1.380649e-23),
+     "error: nodes_per_axis 10000000 needs 8000000000000000000000 bytes for one grid array"),
+    ("dsmc", dict(MINIMAL_DSMC["parameters"], particles=10**15), "error: Unable to allocate "),
+], ids=["operator-grid", "operator-bimodal-grid", "dsmc-ensemble"])
+def test_unmet_allocation_exits_1_without_outputs(tmp_path, capsys, subcommand, parameters,
+                                                  prefix):
     line = _failing_run(tmp_path, capsys, subcommand, parameters, 1)
-    assert line.startswith("error: Unable to allocate ")
+    assert line.startswith(prefix)
+
+
+@pytest.mark.parametrize("parameters, line", [
+    # numpy warned of an overflow in force / mass and the run exited 0
+    ({"force": [0.5, -1.7e308, 0.0], "mass": 1e-8},
+     "error: force / mass must be finite, got [0.5, -1.7e+308, 0.0] / 1e-08"),
+    # linspace warned twice before the grid was rejected without a key
+    ({"vmax": 1.7e308}, "error: 2 * vmax / (nv - 1) must be positive and finite, got inf"),
+    # the node spacing underflowed to 0 and its division exited 2
+    ({"vmax": 5e-324, "nv": 9},
+     "error: 2 * vmax / (nv - 1) must be positive and finite, got 0.0"),
+    # numpy warned of a division by zero and the error blamed dt
+    ({"length": 5e-324}, "error: length / nx must be positive and finite, got 0.0"),
+], ids=["force-over-mass", "vmax-overflow", "vmax-underflow", "length-underflow"])
+def test_unrepresentable_transport_input_exits_1_naming_its_keys(tmp_path, capsys, parameters,
+                                                                 line):
+    parameters = dict({"nx": 16, "nv": 16, "dt": 0.01, "steps": 2}, **parameters)
+    assert _failing_run(tmp_path, capsys, "transport", parameters, 1) == line
 
 
 def test_arithmetic_overflow_exits_2_without_outputs(tmp_path, capsys):
@@ -545,9 +571,6 @@ def test_infinite_transport_end_time_exits_2_without_outputs(tmp_path, capsys):
     line = _failing_run(tmp_path, capsys, "transport",
                         {"vmax": 1e-300, "dt": 1e308, "steps": 2}, 2)
     assert line == "numerical failure: t_end = dt * steps = inf overflows the exact solution"
-
-
-BIMODAL = VALID_PARAMETERS["operator-bimodal"]
 
 
 @pytest.mark.parametrize("subcommand, parameters, options, line", [

@@ -236,3 +236,15 @@ def test_load_distribution_names_the_defect(tmp_path, mangle, reason):
     path.write_bytes(mangle(path.read_bytes()))
     with pytest.raises(ValueError, match=reason):
         load_distribution(path)
+
+
+# 10^5 nodes need 8 * 10^15 bytes and 2^21 more bytes than an index holds, so
+# neither allocates on any machine; the failure names the key and the bytes
+@pytest.mark.parametrize("n", [10**5, 2**21])
+@pytest.mark.parametrize("build", [
+    lambda grid: maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS),
+    lambda grid: bimodal(grid, 0.5, (1, 0, 0), 1.0, 0.5, (-1, 0, 0), 1.0, UNIT_MASS),
+], ids=["maxwellian", "bimodal"])
+def test_grid_array_too_large_to_allocate_is_named(build, n):
+    with pytest.raises(MemoryError, match=f"^nodes_per_axis {n} needs {8 * n**3} bytes "):
+        build(VelocityGrid(vmax=6.0, nodes_per_axis=n))

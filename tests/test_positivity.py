@@ -26,7 +26,6 @@ from kinetics.sphere_group import (
 from kinetics.transport_solver import (
     ForceField,
     PhaseGrid1D1V,
-    PhasePoint,
     phase_grid_from_function,
     semi_lagrangian_run,
 )
@@ -117,8 +116,6 @@ FROZEN = {
     "ParticleEnsemble.velocities": ("velocities", lambda a: dsmc.ParticleEnsemble(
         velocities=a, species=UNIT), np.zeros((2, 3)), np.zeros((3, 2))),
     "ForceField.force": ("force", lambda a: ForceField(force=a, mass=1.0), EX, (1.0, 2.0)),
-    "PhasePoint.r": ("r", lambda a: PhasePoint(r=a, v=EX, t=0.0), EX, (EX, EX, EX)),
-    "PhasePoint.v": ("v", lambda a: PhasePoint(r=EX, v=a, t=0.0), EX, (*EX, 0.0)),
     "PhaseGrid1D1V.values": ("values", lambda a: phase_grid(values=a), np.zeros((4, 4)),
                              np.zeros(16)),
 }

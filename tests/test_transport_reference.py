@@ -2,9 +2,11 @@
 
 ``_reference_advect_x``, ``_reference_advect_v`` and the step loop in
 ``_reference_run`` are the former per-step bodies of the x and v half-steps
-and of ``semi_lagrangian_run``, kept here verbatim as the reference; both
-half-steps now run through ``transport_solver._advect``. ``semi_lagrangian_run`` must give the same value bits and
-the same ``mass_drift``.
+and of ``semi_lagrangian_run``, kept here verbatim as the reference. They act
+on the x-major (nx, nv) grid; the solver runs both half-steps through
+``transport_solver._advect`` on its velocity-major (nv, nx) transpose.
+``semi_lagrangian_run`` must give the same value bits and the same
+``mass_drift``.
 
 Each half-step starts its sums from +0.0, so it never returns -0.0 and its
 result does not depend on the signs of zeros in its input. A half-step that
@@ -89,8 +91,11 @@ NODES = st.integers(min_value=4, max_value=64)
 
 # In the first seven examples the grid spacing is 1 in x and 2**-3 in v, so
 # the node shifts are exact: x shifts are v * dt / 2, v shifts force * dt * 8.
-# In the last, x shifts of -7.5 to 7.5 step by 5/3 nodes, so every column is
-# its own x-plan group and the shifts are inexact.
+# In the eighth, x shifts of -7.5 to 7.5 step by 5/3 nodes, so every column is
+# its own x-plan group and the shifts are inexact. The last three cover the
+# other x-plan regimes: one group (dt / 2 underflows, so every column has
+# base 0), the two groups of a small dt (bases -1 and 0, as a 256 x 256 run
+# at dt 0.01 has), and six groups on a grid with nx != nv.
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.0, steps=3, seed=0)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.25, steps=3, seed=1)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=-0.25, steps=3, seed=2)
@@ -100,6 +105,9 @@ NODES = st.integers(min_value=4, max_value=64)
 @example(nx=5, nv=7, length=5.0, vmax=0.375, dt=0.3, force=-9.0, steps=2, seed=5)
 @example(nx=7, nv=6, length=3.0, vmax=2.0, dt=0.2, force=1.5, steps=0, seed=6)
 @example(nx=12, nv=10, length=6.0, vmax=3.0, dt=2.5, force=0.7, steps=3, seed=8)
+@example(nx=16, nv=9, length=16.0, vmax=0.5, dt=5e-324, force=0.25, steps=2, seed=9)
+@example(nx=32, nv=32, length=10.0, vmax=3.0, dt=0.01, force=0.5, steps=4, seed=10)
+@example(nx=24, nv=10, length=6.0, vmax=3.0, dt=0.4, force=-1.2, steps=3, seed=11)
 @settings(deadline=None, max_examples=200)
 @given(nx=NODES, nv=NODES,
        length=st.floats(min_value=0.5, max_value=50.0),
@@ -134,10 +142,12 @@ def test_half_steps_match_per_step_reference(nx, nv, scale, v_shift, seed):
     x_shifts = rng.uniform(-scale, scale, nv)
     on_node = rng.random(nv) < 0.3
     x_shifts[on_node] = np.round(x_shifts[on_node])
+    # the solver's half-steps act on the velocity-major (nv, nx) transpose
+    vmajor = values.T.copy()
     np.testing.assert_array_equal(
-        _advect(np.concatenate((values, values)), _x_plan(x_shifts, nx), values.shape)
-        .view(np.uint64),
+        _advect(np.concatenate((vmajor, vmajor), axis=1), _x_plan(x_shifts, nx), vmajor.shape)
+        .T.view(np.uint64),
         _reference_advect_x(values, x_shifts).view(np.uint64))
     np.testing.assert_array_equal(
-        _advect(values, _v_plan(v_shift, nv), values.shape).view(np.uint64),
+        _advect(vmajor, _v_plan(v_shift, nv), vmajor.shape).T.view(np.uint64),
         _reference_advect_v(values, v_shift).view(np.uint64))

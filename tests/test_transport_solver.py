@@ -1,14 +1,15 @@
 """Characteristics evaluator and the 1D-1V semi-Lagrangian solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from kinetics import transport_solver
 from kinetics.transport_solver import (
     ForceField,
     PhaseGrid1D1V,
-    PhasePoint,
     exact_solution,
     load_phase_grid,
     phase_grid_from_function,
@@ -24,24 +25,24 @@ def gaussian_f0(r, v):
 
 def test_exact_solution_free_streaming():
     field = ForceField(force=(0, 0, 0), mass=1.0)
-    p = PhasePoint(r=(2.0, 1.0, -1.0), v=(0.5, -0.25, 1.0), t=3.0)
-    got = exact_solution(gaussian_f0, field, p)
-    want = gaussian_f0(np.asarray(p.r) - np.asarray(p.v) * 3.0, p.v)
+    r, v = np.array([2.0, 1.0, -1.0]), np.array([0.5, -0.25, 1.0])
+    got = exact_solution(gaussian_f0, field, r, v, 3.0)
+    want = gaussian_f0(r - v * 3.0, v)
     assert got == want
 
 
 def test_exact_solution_identity_at_t0():
     field = ForceField(force=(1.0, -2.0, 0.5), mass=2.0)
-    p = PhasePoint(r=(0.1, 0.2, 0.3), v=(1.0, 2.0, 3.0), t=0.0)
-    assert exact_solution(gaussian_f0, field, p) == gaussian_f0(p.r, p.v)
+    r, v = (0.1, 0.2, 0.3), (1.0, 2.0, 3.0)
+    assert exact_solution(gaussian_f0, field, r, v, 0.0) == gaussian_f0(r, v)
 
 
 def test_exact_solution_constant_force_closed_form():
     field = ForceField(force=(0.5, -1.0, 2.0), mass=2.0)
     a = field.acceleration
-    p = PhasePoint(r=(0.3, 1.0, -2.0), v=(1.0, 0.5, 0.0), t=1.7)
-    want = gaussian_f0(p.r - p.v * p.t + 0.5 * a * p.t**2, p.v - a * p.t)
-    assert exact_solution(gaussian_f0, field, p) == pytest.approx(want, rel=1e-12)
+    r, v, t = np.array([0.3, 1.0, -2.0]), np.array([1.0, 0.5, 0.0]), 1.7
+    want = gaussian_f0(r - v * t + 0.5 * a * t**2, v - a * t)
+    assert exact_solution(gaussian_f0, field, r, v, t) == pytest.approx(want, rel=1e-12)
 
 
 def test_exact_solution_constant_along_characteristics():
@@ -53,11 +54,10 @@ def test_exact_solution_constant_along_characteristics():
         v = rng.uniform(-2, 2, 3)
         t = float(rng.uniform(0, 2))
         s = float(rng.uniform(0, 2))
-        value_t = exact_solution(gaussian_f0, field, PhasePoint(r=r, v=v, t=t))
+        value_t = exact_solution(gaussian_f0, field, r, v, t)
         r_adv = r + v * s + 0.5 * a * s * s
         v_adv = v + a * s
-        value_ts = exact_solution(gaussian_f0, field,
-                                  PhasePoint(r=r_adv, v=v_adv, t=t + s))
+        value_ts = exact_solution(gaussian_f0, field, r_adv, v_adv, t + s)
         assert abs(value_ts - value_t) < 1e-12
 
 
@@ -68,10 +68,58 @@ def test_exact_solution_commutes_with_translation():
     def shifted(r, v):
         return gaussian_f0(np.asarray(r) - shift, v)
 
-    p = PhasePoint(r=(0.4, 0.1, -0.6), v=(1.0, -0.5, 0.25), t=1.1)
-    p_shifted = PhasePoint(r=np.asarray(p.r) + shift, v=p.v, t=p.t)
-    assert exact_solution(shifted, field, p_shifted) == pytest.approx(
-        exact_solution(gaussian_f0, field, p), rel=1e-14)
+    r, v, t = np.array([0.4, 0.1, -0.6]), np.array([1.0, -0.5, 0.25]), 1.1
+    assert exact_solution(shifted, field, r + shift, v, t) == pytest.approx(
+        exact_solution(gaussian_f0, field, r, v, t), rel=1e-14)
+
+
+def test_exact_solution_broadcasts_each_component_like_pointwise_calls():
+    field = ForceField(force=(0.6, -0.2, 0.1), mass=1.5)
+    x = np.linspace(0.0, 4.0, 5)[:, None]
+    v = np.linspace(-2.0, 2.0, 7)[None, :]
+
+    def f0(r, w):
+        return np.exp(-(r[0] - 1.0) ** 2 - w[0] ** 2 - r[1] ** 2 - w[2] ** 2)
+
+    grid = exact_solution(f0, field, (x, 0.5, 0.0), (v, 0.0, -0.3), 1.3)
+    assert grid.shape == (5, 7)
+    for i in range(5):
+        for j in range(7):
+            point = exact_solution(f0, field, (x[i, 0], 0.5, 0.0), (v[0, j], 0.0, -0.3), 1.3)
+            assert grid[i, j] == point
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exact_solution_rejects_a_non_finite_time_by_name(t):
+    field = ForceField(force=(0, 0, 0), mass=1.0)
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        exact_solution(gaussian_f0, field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), t)
+
+
+def test_exact_solution_rejects_a_time_whose_square_overflows():
+    field = ForceField(force=(0, 0, 0), mass=1.0)
+    with pytest.raises(OverflowError):
+        exact_solution(gaussian_f0, field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1e200)
+
+
+def test_exact_solution_foot_past_the_float_range_is_left_to_f0():
+    # the y foot overflows to -inf without a warning; f0 here reads only x
+    field = ForceField(force=(0.0, -1e300, 0.0), mass=1.0)
+
+    def f0(r, w):
+        return np.exp(-r[0] ** 2 - w[0] ** 2)
+
+    x, v, t = np.array([0.5, -1.0]), np.array([[0.25], [-0.5]]), 1e10
+    got = exact_solution(f0, field, (x, 0.0, 0.0), (v, 0.0, 0.0), t)
+    np.testing.assert_array_equal(got, np.exp(-(x - v * t) ** 2 - v**2))
+
+
+@pytest.mark.parametrize("force, mass", [((0.5, -1.7e308, 0.0), 1e-8),
+                                         ((1e300, 0.0, 0.0), 1e-300),
+                                         ((0.0, 0.0, 1e308), 0.1)])
+def test_force_field_rejects_a_non_finite_acceleration_by_name(force, mass):
+    with pytest.raises(ValueError, match=r"^force / mass must be finite"):
+        ForceField(force=force, mass=mass)
 
 
 def blob(x, v, x0=3.0, v0=0.4, sx=0.5, sv=0.4):
@@ -138,12 +186,6 @@ def test_semi_lagrangian_validation():
             PhaseGrid1D1V(nx, 10.0, nv, 3.0, np.zeros((nx, nv)))
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_phase_point_rejects_a_non_finite_time_by_name(t):
-    with pytest.raises(ValueError, match="^t must be finite$"):
-        PhasePoint(r=(0.0, 0.0, 0.0), v=(1.0, 0.0, 0.0), t=t)
-
-
 def test_phase_snapshot_round_trip(tmp_path):
     grid = phase_grid_from_function(blob, 48, 10.0, 40, 3.0)
     path = tmp_path / "phase.bin"
@@ -151,6 +193,42 @@ def test_phase_snapshot_round_trip(tmp_path):
     loaded = load_phase_grid(path)
     assert (loaded.nx, loaded.length, loaded.nv, loaded.vmax) == (48, 10.0, 40, 3.0)
     np.testing.assert_array_equal(loaded.values, grid.values)
+
+
+@pytest.mark.parametrize("length, vmax, nv, name, got", [
+    (5e-324, 3.0, 32, "length / nx", "0.0"),
+    (10.0, 1.7e308, 32, "2 * vmax / (nv - 1)", "inf"),
+    (10.0, 5e-324, 9, "2 * vmax / (nv - 1)", "0.0"),
+])
+def test_mesh_rejects_a_spacing_of_zero_or_inf_before_sampling(length, vmax, nv, name, got):
+    def never_sampled(x, v):
+        raise AssertionError("the mesh is checked before any array is built")
+
+    message = f"^{re.escape(name)} must be positive and finite, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        phase_grid_from_function(never_sampled, 32, length, nv, vmax)
+    with pytest.raises(ValueError, match=message):
+        PhaseGrid1D1V(32, length, nv, vmax, np.zeros((32, nv)))
+
+
+def test_semi_lagrangian_run_leaves_f0_and_hands_over_its_fresh_array(monkeypatch):
+    grid = phase_grid_from_function(blob, 24, 10.0, 20, 3.0)
+    before = grid.values.copy()
+    handed = []
+
+    class Recording(PhaseGrid1D1V):
+        def __post_init__(self):
+            handed.append(self.values)
+            super().__post_init__()
+
+    monkeypatch.setattr(transport_solver, "PhaseGrid1D1V", Recording)
+    result = semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, 3)
+    np.testing.assert_array_equal(grid.values.view(np.uint64), before.view(np.uint64))
+    assert not grid.values.flags.writeable
+    values = result.grid.values
+    assert values is handed[-1]  # adopted as handed over, not copied
+    assert values.shape == (24, 20) and values.flags.c_contiguous and values.flags.owndata
+    assert not values.flags.writeable and values.base is None
 
 
 @pytest.mark.parametrize("mangle, reason", [
