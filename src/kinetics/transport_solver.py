@@ -1,10 +1,10 @@
 """Collisionless transport: exact characteristics and a 1D-1V grid solver.
 
-The exact evaluator works pointwise in full 3D-3V and needs no mesh. The
-grid solver exists to measure convergence: positions are periodic on
-[0, length), velocities live on [-vmax, vmax] with zero inflow from outside
-the hull, and each step is a Strang-split pair of constant-coefficient
-back-traces with cubic interpolation.
+The exact evaluator works in full 3D-3V, at points or over broadcast arrays,
+and needs no mesh. The grid solver exists to measure convergence: positions
+are periodic on [0, length), velocities live on [-vmax, vmax] with zero
+inflow from outside the hull, and each step is a Strang-split pair of
+constant-coefficient back-traces with cubic interpolation.
 """
 
 from __future__ import annotations
