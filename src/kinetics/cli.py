@@ -231,11 +231,12 @@ _TRANSPORT_SCHEMA = _Schema({
     "amplitude": (_positive, 1.0),
 })
 
-# Every AuditSettings field but the seed, checked by its type, with its default;
-# a node count takes VelocityGrid's minimum.
+# Every AuditSettings field but the seed, checked by its type, with its default; a node
+# count takes VelocityGrid's minimum, a sample count the 2 that a standard error needs.
 _AUDIT_TYPES = typing.get_type_hints(claim_audit.AuditSettings)
 _AUDIT_SCHEMA = _Schema({
     field.name: (_count(4) if field.name.endswith("_nodes")
+                 else _count(2) if field.name.endswith("_samples")
                  else {int: _count(1), float: _positive}[_AUDIT_TYPES[field.name]],
                  field.default)
     for field in fields(claim_audit.AuditSettings) if field.name != "seed"
@@ -336,9 +337,7 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
     sx, sv, amp = p["sigma_x"], p["sigma_v"], p["amplitude"]
 
     def initial(x, v):
-        with np.errstate(all="ignore"):  # PhaseGrid1D1V rejects a non-finite grid
-            return amp * np.exp(-((x - x0) ** 2) / (2.0 * sx**2)
-                                - ((v - v0) ** 2) / (2.0 * sv**2))
+        return amp * np.exp(-((x - x0) ** 2) / (2.0 * sx**2) - ((v - v0) ** 2) / (2.0 * sv**2))
 
     field = ForceField(force=p["force"], mass=p["mass"])
     grid0 = transport_solver.phase_grid_from_function(
@@ -411,7 +410,8 @@ def run(args: argparse.Namespace) -> int:
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
-        outputs = _SUBCOMMANDS[config.subcommand][1](config, args.threads)
+        with np.errstate(all="ignore"):  # non-stop: each result's finiteness check names a failure
+            outputs = _SUBCOMMANDS[config.subcommand][1](config, args.threads)
         try:
             _publish(Path(config.output_dir),
                      {"config_echo.json": config_to_json(config), **outputs})

@@ -14,6 +14,7 @@ silently, since that would mask upstream bugs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ class CollisionEvent:
 
 def _validate_normal(n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=np.float64).reshape(3)
-    norm = float(np.sqrt(n @ n))
-    if abs(norm - 1.0) > UNIT_NORMAL_TOL:
+    norm = math.hypot(*n)  # no overflow, so the message names the true |n|
+    if not abs(norm - 1.0) <= UNIT_NORMAL_TOL:  # NaN fails too
         raise NonUnitNormal(f"|n| = {norm!r} deviates from 1 beyond {UNIT_NORMAL_TOL}")
     return n
 
@@ -141,14 +142,13 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
     v1 = np.asarray(v1, dtype=np.float64).reshape(3)
     v2 = np.asarray(v2, dtype=np.float64).reshape(3)
     m1, m2 = s1.mass, s2.mass
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
-        lambda1, lambda2 = c1.item(), -c2.item()
-        w1 = v1 + lambda1 * n
-        w2 = v2 + lambda2 * n
-        ke_pre = 0.5 * m1 * float(v1 @ v1) + 0.5 * m2 * float(v2 @ v2)
-        ke_post = 0.5 * m1 * float(w1 @ w1) + 0.5 * m2 * float(w2 @ w2)
-        delta_e = ke_pre - ke_post
+    c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
+    lambda1, lambda2 = c1.item(), -c2.item()
+    w1 = v1 + lambda1 * n
+    w2 = v2 + lambda2 * n
+    ke_pre = 0.5 * m1 * float(v1 @ v1) + 0.5 * m2 * float(v2 @ v2)
+    ke_post = 0.5 * m1 * float(w1 @ w1) + 0.5 * m2 * float(w2 @ w2)
+    delta_e = ke_pre - ke_post
     if not np.all(np.isfinite([*w1, *w2, lambda1, lambda2, delta_e])):
         raise NonFiniteEstimate(f"collision is not finite: lambda1 = {lambda1!r}, "
                                 f"lambda2 = {lambda2!r}, delta_e = {delta_e!r}")

@@ -98,8 +98,14 @@ def _map(fn, tasks: list, threads: int) -> list:
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(task) for task in tasks]
+    state = np.geterr()  # the caller's, which worker threads do not inherit
+
+    def run(task):
+        with np.errstate(**state):
+            return fn(task)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(run, tasks))
 
 
 def _unit_sphere(generator: np.random.Generator, count: int) -> np.ndarray:
@@ -140,8 +146,7 @@ def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
     powers of two are exact, so with all exponents 0 this is the plain update.
     """
     total = sum(sizes)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in _estimates
-        mean = float(np.sum(sums)) / total
+    mean = float(np.sum(sums)) / total
     if total < 2:
         return mean, 0.0
     count, centre, m2, scale = 0, 0.0, 0.0, 0
@@ -155,8 +160,7 @@ def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
             + scaled * scaled * ((count - size) * size / count))
         centre += delta * (size / count)
         scale = common
-    with np.errstate(over="ignore"):  # overflow ends in _estimates
-        return mean, float(np.ldexp(math.sqrt(m2 / (total - 1) / total), scale))
+    return mean, float(np.ldexp(math.sqrt(m2 / (total - 1) / total), scale))
 
 
 def _estimates(sizes: list[int], partials: list[np.ndarray],
@@ -201,8 +205,7 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
     for size in sizes:
         v1 = generator.uniform(-vmax, vmax, (size, 3))
         n = _unit_sphere(generator, size)
-        # overflow ends in NonFiniteEstimate below, not in warnings; where the f terms
-        # vanish the integrand is 0 even if |g . n| overflowed (a probe far past the hull)
+        # for a probe far past the hull, the integrand is 0 where the f terms vanish
         with np.errstate(over="ignore", invalid="ignore"):
             pre_a, pre_b = pre_collision_pair(v[None, :], v1, n, spec.epsilon, spec.branch)
             gn = _dot3(v[None, :] - v1, n)
@@ -239,17 +242,15 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: lis
     pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
     velocity_sum = (v + v1).T
     stats = []
-    # an overflowing f ends in NonFiniteEstimate in moment_rates, not in warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
-        for epsilon, norm in weightings:
-            ge2 = norm.gain_factor(epsilon) * epsilon**2
-            delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn * gn
-            integrands = np.empty((5, size))
-            integrands[0] = base * (2.0 * ge2 - 2.0)
-            integrands[1:4] = (base * (ge2 - 1.0) * mass) * velocity_sum
-            integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
-            stats.append(_sum_and_m2(integrands))
+    base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
+    for epsilon, norm in weightings:
+        ge2 = norm.gain_factor(epsilon) * epsilon**2
+        delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn * gn
+        integrands = np.empty((5, size))
+        integrands[0] = base * (2.0 * ge2 - 2.0)
+        integrands[1:4] = (base * (ge2 - 1.0) * mass) * velocity_sum
+        integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
+        stats.append(_sum_and_m2(integrands))
     return stats
 
 

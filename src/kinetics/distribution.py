@@ -96,7 +96,7 @@ def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
     if grid.spacing > vth / 3.0:
         raise UnderResolved(
             f"spacing {grid.spacing:g} exceeds a third of the thermal speed {vth:g}")
-    speed = float(np.linalg.norm(u))
+    speed = math.hypot(*u)  # no overflow, so the message names the true |u|
     if grid.vmax < speed + 4.0 * vth:
         raise UnderResolved(
             f"vmax {grid.vmax:g} below |u| + 4 thermal speeds = {speed + 4.0 * vth:g}")
@@ -133,7 +133,7 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
     total = _node_array(grid)
     for mode, (density, u, temperature) in enumerate(((density1, u1, temperature1),
                                                       (density2, u2, temperature2)), 1):
-        if density < 0.0:
+        if not density >= 0.0:  # NaN fails too
             raise ValueError(f"density{mode} must be nonnegative, got {density}")
         if density == 0.0:
             continue

@@ -92,7 +92,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
     T = 0 collapses every velocity onto the bulk velocity exactly.
     """
     require_count("count", count, 2)
-    if temperature < 0.0:
+    if not temperature >= 0.0:  # NaN fails too
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
     sigma = math.sqrt(BOLTZMANN * temperature / species.mass)
@@ -248,8 +248,7 @@ def run(ensemble: ParticleEnsemble, config: DsmcConfig, n_steps: int,
     mass = ensemble.species.mass
 
     def row(t: float, v: np.ndarray) -> list[float]:
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            m = moments(v, mass, config.number_density)
+        m = moments(v, mass, config.number_density)
         values = [t, m.density, m.momentum[0], m.momentum[1], m.momentum[2], m.temperature]
         if not np.all(np.isfinite(values)):
             raise NonFiniteEstimate(f"moments are not finite at t = {t!r}")

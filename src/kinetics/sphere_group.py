@@ -132,7 +132,7 @@ def quaternion_multiply(a: SpherePoint, b: SpherePoint) -> SpherePoint:
 def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     """One-parameter subgroup G(tau) = (cos(|u| tau), sin(|u| tau) u/|u|)."""
     xi = u.xi
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # |xi|^2 past the float range is rescaled below
         speed = math.sqrt(float(xi @ xi))
     if speed == math.inf:  # |xi| past ~1e154; power-of-two scaling is exact
         scaled = xi * 2.0**-600

@@ -479,7 +479,9 @@ def test_dsmc_failure_exits_without_outputs(tmp_path, capsys, overrides, code, p
 @pytest.mark.parametrize("subcommand, key, value, minimum", [
     ("operator", "nodes_per_axis", 2, 4), ("audit", "stokes_nodes", 3, 4),
     ("audit", "mass_nodes", 3, 4), ("transport", "nx", 3, 4), ("transport", "nv", 3, 4),
-    ("dsmc", "particles", 1, 2)])
+    ("dsmc", "particles", 1, 2),
+    # one sample has a standard error of 0, and a nonzero rate over it an infinite residual
+    ("audit", "stokes_samples", 1, 2), ("audit", "mass_samples", 1, 2)])
 def test_count_below_the_domain_minimum_names_the_key(tmp_path, capsys, subcommand, key,
                                                       value, minimum):
     parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})
@@ -579,7 +581,15 @@ def test_infinite_transport_end_time_exits_2_without_outputs(tmp_path, capsys):
     ("operator", dict(BIMODAL, distribution=dict(BIMODAL["distribution"], density1=-0.5)), (),
      "error: parameters.distribution.density1 must be nonnegative"),
     ("dsmc", MINIMAL_DSMC["parameters"], ("--threads", "0"), "error: --threads must be >= 1"),
-], ids=["missing-key", "negative-mode-density", "zero-threads"])
+    # |n| and |u| are computed without overflow, so each line names the true magnitude
+    ("collide", dict(VALID_PARAMETERS["collide"], n=[1e200, 0.0, 0.0]), (),
+     "error: |n| = 1e+200 deviates from 1 beyond 1e-09"),
+    ("operator", dict(VALID_PARAMETERS["operator"], vmax=6.0, nodes_per_axis=37,
+                      mass=1.380649e-23,
+                      distribution={"kind": "maxwellian", "bulk_velocity": [1e200, 0.0, 0.0]}),
+     (), "error: vmax 6 below |u| + 4 thermal speeds = 1e+200"),
+], ids=["missing-key", "negative-mode-density", "zero-threads", "huge-normal",
+        "huge-bulk-velocity"])
 def test_rejected_run_names_its_reason(tmp_path, capsys, subcommand, parameters, options,
                                        line):
     assert _failing_run(tmp_path, capsys, subcommand, parameters, 1, options) == line

@@ -222,7 +222,9 @@ def test_event_owns_read_only_arrays():
 ])
 @pytest.mark.filterwarnings("error")
 def test_overflowing_collision_is_a_numerical_failure(v1, v2):
-    with pytest.raises(NonFiniteEstimate, match="^collision is not finite"):
+    # the caller's numpy error state governs the overflow: by default, numpy warns
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteEstimate,
+                                                     match="^collision is not finite"):
         collide(v1, v2, EX, 0.5, CollisionBranch.REFLECTIVE, UNIT, UNIT)
 
 
@@ -232,6 +234,19 @@ def test_validation_errors():
                 CollisionBranch.REFLECTIVE, UNIT, UNIT)
     with pytest.raises(NonUnitNormal):
         collide((0, 0, 0), (1, 0, 0), (0.999, 0.0, 0.0), 0.5,
+                CollisionBranch.REFLECTIVE, UNIT, UNIT)
+    # a NaN normal is bad input, not a NaN outcome or a numerical failure
+    nan_normal = (math.nan, 0.0, 0.0)
+    with pytest.raises(NonUnitNormal, match=r"^\|n\| = nan "):
+        collide((0, 0, 0), (1, 0, 0), nan_normal, 0.5, CollisionBranch.REFLECTIVE, UNIT, UNIT)
+    with pytest.raises(NonUnitNormal, match=r"^\|n\| = nan "):
+        inverse_collide((0, 0, 0), (1, 0, 0), nan_normal, 0.5, CollisionBranch.PASSING,
+                        UNIT, UNIT)
+    with pytest.raises(NonUnitNormal, match=r"^\|n\| = nan "):
+        actual_energy_loss((0, 0, 0), (1, 0, 0), nan_normal, 0.5, UNIT, UNIT)
+    # |n| is computed without overflow, so the message names the true magnitude
+    with pytest.raises(NonUnitNormal, match=r"^\|n\| = 1e\+200 "):
+        collide((0, 0, 0), (1, 0, 0), (1e200, 0.0, 0.0), 0.5,
                 CollisionBranch.REFLECTIVE, UNIT, UNIT)
     for bad_epsilon in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidRestitution):

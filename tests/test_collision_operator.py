@@ -321,15 +321,30 @@ def test_overflowing_estimate_is_a_numerical_failure():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEstimate):
             evaluate_at(f, (0.0, 0.0, 0.0), spec_with(samples=2000))
-        with pytest.raises(NonFiniteEstimate):
-            moment_rates(f, spec_with(samples=2000))
-        with pytest.raises(NonFiniteEstimate):
-            moment_rates(f, spec_with(samples=2 * collision_operator._CHUNK + 1),
-                         threads=2)
-        # finite chunk sums whose total overflows
+    # elsewhere the caller's numpy error state governs the overflow: by default, numpy warns
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteEstimate):
+        moment_rates(f, spec_with(samples=2000))
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteEstimate):
+        moment_rates(f, spec_with(samples=2 * collision_operator._CHUNK + 1), threads=2)
+    # finite chunk sums whose total overflows
+    with pytest.warns(RuntimeWarning):
         mean, _ = collision_operator._mean_and_sem([2, 2], [1e308, 1e308], [0.0, 0.0],
                                                    [0, 0])
-        assert mean == np.inf
+    assert mean == np.inf
+
+
+def test_workers_compute_under_the_callers_error_state():
+    # numpy's error state is per thread; _map hands the caller's to every worker
+    grid = VelocityGrid(vmax=4.0, nodes_per_axis=41)
+    f = maxwellian(grid, 1e300, (0, 0, 0), 1.0, UNIT_MASS)
+    spec = spec_with(samples=2 * collision_operator._CHUNK + 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteEstimate):
+            moment_rates(f, spec, threads=2)
+    assert caught == []
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        moment_rates(f, spec, threads=2)
 
 
 def test_worker_threads_clamped_to_tasks_and_cores(monkeypatch):

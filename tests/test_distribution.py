@@ -1,5 +1,7 @@
 """Velocity-grid distributions: moments, interpolation, snapshots."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -92,9 +94,11 @@ def test_bimodal_zero_density_mode_degenerates():
 
 @pytest.mark.parametrize("mode", [1, 2])
 def test_bimodal_rejects_a_negative_mode_density_by_name(mode):
-    density1, density2 = (-0.5, 0.5) if mode == 1 else (0.5, -0.5)
-    with pytest.raises(ValueError, match=f"^density{mode} must be nonnegative, got -0.5$"):
-        bimodal(GRID, density1, (1.0, 0, 0), 1.0, density2, (-1.0, 0, 0), 1.0, UNIT_MASS)
+    for bad in (-0.5, math.nan):  # NaN is named too, not left to the finiteness check
+        density1, density2 = (bad, 0.5) if mode == 1 else (0.5, bad)
+        with pytest.raises(ValueError,
+                           match=f"^density{mode} must be nonnegative, got {re.escape(str(bad))}$"):
+            bimodal(GRID, density1, (1.0, 0, 0), 1.0, density2, (-1.0, 0, 0), 1.0, UNIT_MASS)
 
 
 def test_bimodal_moments_are_mode_sums():

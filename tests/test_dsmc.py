@@ -1,6 +1,7 @@
 """Particle-gas oracle: sampling, conservation, cooling, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_majorant_hard_error_after_bounded_retries(monkeypatch):
 def test_sample_ensemble_rejects_a_negative_temperature_by_name():
     with pytest.raises(ValueError, match=r"^temperature must be nonnegative, got -1\.0$"):
         dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), -1.0, seed=0)
+    # NaN is named too, not left to the ensemble's finiteness check
+    with pytest.raises(ValueError, match=r"^temperature must be nonnegative, got nan$"):
+        dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), math.nan, seed=0)
 
 
 def test_advance_needs_two_particles_to_step():

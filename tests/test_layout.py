@@ -60,6 +60,35 @@ def test_only_errors_py_sets_frozen_fields():
     assert offenders == []
 
 
+# (module, top-level function) that sets numpy's error state, and why. Elsewhere the
+# caller's state governs: the CLI computes under one errstate(all="ignore") and names
+# each non-finite result, and a library caller sees numpy's default warnings.
+ERRSTATE_BY_DESIGN = {
+    ("cli", "run"): "the one policy: a subcommand computes non-stop, and its results "
+                    "cross finiteness checks that name the failure",
+    ("collision_operator", "_map"): "workers run under the caller's error state, which "
+                                    "threads do not inherit",
+    ("collision_operator", "evaluate_at"): "for a probe far past the hull, the integrand "
+                                           "is 0 where the f terms vanish",
+    ("sphere_group", "exp_subgroup"): "|xi|^2 passes the float range, then power-of-two "
+                                      "scaling recovers it",
+    ("transport_solver", "exact_solution"): "a foot past the float range is left to f0",
+}
+
+
+def test_only_the_allowlisted_functions_set_numpys_error_state():
+    # one floating-point policy: each errstate or seterr outside the allowlist is a
+    # local suppression that the policy replaces
+    found = []
+    for module, tree in _trees().items():
+        for top in tree.body:
+            found += [(module, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and (node.func.attr if isinstance(node.func, ast.Attribute)
+                           else getattr(node.func, "id", None)) in ("errstate", "seterr")]
+    assert sorted(found) == sorted(ERRSTATE_BY_DESIGN)
+
+
 def test_no_array_is_unsealed():
     # frozen_array adopts a sealed array, so the package may seal arrays but never
     # make one writeable again: every setflags call passes exactly write=False

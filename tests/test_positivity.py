@@ -203,8 +203,8 @@ COUNTS = {
            ("operator", "nodes_per_axis", 4), ("operator", "samples", 1),
            ("dsmc", "particles", 2), ("dsmc", "steps", 0), ("dsmc", "sample_every", 1),
            ("transport", "nx", 4), ("transport", "nv", 4), ("transport", "steps", 0),
-           ("audit", "jacobian_configs", 1), ("audit", "stokes_samples", 1),
-           ("audit", "stokes_nodes", 4), ("audit", "mass_samples", 1),
+           ("audit", "jacobian_configs", 1), ("audit", "stokes_samples", 2),
+           ("audit", "stokes_nodes", 4), ("audit", "mass_samples", 2),
            ("audit", "mass_nodes", 4)]},
 }
 
