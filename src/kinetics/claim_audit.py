@@ -33,6 +33,7 @@ from .collision_operator import (
     moment_rates,
 )
 from .distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
+from .errors import require_vector3
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -195,7 +196,7 @@ def audit_chain_rule(points, lam: float, force, mass: float) -> AuditReport:
     difference between J (F/m) . grad(g) and (M^T F/m) . grad(g) is recorded
     per point and summarized. Diagnostic only: no graded claim states which form is meant.
     """
-    force = np.asarray(force, dtype=np.float64).reshape(3)
+    force = require_vector3("force", force)
     accel = force / mass
 
     def gradients(vstar):  # of exp(-|v*|^2), (0.7, -1.2, 0.4) . v* and |v*|^2
@@ -204,7 +205,7 @@ def audit_chain_rule(points, lam: float, force, mass: float) -> AuditReport:
 
     differences = []
     for point in points:
-        point = np.asarray(point, dtype=np.float64).reshape(3)
+        point = require_vector3("point", point)
         matrix, det = sphere_group.chart_jacobian(point, lam)
         vstar = sphere_group.project_chart(sphere_group.embed(point, lam)).vstar
         for grad in gradients(vstar):

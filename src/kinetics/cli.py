@@ -196,7 +196,7 @@ _OPERATOR_SCHEMA = _Schema({
     "epsilon": (_restitution, 1.0),
     "branch": (_branch, CollisionBranch.REFLECTIVE.value),
     "normalization": (_normalization, GainNormalization.RESTITUTION_WEIGHTED.value),
-    "samples": (_count(1), 100_000),
+    "samples": (_count(2), 100_000),
     "probes": (_probes,),
 })
 

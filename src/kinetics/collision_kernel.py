@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal,
-                     SingularRestitution, frozen_array, require_positive)
+                     SingularRestitution, frozen_array, require_positive,
+                     require_vector3)
 
 UNIT_NORMAL_TOL = 1e-9
 
@@ -69,7 +70,7 @@ class CollisionEvent:
 
 
 def _validate_normal(n: np.ndarray) -> np.ndarray:
-    n = np.asarray(n, dtype=np.float64).reshape(3)
+    n = require_vector3("n", n)
     norm = math.hypot(*n)  # no overflow, so the message names the true |n|
     if not abs(norm - 1.0) <= UNIT_NORMAL_TOL:  # NaN fails too
         raise NonUnitNormal(f"|n| = {norm!r} deviates from 1 beyond {UNIT_NORMAL_TOL}")
@@ -139,8 +140,8 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
     """
     n = _validate_normal(n)
     epsilon = _validate_restitution(epsilon)
-    v1 = np.asarray(v1, dtype=np.float64).reshape(3)
-    v2 = np.asarray(v2, dtype=np.float64).reshape(3)
+    v1 = require_vector3("v1", v1)
+    v2 = require_vector3("v2", v2)
     m1, m2 = s1.mass, s2.mass
     c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
     lambda1, lambda2 = c1.item(), -c2.item()
@@ -164,8 +165,8 @@ def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
     """
     epsilon = _validate_inverse_restitution(epsilon)
     n = _validate_normal(n)
-    w1 = np.asarray(w1, dtype=np.float64).reshape(3)
-    w2 = np.asarray(w2, dtype=np.float64).reshape(3)
+    w1 = require_vector3("w1", w1)
+    w2 = require_vector3("w2", w2)
     return transform_velocities(w1, w2, n, 1.0 / epsilon, branch, s1.mass, s2.mass)
 
 
@@ -177,8 +178,8 @@ def energy_loss_formula(v1, v2, epsilon: float, s1: Species, s2: Species) -> flo
     impact rules actually produce for oblique geometries.
     """
     epsilon = _validate_restitution(epsilon)
-    v1 = np.asarray(v1, dtype=np.float64).reshape(3)
-    v2 = np.asarray(v2, dtype=np.float64).reshape(3)
+    v1 = require_vector3("v1", v1)
+    v2 = require_vector3("v2", v2)
     mu = s1.mass * s2.mass / (s1.mass + s2.mass)
     g = v1 - v2
     return 0.5 * (1.0 - epsilon**2) * mu * float(g @ g)
@@ -192,8 +193,8 @@ def actual_energy_loss(v1, v2, n, epsilon: float, s1: Species, s2: Species) -> f
     """
     epsilon = _validate_restitution(epsilon)
     n = _validate_normal(n)
-    v1 = np.asarray(v1, dtype=np.float64).reshape(3)
-    v2 = np.asarray(v2, dtype=np.float64).reshape(3)
+    v1 = require_vector3("v1", v1)
+    v2 = require_vector3("v2", v2)
     mu = s1.mass * s2.mass / (s1.mass + s2.mass)
     gn = float((v2 - v1) @ n)
     return 0.5 * (1.0 - epsilon**2) * mu * gn * gn
@@ -223,8 +224,8 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     """
     n = _validate_normal(n)
     epsilon = _validate_restitution(epsilon)
-    v1 = np.asarray(v1, dtype=np.float64).reshape(3)
-    v2 = np.asarray(v2, dtype=np.float64).reshape(3)
+    v1 = require_vector3("v1", v1)
+    v2 = require_vector3("v2", v2)
     x0 = np.concatenate([v1, v2])
     h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
 

@@ -31,7 +31,7 @@ from .collision_kernel import (
     transform_velocities,
 )
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import NonFiniteEstimate, require_count, require_positive
+from .errors import NonFiniteEstimate, require_count, require_positive, require_vector3
 
 _CHUNK = 1 << 15
 _RESCALE_ABOVE = 2.0**500  # past this |deviation|, M2 squares it rescaled by a power of two
@@ -62,7 +62,7 @@ class QuadratureSpec:
     normalization: GainNormalization = GainNormalization.RESTITUTION_WEIGHTED
 
     def __post_init__(self) -> None:
-        require_count("samples", self.samples, 1)
+        require_count("samples", self.samples, 2)  # a standard error needs two samples
         require_positive("diameter", self.diameter)
         require_positive("mass", self.mass)
         _validate_inverse_restitution(self.epsilon)
@@ -147,8 +147,6 @@ def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
     """
     total = sum(sizes)
     mean = float(np.sum(sums)) / total
-    if total < 2:
-        return mean, 0.0
     count, centre, m2, scale = 0, 0.0, 0.0, 0
     for size, chunk_sum, chunk_m2, exponent in zip(sizes, sums, m2s, map(int, exponents)):
         delta = float(chunk_sum) / size - centre
@@ -192,7 +190,7 @@ def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):
 
 def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimate:
     """Collision rate of change of f at one probe velocity, with error bar."""
-    v = np.asarray(v, dtype=np.float64).reshape(3)
+    v = require_vector3("v", v)
     if not np.all(np.isfinite(v)):
         raise ValueError("probe velocity must be finite")
     # keyed by the probe's bit pattern, so equal probes share one stream
@@ -222,8 +220,7 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
 def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
                    threads: int = 1) -> list[RateEstimate]:
     """evaluate_at over many probes; bitwise equal at any worker count."""
-    nodes = [np.asarray(node, dtype=np.float64).reshape(3) for node in nodes]
-    return _map(lambda node: evaluate_at(f, node, spec), nodes, threads)
+    return _map(lambda node: evaluate_at(f, node, spec), list(nodes), threads)
 
 
 def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: list,

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import BOLTZMANN
-from .errors import UnderResolved, frozen_array, require_count, require_positive
+from .errors import (UnderResolved, frozen_array, require_count, require_positive,
+                     require_vector3)
 
 SNAPSHOT_ORDER_3D = "row-major-z-fastest"
 
@@ -85,13 +86,14 @@ def _node_array(grid: VelocityGrid) -> np.ndarray:
 
 
 def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
-                     temperature: float, mass: float, temperature_name: str) -> np.ndarray:
+                     temperature: float, mass: float, velocity_name: str,
+                     temperature_name: str) -> np.ndarray:
     """One Maxwellian mode at the nodes; UnderResolved where the grid cannot hold it.
 
     The array is fresh and sealed, so a DiscreteDistribution adopts it without a copy.
     """
     require_positive(temperature_name, temperature)
-    u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
+    u = require_vector3(velocity_name, bulk_velocity)
     vth = np.sqrt(BOLTZMANN * temperature / mass)
     if grid.spacing > vth / 3.0:
         raise UnderResolved(
@@ -123,7 +125,8 @@ def maxwellian(grid: VelocityGrid, density: float, bulk_velocity,
     require_positive("density", density)
     require_positive("mass", mass)
     return DiscreteDistribution(grid, _gaussian_values(grid, density, bulk_velocity,
-                                                       temperature, mass, "temperature"))
+                                                       temperature, mass, "bulk_velocity",
+                                                       "temperature"))
 
 
 def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
@@ -137,7 +140,8 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
             raise ValueError(f"density{mode} must be nonnegative, got {density}")
         if density == 0.0:
             continue
-        total += _gaussian_values(grid, density, u, temperature, mass, f"temperature{mode}")
+        total += _gaussian_values(grid, density, u, temperature, mass, f"u{mode}",
+                                  f"temperature{mode}")
     total.setflags(write=False)
     return DiscreteDistribution(grid, total)
 
@@ -212,7 +216,7 @@ def interpolate_many(f: DiscreteDistribution, points) -> np.ndarray:
 
 def interpolate(f: DiscreteDistribution, v) -> float:
     """Trilinear interpolation at one velocity; zero outside the hull."""
-    return float(interpolate_many(f, np.asarray(v, dtype=np.float64).reshape(1, 3))[0])
+    return float(interpolate_many(f, require_vector3("v", v)[None, :])[0])
 
 
 def snapshot_bytes(header: dict, array: np.ndarray) -> bytes:

@@ -37,7 +37,7 @@ from . import rng
 from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
 from .constants import BOLTZMANN
 from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_count,
-                     require_positive)
+                     require_positive, require_vector3)
 
 _MAJORANT_RETRIES = 8
 _BOUND_REFRESH_STEPS = 64
@@ -94,7 +94,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
     require_count("count", count, 2)
     if not temperature >= 0.0:  # NaN fails too
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
-    u = np.asarray(bulk_velocity, dtype=np.float64).reshape(3)
+    u = require_vector3("bulk_velocity", bulk_velocity)
     sigma = math.sqrt(BOLTZMANN * temperature / species.mass)
     generator = rng.stream(seed, "dsmc-maxwellian")
     velocities = u[None, :] + sigma * generator.standard_normal((count, 3))
@@ -112,9 +112,13 @@ def moments(v: np.ndarray, m: float, density: float) -> EnsembleMoments:
     total = np.sum(v, axis=0)
     momentum = m * w * total
     kinetic = 0.5 * m * w * float(np.sum(v * v))
-    mean_v = total / n  # the bits of np.mean(v, axis=0)
-    peculiar_sq = float(np.mean(_dot3(v, v))) - float(mean_v @ mean_v)
-    temperature = m * peculiar_sq / (3.0 * BOLTZMANN)
+    # E|v - E v|^2 in two passes, since E|v|^2 - |E v|^2 cancels under a bulk velocity
+    peculiar = v - total / n  # total / n: the bits of np.mean(v, axis=0)
+    peculiar *= peculiar  # squared in place, so no second (N, 3) buffer
+    peculiar_sq = 0.0 + peculiar[:, 0]  # x + y + z in _dot3's order
+    peculiar_sq += peculiar[:, 1]
+    peculiar_sq += peculiar[:, 2]
+    temperature = m * float(np.mean(peculiar_sq)) / (3.0 * BOLTZMANN)
     return EnsembleMoments(density=density, momentum=momentum,
                            kinetic_energy=kinetic, temperature=temperature)
 

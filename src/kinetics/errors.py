@@ -21,6 +21,14 @@ def require_count(name: str, value, minimum):
     return value
 
 
+def require_vector3(name: str, value) -> np.ndarray:
+    """value as a float64 array, if its shape is exactly (3,); else ValueError naming it."""
+    vector = np.asarray(value, dtype=np.float64)
+    if vector.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got {vector.shape}")
+    return vector
+
+
 def _sealed(array) -> bool:
     """Whether array is a plain, owned, read-only, C-contiguous float64 ndarray."""
     return (type(array) is np.ndarray and array.dtype == np.float64

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingularity, SpeedExceedsLambda, frozen_array, require_positive
+from .errors import (ChartSingularity, SpeedExceedsLambda, frozen_array, require_positive,
+                     require_vector3)
 
 CHART_GUARD = 1e-9
 _SPHERE_TOL = 1e-12
@@ -68,7 +69,7 @@ def embed(v, lam: float, hemisphere: str = "lower") -> SpherePoint:
     """Scale a velocity onto the sphere: theta = (v/lam, +-sqrt(1 - |v/lam|^2))."""
     require_positive("lambda", lam)
     sign = _hemisphere_sign(hemisphere)
-    v = np.asarray(v, dtype=np.float64).reshape(3)
+    v = require_vector3("v", v)
     scaled = v / lam
     rho_sq = float(scaled @ scaled)
     if not rho_sq < 1.0:
@@ -104,7 +105,7 @@ def chart_jacobian(v, lam: float, hemisphere: str = "lower") -> tuple[np.ndarray
     """
     require_positive("lambda", lam)
     sign = _hemisphere_sign(hemisphere)
-    v = np.asarray(v, dtype=np.float64).reshape(3)
+    v = require_vector3("v", v)
     rho_sq = float(v @ v) / lam**2
     if not rho_sq < 1.0:
         raise SpeedExceedsLambda(f"|v| must be below lambda = {lam:g}")
@@ -160,7 +161,7 @@ def match_generator(force, mass: float, lam: float, hemisphere: str = "lower") -
     construction raises ChartSingularity there.
     """
     require_positive("mass", mass)
-    force = np.asarray(force, dtype=np.float64).reshape(3)
+    force = require_vector3("force", force)
     _, det = chart_jacobian(np.zeros(3), lam, hemisphere)
     target = det * force / mass
     # the orbit of u leaves the identity with chart velocity (u3, u1, u2)
@@ -171,9 +172,12 @@ def pushforward_derivative(g, u: PureQuaternion) -> float:
     """Central-difference d/dtau of g(chart(G(tau))) at tau = 0.
 
     The step is 1e-5 / max(1, |u|), so the truncation error stays O(1e-10)
-    for smooth fields.
+    for smooth fields; ValueError if |u| is past the float range.
     """
-    step = 1e-5 / max(1.0, float(np.linalg.norm(u.xi)))
+    speed = math.hypot(*u.xi)  # no overflow, so |u| past 1e154 still gives a step
+    if speed == math.inf:
+        raise ValueError("|xi| is past the float range, so no step resolves the orbit")
+    step = 1e-5 / max(1.0, speed)
     plus = g(project_chart(exp_subgroup(u, step)).vstar)
     minus = g(project_chart(exp_subgroup(u, -step)).vstar)
     return (plus - minus) / (2.0 * step)

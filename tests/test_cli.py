@@ -481,7 +481,8 @@ def test_dsmc_failure_exits_without_outputs(tmp_path, capsys, overrides, code, p
     ("audit", "mass_nodes", 3, 4), ("transport", "nx", 3, 4), ("transport", "nv", 3, 4),
     ("dsmc", "particles", 1, 2),
     # one sample has a standard error of 0, and a nonzero rate over it an infinite residual
-    ("audit", "stokes_samples", 1, 2), ("audit", "mass_samples", 1, 2)])
+    ("operator", "samples", 1, 2), ("audit", "stokes_samples", 1, 2),
+    ("audit", "mass_samples", 1, 2)])
 def test_count_below_the_domain_minimum_names_the_key(tmp_path, capsys, subcommand, key,
                                                       value, minimum):
     parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})

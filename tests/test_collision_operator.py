@@ -177,7 +177,7 @@ def _bits(rates):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("samples", [1, collision_operator._CHUNK,
+@pytest.mark.parametrize("samples", [2, collision_operator._CHUNK,
                                      3 * collision_operator._CHUNK + 17])
 def test_weightings_match_single_spec_calls_bit_for_bit(threads, samples):
     f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,

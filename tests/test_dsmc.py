@@ -132,6 +132,19 @@ def test_sample_ensemble_rejects_a_negative_temperature_by_name():
         dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), math.nan, seed=0)
 
 
+def test_temperature_under_a_bulk_velocity_is_the_temperature_at_rest():
+    # at 1 kg the thermal speed is 3.7e-12 m/s, so E|v|^2 - |E v|^2 would cancel
+    # catastrophically under a drift of 1e-3 m/s
+    heavy = Species(mass=1.0, diameter=1.0)
+
+    def temperature(bulk_velocity):
+        ensemble = dsmc.sample_maxwellian_ensemble(2000, heavy, bulk_velocity, 1.0, seed=0)
+        return dsmc.moments(ensemble.velocities, heavy.mass, 1.0).temperature
+
+    assert temperature((1e-3, 0.0, 0.0)) == pytest.approx(temperature((0.0, 0.0, 0.0)),
+                                                          rel=1e-6)
+
+
 def test_advance_needs_two_particles_to_step():
     lone = dsmc.ParticleEnsemble(velocities=np.zeros((1, 3)), species=SPECIES)
     assert dsmc.advance(lone, config_with(), range(0)).count == 1

@@ -3,9 +3,10 @@
 The reference below is the scalar no-time-counter loop: Python-list velocity
 columns, candidates applied in draw order, and a journal that unwinds a
 pierced attempt. Its rows are sampled by ``_reference_moments``, whose
-arithmetic is the former body of ``dsmc.moments`` kept here verbatim; it
-still takes molecules per particle and a volume, which for an ensemble
-filling a unit volume are number_density / N and 1. The package must
+arithmetic is a former body of ``dsmc.moments``, with the temperature taken
+from the peculiar velocities v - mean(v) as the package takes it; it still
+takes molecules per particle and a volume, which for an ensemble filling a
+unit volume are number_density / N and 1. The package must
 reproduce its rows, final velocities and single steps bit for bit, and
 ``dsmc.moments`` must report the density it is given.
 """
@@ -134,8 +135,8 @@ def _reference_moments(v, m, w, volume):
     density = n * w / volume
     momentum = m * w * np.sum(v, axis=0) / volume
     kinetic = 0.5 * m * w * float(np.sum(v * v)) / volume
-    mean_v = np.mean(v, axis=0)
-    peculiar_sq = float(np.mean(np.sum(v * v, axis=1))) - float(mean_v @ mean_v)
+    peculiar = v - np.mean(v, axis=0)
+    peculiar_sq = float(np.mean(np.sum(peculiar * peculiar, axis=1)))
     temperature = m * peculiar_sq / (3.0 * BOLTZMANN)
     return density, momentum, kinetic, temperature
 

@@ -10,6 +10,7 @@ call, and belongs in the tests or nowhere.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import kinetics
@@ -57,6 +58,15 @@ def test_only_errors_py_sets_frozen_fields():
     offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "errors.py"
                  and "object.__setattr__(" in path.read_text(encoding="utf-8")]
+    assert offenders == []
+
+
+def test_only_errors_py_reads_a_3_vector():
+    # errors.require_vector3 is the one way an argument is read as a 3-vector; a
+    # reshape would also take a (1, 3) or (3, 1) array and name no argument when it fails
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "errors.py"
+                 and re.search(r"\.reshape\((1, )?3\)", path.read_text(encoding="utf-8"))]
     assert offenders == []
 
 

@@ -1,6 +1,7 @@
 """The value rules of errors.py at every caller: require_positive,
-frozen_array and require_count."""
+frozen_array, require_count and require_vector3."""
 
+import dataclasses
 import json
 import math
 import re
@@ -11,9 +12,24 @@ import pytest
 from conftest import UNIT_MASS
 from test_cli import VALID_PARAMETERS
 from kinetics import cli, dsmc
-from kinetics.collision_kernel import CollisionBranch, Species
-from kinetics.collision_operator import QuadratureSpec
-from kinetics.distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
+from kinetics.claim_audit import audit_chain_rule
+from kinetics.collision_kernel import (
+    CollisionBranch,
+    Species,
+    actual_energy_loss,
+    collide,
+    energy_loss_formula,
+    inverse_collide,
+    jacobian_numeric,
+)
+from kinetics.collision_operator import QuadratureSpec, evaluate_at, evaluate_field
+from kinetics.distribution import (
+    DiscreteDistribution,
+    VelocityGrid,
+    bimodal,
+    interpolate,
+    maxwellian,
+)
 from kinetics.errors import ConfigError
 from kinetics.sphere_group import (
     ChartCoords,
@@ -192,7 +208,7 @@ COUNTS = {
         "nodes_per_axis", lambda n: VelocityGrid(vmax=4.0, nodes_per_axis=n), 4),
     "PhaseGrid1D1V.nx": ("nx", lambda n: phase_grid(nx=n), 4),
     "PhaseGrid1D1V.nv": ("nv", lambda n: phase_grid(nv=n), 4),
-    "QuadratureSpec.samples": ("samples", lambda n: spec(samples=n), 1),
+    "QuadratureSpec.samples": ("samples", lambda n: spec(samples=n), 2),
     "sample_maxwellian_ensemble.count": (
         "count", lambda n: dsmc.sample_maxwellian_ensemble(n, UNIT, EX, 1.0, 0), 2),
     "dsmc.run.n_steps": ("n_steps", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), n), 0),
@@ -200,7 +216,7 @@ COUNTS = {
         "sample_every", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), 1, n), 1),
     **{f"cli.{subcommand}.{key}": (*cli_key(subcommand, key), minimum)
        for subcommand, key, minimum in [
-           ("operator", "nodes_per_axis", 4), ("operator", "samples", 1),
+           ("operator", "nodes_per_axis", 4), ("operator", "samples", 2),
            ("dsmc", "particles", 2), ("dsmc", "steps", 0), ("dsmc", "sample_every", 1),
            ("transport", "nx", 4), ("transport", "nv", 4), ("transport", "steps", 0),
            ("audit", "jacobian_configs", 1), ("audit", "stokes_samples", 2),
@@ -220,3 +236,76 @@ def test_count_accepts_the_least_and_rejects_non_integers_and_fewer_by_name(call
     with pytest.raises((ValueError, ConfigError),
                        match=f"^{re.escape(name)} must be at least {minimum}"):
         build(minimum - 1)
+
+
+A, B, NORMAL = (1, 2, 3), (-2, 0, 1), (0, 0, 1)
+WIDE = VelocityGrid(vmax=6.0, nodes_per_axis=41)
+GAS = maxwellian(GRID, 1.0, ORIGIN, 1.0, UNIT_MASS)
+
+# name in the error, call taking the 3-vector, a valid 3-vector of integers
+VECTORS = {
+    "collide.n": ("n", lambda x: collide(A, B, x, 0.8, REFLECTIVE, UNIT, UNIT), NORMAL),
+    "collide.v1": ("v1", lambda x: collide(x, B, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), A),
+    "collide.v2": ("v2", lambda x: collide(A, x, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), B),
+    "inverse_collide.w1": (
+        "w1", lambda x: inverse_collide(x, B, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), A),
+    "inverse_collide.w2": (
+        "w2", lambda x: inverse_collide(A, x, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), B),
+    "energy_loss_formula.v1": ("v1", lambda x: energy_loss_formula(x, B, 0.8, UNIT, UNIT), A),
+    "energy_loss_formula.v2": ("v2", lambda x: energy_loss_formula(A, x, 0.8, UNIT, UNIT), B),
+    "actual_energy_loss.v1": (
+        "v1", lambda x: actual_energy_loss(x, B, NORMAL, 0.8, UNIT, UNIT), A),
+    "actual_energy_loss.v2": (
+        "v2", lambda x: actual_energy_loss(A, x, NORMAL, 0.8, UNIT, UNIT), B),
+    "jacobian_numeric.v1": (
+        "v1", lambda x: jacobian_numeric(x, B, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), A),
+    "jacobian_numeric.v2": (
+        "v2", lambda x: jacobian_numeric(A, x, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), B),
+    "evaluate_at.v": ("v", lambda x: evaluate_at(GAS, x, spec()), (1, 0, -1)),
+    "evaluate_field.v": ("v", lambda x: evaluate_field(GAS, [A, x], spec()), (1, 0, -1)),
+    "maxwellian.bulk_velocity": (
+        "bulk_velocity", lambda x: maxwellian(WIDE, 1.0, x, 1.0, UNIT_MASS), (1, -1, 0)),
+    "bimodal.u1": ("u1", lambda x: bimodal(WIDE, 0.5, x, 1.0, 0.5, ORIGIN, 1.0, UNIT_MASS),
+                   (1, -1, 0)),
+    "bimodal.u2": ("u2", lambda x: bimodal(WIDE, 0.5, ORIGIN, 1.0, 0.5, x, 1.0, UNIT_MASS),
+                   (1, -1, 0)),
+    "interpolate.v": ("v", lambda x: interpolate(GAS, x), (1, 0, -1)),
+    "sample_maxwellian_ensemble.bulk_velocity": (
+        "bulk_velocity", lambda x: dsmc.sample_maxwellian_ensemble(4, UNIT, x, 1.0, 0), A),
+    "embed.v": ("v", lambda x: embed(x, 10.0), A),
+    "chart_jacobian.v": ("v", lambda x: chart_jacobian(x, 10.0), A),
+    "match_generator.force": ("force", lambda x: match_generator(x, 2.0, 1.0), A),
+    "audit_chain_rule.force": ("force", lambda x: audit_chain_rule([A], 10.0, x, 2.0), B),
+    "audit_chain_rule.point": ("point", lambda x: audit_chain_rule([B, x], 10.0, B, 2.0), A),
+}
+
+
+def _bits(result):
+    """A result with every number replaced by its float64 bytes, for exact comparison."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    if isinstance(result, dict):
+        result = list(result.items())
+    if isinstance(result, (tuple, list)):
+        return [_bits(item) for item in result]
+    if isinstance(result, (int, float, np.ndarray)):
+        return np.asarray(result, dtype=np.float64).tobytes()
+    return result
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (6,), (1, 3), (3, 1)])
+@pytest.mark.parametrize("caller", sorted(VECTORS))
+def test_3_vector_of_another_shape_is_rejected_by_name(caller, shape):
+    name, build, _ = VECTORS[caller]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must have shape \\(3,\\), "
+                                         f"got {re.escape(str(shape))}$"):
+        build(np.zeros(shape))
+
+
+@pytest.mark.parametrize("caller", sorted(VECTORS))
+def test_3_vector_as_a_list_tuple_or_int_list_reads_as_the_float64_array(caller):
+    _, build, valid = VECTORS[caller]
+    want = _bits(build(np.array(valid, dtype=np.float64)))
+    floats = [float(x) for x in valid]
+    for form in (floats, tuple(floats), list(valid)):
+        assert _bits(build(form)) == want

@@ -280,6 +280,22 @@ def test_pushforward_linear_field_directional_derivative():
         assert abs(got - want) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xi", [(1e200, 0.0, 0.0), (-3e200, 4e200, 1e199), (1e308, 0.0, 0.0)])
+def test_pushforward_of_a_generator_whose_square_overflows(xi):
+    # |xi|^2 passes the float range from |xi| ~ 1.3e154, but |xi| and the step do not
+    a = np.array([0.7, -1.2, 0.4])
+    u = PureQuaternion(xi)
+    got = pushforward_derivative(lambda vs: float(a @ vs), u)
+    assert got == pytest.approx(float(a @ np.roll(u.xi, 1)), rel=1e-9)
+
+
+def test_pushforward_of_a_generator_whose_norm_overflows_is_named():
+    u = PureQuaternion((1.5e308, 1.5e308, 0.0))
+    with pytest.raises(ValueError, match=r"^\|xi\| is past the float range"):
+        pushforward_derivative(lambda vs: 0.0, u)
+
+
 def test_transport_relation_zero_field():
     probe = ChartCoords((0.1, 0.0, -0.05))
     residual = transport_relation_residual(
