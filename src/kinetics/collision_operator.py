@@ -11,6 +11,12 @@ Partners are drawn uniformly over the grid hull and directions uniformly on
 the full sphere, so the estimator weight is hull_volume * 4 pi. Streams are
 counter-based and keyed per probe, which makes results independent of how
 probes are scheduled across workers.
+
+Samples are drawn in chunks of _CHUNK, which fix the stream order and the
+per-chunk statistics. Everything computed per sample runs over _BLOCK-sample
+slices of a chunk and is written into chunk-sized arrays, so its temporaries
+stay cache-sized; every operation is elementwise, so the bits do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .distribution import DiscreteDistribution, interpolate, interpolate_many
 from .errors import NonFiniteEstimate, require_count, require_positive, require_vector3
 
 _CHUNK = 1 << 15
+_BLOCK = 1 << 13  # 1 << 12 measured about 1.5x the time per sample at 2 threads
 _RESCALE_ABOVE = 2.0**500  # past this |deviation|, M2 squares it rescaled by a power of two
 
 
@@ -108,10 +115,10 @@ def _map(fn, tasks: list, threads: int) -> list:
         return list(pool.map(run, tasks))
 
 
-def _unit_sphere(generator: np.random.Generator, count: int) -> np.ndarray:
-    raw = generator.standard_normal((count, 3))
-    norm = np.sqrt(_dot3(raw, raw))[:, None]
-    return raw / np.maximum(norm, 1e-300)
+def _unit_rows(normals: np.ndarray) -> np.ndarray:
+    """(m, 3) standard normal draws scaled to directions uniform on the unit sphere."""
+    norm = np.sqrt(_dot3(normals, normals))[:, None]
+    return normals / np.maximum(norm, 1e-300)
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -121,18 +128,24 @@ def _chunk_sizes(total: int) -> list[int]:
     return sizes
 
 
+def _blocks(size: int) -> list[slice]:
+    """Slices of at most _BLOCK samples that cover range(size) in order."""
+    return [slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK)]
+
+
 def _sum_and_m2(samples: np.ndarray) -> np.ndarray:
     """Sums, M2s (squared deviations from the mean) times 4^-e, and e, along the last axis.
 
     e is 0 unless the largest |deviation| passes _RESCALE_ABOVE; then it is its frexp exponent.
     """
     sums = np.sum(samples, axis=-1)
-    deviations = samples - (sums / samples.shape[-1])[..., None]
-    peak = np.max(np.abs(deviations), axis=-1)
+    deviations = samples - (sums / samples.shape[-1])[..., None]  # the one temporary
+    peak = np.maximum(np.max(deviations, axis=-1), -np.min(deviations, axis=-1))  # max |d|
     exponents = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
     if np.any(exponents):
-        deviations = np.ldexp(deviations, -exponents[..., None])
-    return np.stack([sums, np.sum(deviations * deviations, axis=-1), exponents])
+        np.ldexp(deviations, -exponents[..., None], out=deviations)
+    deviations *= deviations
+    return np.stack([sums, np.sum(deviations, axis=-1), exponents])
 
 
 def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
@@ -202,16 +215,20 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
     stats = []
     for size in sizes:
         v1 = generator.uniform(-vmax, vmax, (size, 3))
-        n = _unit_sphere(generator, size)
+        normals = generator.standard_normal((size, 3))
+        integrand = np.empty(size)
         # for a probe far past the hull, the integrand is 0 where the f terms vanish
         with np.errstate(over="ignore", invalid="ignore"):
-            pre_a, pre_b = pre_collision_pair(v[None, :], v1, n, spec.epsilon, spec.branch)
-            gn = _dot3(v[None, :] - v1, n)
-            f_terms = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
-                       - f_probe * interpolate_many(f, v1))
-            integrand = np.abs(gn)
-            integrand *= f_terms
-            integrand[f_terms == 0.0] = 0.0
+            for s in _blocks(size):
+                n = _unit_rows(normals[s])
+                pre_a, pre_b = pre_collision_pair(v[None, :], v1[s], n, spec.epsilon,
+                                                  spec.branch)
+                gn = _dot3(v[None, :] - v1[s], n)
+                f_terms = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
+                           - f_probe * interpolate_many(f, v1[s]))
+                block = np.abs(gn, out=integrand[s])
+                block *= f_terms
+                block[f_terms == 0.0] = 0.0
             stats.append(_sum_and_m2(integrand))
     weight = f.grid.hull_volume * 4.0 * np.pi * spec.cross_section
     return _estimates(sizes, stats, weight)[0]
@@ -227,26 +244,29 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: lis
                   chunk_index: int, size: int) -> list[np.ndarray]:
     """Per (epsilon, G) weighting, _sum_and_m2 of the five weak-form integrands of one chunk.
 
-    The draws and lookups depend only on spec's seed, so every weighting shares them.
+    The draws and lookups depend only on spec's seed, so every weighting shares them:
+    gn and the lookup product are computed once per sample, the rest per weighting.
     """
     generator = rng.stream(spec.seed, "operator-moments", chunk_index)
     vmax = f.grid.vmax
     v = generator.uniform(-vmax, vmax, (size, 3))
     v1 = generator.uniform(-vmax, vmax, (size, 3))
-    n = _unit_sphere(generator, size)
-    gn = _dot3(v1 - v, n)
+    normals = generator.standard_normal((size, 3))
     mass, mu = spec.mass, 0.5 * spec.mass
-    pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
-    velocity_sum = (v + v1).T
+    gn, base = np.empty(size), np.empty(size)
+    for s in _blocks(size):
+        gn[s] = _dot3(v1[s] - v[s], _unit_rows(normals[s]))
+        base[s] = 0.5 * interpolate_many(f, v[s]) * interpolate_many(f, v1[s]) * np.abs(gn[s])
     stats = []
-    base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
+    integrands = np.empty((5, size))  # one weighting's, refilled for the next
     for epsilon, norm in weightings:
         ge2 = norm.gain_factor(epsilon) * epsilon**2
-        delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn * gn
-        integrands = np.empty((5, size))
-        integrands[0] = base * (2.0 * ge2 - 2.0)
-        integrands[1:4] = (base * (ge2 - 1.0) * mass) * velocity_sum
-        integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
+        for s in _blocks(size):
+            delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn[s] * gn[s]
+            pair_ke = 0.5 * mass * (_dot3(v[s], v[s]) + _dot3(v1[s], v1[s]))
+            integrands[0, s] = base[s] * (2.0 * ge2 - 2.0)
+            integrands[1:4, s] = (base[s] * (ge2 - 1.0) * mass) * (v[s] + v1[s]).T
+            integrands[4, s] = base[s] * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
         stats.append(_sum_and_m2(integrands))
     return stats
 

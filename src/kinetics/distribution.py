@@ -138,6 +138,9 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
                                                       (density2, u2, temperature2)), 1):
         if not density >= 0.0:  # NaN fails too
             raise ValueError(f"density{mode} must be nonnegative, got {density}")
+        # a skipped mode is still a mode: its temperature and velocity keep their rules
+        require_positive(f"temperature{mode}", temperature)
+        require_vector3(f"u{mode}", u)
         if density == 0.0:
             continue
         total += _gaussian_values(grid, density, u, temperature, mass, f"u{mode}",
@@ -187,29 +190,32 @@ def interpolate_many(f: DiscreteDistribution, points) -> np.ndarray:
     """Trilinear interpolation at (..., 3) query points; zero outside the hull.
 
     Points outside the hull (NaN and infinite coordinates included) are looked
-    up at the origin and zeroed afterwards. The 8 corners are read from the
-    flat value array at offsets from one base index and added in a fixed order.
+    up at the origin and zeroed afterwards. The coordinates are copied once
+    into contiguous (3, m) rows, which one _axis_index_frac call indexes. The
+    8 corners are read from the flat value array at offsets from one base
+    index, into reused buffers, and added in a fixed order.
     """
     pts = np.asarray(points, dtype=np.float64)
-    flat = pts.reshape(-1, 3)
-    ax = f.grid.axis
+    coords = pts.reshape(-1, 3).T.copy()
     n = f.grid.nodes_per_axis
-    h = f.grid.spacing
-    within = np.abs(flat) <= f.grid.vmax
-    inside = within[:, 0] & within[:, 1] & within[:, 2]
-    ix, fx = _axis_index_frac(ax, np.where(inside, flat[:, 0], 0.0), h)
-    iy, fy = _axis_index_frac(ax, np.where(inside, flat[:, 1], 0.0), h)
-    iz, fz = _axis_index_frac(ax, np.where(inside, flat[:, 2], 0.0), h)
+    within = np.abs(coords) <= f.grid.vmax
+    inside = within[0] & within[1] & within[2]
+    coords[:, ~inside] = 0.0
+    (ix, iy, iz), (fx, fy, fz) = _axis_index_frac(f.grid.axis, coords, f.grid.spacing)
     corner = (ix * n + iy) * n + iz
     vals = f.values.ravel()
-    acc = np.zeros(flat.shape[0])
+    acc = np.zeros(coords.shape[1])
+    term, corner_vals = np.empty_like(acc), np.empty_like(acc)
     for dx in (0, 1):
         wx = fx if dx else 1.0 - fx
         for dy in (0, 1):
             wxy = wx * (fy if dy else 1.0 - fy)
             for dz in (0, 1):
-                wz = fz if dz else 1.0 - fz
-                acc += wxy * wz * vals.take(corner + ((dx * n + dy) * n + dz))
+                # corner indices are in range by construction; "clip" lets take fill out in place
+                vals[(dx * n + dy) * n + dz:].take(corner, out=corner_vals, mode="clip")
+                np.multiply(wxy, fz if dz else 1.0 - fz, out=term)
+                term *= corner_vals
+                acc += term
     acc[~inside] = 0.0
     return acc.reshape(pts.shape[:-1])
 

@@ -41,6 +41,7 @@ from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_
 
 _MAJORANT_RETRIES = 8
 _BOUND_REFRESH_STEPS = 64
+_UNOWNED = np.iinfo(np.intp).max  # _wave_schedule's free-particle mark, above every index
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,9 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
     u = require_vector3("bulk_velocity", bulk_velocity)
     sigma = math.sqrt(BOLTZMANN * temperature / species.mass)
     generator = rng.stream(seed, "dsmc-maxwellian")
-    velocities = u[None, :] + sigma * generator.standard_normal((count, 3))
+    velocities = generator.standard_normal((count, 3))
+    velocities *= sigma  # scaled, then shifted, in place: the bits of u + sigma * normals
+    velocities += u
     velocities.setflags(write=False)  # fresh, so the ensemble adopts it
     return ParticleEnsemble(velocities=velocities, species=species)
 
@@ -113,27 +116,28 @@ def moments(v: np.ndarray, m: float, density: float) -> EnsembleMoments:
     momentum = m * w * total
     kinetic = 0.5 * m * w * float(np.sum(v * v))
     # E|v - E v|^2 in two passes, since E|v|^2 - |E v|^2 cancels under a bulk velocity
-    peculiar = v - total / n  # total / n: the bits of np.mean(v, axis=0)
-    peculiar *= peculiar  # squared in place, so no second (N, 3) buffer
-    peculiar_sq = 0.0 + peculiar[:, 0]  # x + y + z in _dot3's order
-    peculiar_sq += peculiar[:, 1]
-    peculiar_sq += peculiar[:, 2]
+    mean = total / n  # the bits of np.mean(v, axis=0)
+    peculiar_sq = np.zeros(n)
+    for axis in range(3):  # one (N,) component at a time, x + y + z in _dot3's order
+        component = v[:, axis] - mean[axis]
+        component *= component
+        peculiar_sq += component
     temperature = m * float(np.mean(peculiar_sq)) / (3.0 * BOLTZMANN)
     return EnsembleMoments(density=density, momentum=momentum,
                            kinetic_energy=kinetic, temperature=temperature)
 
 
-def _wave_schedule(first: np.ndarray, second: np.ndarray, n: int) -> list[np.ndarray]:
+def _wave_schedule(first: np.ndarray, second: np.ndarray,
+                   owner: np.ndarray) -> list[np.ndarray]:
     """Candidate indices grouped into dependency waves, earliest wave first.
 
     A candidate's wave is 1 + the largest wave of any earlier candidate that
     shares one of its particles (Kahn layering: each round takes the remaining
     candidates that are the earliest remaining user of both their particles).
     So no particle occurs twice in a wave, and every candidate runs after the
-    earlier candidates it shares a particle with.
+    earlier candidates it shares a particle with. owner is a scratch array of
+    _UNOWNED, one per particle, which each round returns to all _UNOWNED.
     """
-    unowned = first.size
-    owner = np.full(n, unowned)
     remaining = np.arange(first.size)
     i, j = first, second
     waves = []
@@ -142,16 +146,19 @@ def _wave_schedule(first: np.ndarray, second: np.ndarray, n: int) -> list[np.nda
         np.minimum.at(owner, j, remaining)
         ready = (owner[i] == remaining) & (owner[j] == remaining)
         waves.append(remaining[ready])
-        owner[i] = unowned
-        owner[j] = unowned
+        owner[i] = _UNOWNED
+        owner[j] = _UNOWNED
         later = ~ready
         remaining, i, j = remaining[later], i[later], j[later]
     return waves
 
 
 def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: Species,
-                  generator: np.random.Generator, majorant: float) -> float | None:
+                  generator: np.random.Generator, majorant: float,
+                  owner: np.ndarray) -> float | None:
     """One candidate sweep on v in place; the new speed bound, or None if pierced.
+
+    owner is _wave_schedule's scratch array, reused across steps.
 
     Accepted collisions are journaled wave by wave with their pre-collision
     velocities, so a pierced attempt is unwound exactly instead of copying
@@ -179,7 +186,7 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: S
     factor = 0.5 * config.branch.normal_factor(config.epsilon)
     majorant_sq = majorant * majorant
     journal: list[tuple] = []
-    for wave in _wave_schedule(first, second, n):
+    for wave in _wave_schedule(first, second, owner):
         i = first[wave]
         j = second[wave]
         vi = v.take(i, axis=0)
@@ -221,13 +228,15 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
     if ensemble.count < 2 and len(indices):
         raise ValueError("need at least 2 particles to step")
     v = np.array(ensemble.velocities)
+    owner = np.full(ensemble.count, _UNOWNED)
     for index in indices:
         if index == indices.start or index % _BOUND_REFRESH_STEPS == 0:
             bound_sq = float(np.max(_dot3(v, v)))
         generator = rng.stream(config.seed, "dsmc-step", index)
         majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(bound_sq))
         for _ in range(_MAJORANT_RETRIES):
-            swept = _attempt_step(v, bound_sq, config, ensemble.species, generator, majorant)
+            swept = _attempt_step(v, bound_sq, config, ensemble.species, generator, majorant,
+                                  owner)
             if swept is not None:
                 break
             majorant *= 2.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import UNIT_MASS
 from quadrature_oracle import brute_force_density_rate, brute_force_rate
+from test_estimator_reference import _reference_sum_and_m2, _reference_unit_sphere
 from kinetics import cli, collision_operator, rng
 from kinetics.claim_audit import equilibrium_ray_probes
 from kinetics.collision_kernel import CollisionBranch, _dot3
@@ -212,12 +214,12 @@ def test_weightings_are_validated_by_the_spec_rules():
 
 
 def _reference_moment_chunk(f, spec, chunk_index, size):
-    """Former single-weighting _moment_chunk, kept verbatim."""
+    """Former single-weighting _moment_chunk, kept verbatim but for its whole-chunk helpers."""
     generator = rng.stream(spec.seed, "operator-moments", chunk_index)
     vmax = f.grid.vmax
     v = generator.uniform(-vmax, vmax, (size, 3))
     v1 = generator.uniform(-vmax, vmax, (size, 3))
-    n = collision_operator._unit_sphere(generator, size)
+    n = _reference_unit_sphere(generator, size)
     gn = _dot3(v1 - v, n)
     ge2 = spec.normalization.gain_factor(spec.epsilon) * spec.epsilon**2
     mass = spec.mass
@@ -230,7 +232,7 @@ def _reference_moment_chunk(f, spec, chunk_index, size):
         integrands[0] = base * (2.0 * ge2 - 2.0)
         integrands[1:4] = (base * (ge2 - 1.0) * mass) * (v + v1).T
         integrands[4] = base * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
-        return collision_operator._sum_and_m2(integrands)
+        return _reference_sum_and_m2(integrands)
 
 
 @pytest.mark.parametrize("chunk_index, size", [(0, collision_operator._CHUNK), (2, 17)])
@@ -451,3 +453,38 @@ def test_pre_collision_pair_matches_closed_form_bits(data, epsilon, branch, m,
     want = _reference_pre_collision_pair(v, v1, n, epsilon, branch)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def _traced_peak(call) -> int:
+    """Bytes that call allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimator_peak_memory_is_the_chunk_arrays_plus_a_block_allowance():
+    # numpy reports its buffers to tracemalloc. A chunk's draws, and the arrays
+    # that collect its per-sample results, span the chunk; every other
+    # temporary spans one _BLOCK, and 36 block-sized float arrays (2.4 MB) cover
+    # them (measured: about 29 for evaluate_at, 2 for _moment_chunk). Temporaries
+    # that span the chunk exceed it: 8.0 and 8.1 MB when measured, against the
+    # gates' 4.5 and 7.9 MB.
+    f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,
+                0.5, (-2, 0, 0), 1.0, UNIT_MASS)
+    spec = spec_with(samples=3 * collision_operator._CHUNK + 17, epsilon=0.9,
+                     normalization=GainNormalization.STANDARD_GRANULAR)
+    column = 8 * collision_operator._CHUNK  # one float per sample of a chunk
+    allowance = 36 * 8 * collision_operator._BLOCK
+    evaluate_at(f, (0.5, 0.3, -0.1), spec)  # first-call caches are not per call
+    at_peak = _traced_peak(lambda: evaluate_at(f, (0.5, 0.3, -0.1), spec))
+    # partners and normals (3 columns each), the integrand and its deviations
+    assert at_peak <= (6 + 2) * column + allowance, f"{at_peak / 1e6:.2f} MB"
+    weightings = [(epsilon, norm) for epsilon in (1.0, 0.8) for norm in GainNormalization]
+    moments_peak = _traced_peak(lambda: moment_rates(f, spec, weightings=weightings))
+    # v, v1 and normals (9 columns), gn and the lookup product, then one
+    # weighting's five integrands and their deviations
+    assert moments_peak <= (9 + 2 + 10) * column + allowance, f"{moments_peak / 1e6:.2f} MB"

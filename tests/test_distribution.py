@@ -101,6 +101,23 @@ def test_bimodal_rejects_a_negative_mode_density_by_name(mode):
             bimodal(GRID, density1, (1.0, 0, 0), 1.0, density2, (-1.0, 0, 0), 1.0, UNIT_MASS)
 
 
+@pytest.mark.parametrize("mode", [1, 2])
+def test_bimodal_checks_a_zero_density_mode_by_name(mode):
+    # a skipped mode's velocity shape and temperature are still checked
+    def build(u, temperature):
+        other = ((0.0, u, temperature), (1.0, (0, 0, 0), 1.0))
+        (d1, u1, t1), (d2, u2, t2) = other if mode == 1 else other[::-1]
+        return bimodal(GRID, d1, u1, t1, d2, u2, t2, UNIT_MASS)
+
+    with pytest.raises(ValueError, match=rf"^u{mode} must have shape \(3,\), got \(1, 2\)$"):
+        build([[1, 2]], 1.0)
+    for bad in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match=f"^temperature{mode} must be positive and finite"):
+            build((0, 0, 0), bad)
+    with pytest.raises(ValueError, match=f"^temperature{mode} must be positive and finite"):
+        build([[1, 2]], math.nan)  # temperature first, as for a mode with density
+
+
 def test_bimodal_moments_are_mode_sums():
     f = bimodal(GRID, 0.6, (1.0, 0, 0), 1.0, 0.4, (-0.5, 0.5, 0), 1.3, UNIT_MASS)
     m = moments(f, UNIT_MASS)

@@ -223,7 +223,9 @@ def candidate_lists(draw):
 @given(candidate_lists())
 def test_wave_schedule_orders_candidates_that_share_a_particle(candidates):
     n, first, second = candidates
-    waves = dsmc._wave_schedule(first, second, n)
+    owner = np.full(n, dsmc._UNOWNED)
+    waves = dsmc._wave_schedule(first, second, owner)
+    assert np.all(owner == dsmc._UNOWNED)  # left ready for the next step
     assert all(wave.size for wave in waves)
     scheduled = np.concatenate(waves) if waves else np.array([], dtype=np.int64)
     np.testing.assert_array_equal(np.sort(scheduled), np.arange(first.size))
