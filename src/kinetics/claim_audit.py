@@ -33,7 +33,7 @@ from .collision_operator import (
     moment_rates,
 )
 from .distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
-from .errors import require_vector3
+from .errors import require_count, require_vector3
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -75,6 +75,7 @@ def _sigma_ratio(estimate: RateEstimate) -> float:
 
 def audit_jacobian(seed: int = 0, n_configs: int = 100) -> AuditReport:
     """Finite-difference determinant of the pair map versus the restitution."""
+    require_count("n_configs", n_configs, 1)
     generator = rng.stream(seed, "audit-jacobian")
     worst = 0.0
     forced = [0.3, 0.7, 1.0]
@@ -105,6 +106,7 @@ def audit_energy_formula(seed: int = 0, n_configs: int = 200) -> list[AuditRepor
     Head-on geometry agrees to round-off; oblique geometry disagrees by
     (1/2)(1 - eps^2) mu (|g|^2 - (g.n)^2), which is reported, not repaired.
     """
+    require_count("n_configs", n_configs, 1)
     generator = rng.stream(seed, "audit-energy")
     worst_head_on = 0.0
     worst_oblique = 0.0

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     ValidationError,
     require_count,
+    require_nonnegative,
     require_positive,
 )
 from .transport_solver import ForceField
@@ -91,10 +92,7 @@ def _positive(value, context) -> float:
 
 
 def _nonneg(value, context) -> float:
-    value = _number(value, context)
-    if value < 0.0:
-        raise ValidationError(f"{context} must be nonnegative")
-    return value
+    return require_nonnegative("value", _number(value, context))
 
 
 def _vec3(value, context) -> list[float]:

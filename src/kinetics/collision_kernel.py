@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal,
-                     SingularRestitution, frozen_array, require_positive,
-                     require_vector3)
+from .errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal, frozen_array,
+                     require_positive, require_vector3)
 
 UNIT_NORMAL_TOL = 1e-9
 
@@ -82,17 +81,6 @@ def _validate_restitution(epsilon: float) -> float:
     if not (0.0 < epsilon <= 1.0):
         raise InvalidRestitution(f"restitution must lie in (0, 1], got {epsilon!r}")
     return epsilon
-
-
-def _validate_inverse_restitution(epsilon: float) -> float:
-    """_validate_restitution for maps that run the impact backwards at 1/epsilon.
-
-    epsilon <= 0 raises SingularRestitution, since 1/epsilon is the inverse's restitution.
-    """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise SingularRestitution(f"inverse collision is singular at epsilon = {epsilon!r}")
-    return _validate_restitution(epsilon)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,9 +149,9 @@ def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
     """Pre-collision pair that the given impact maps onto (w1, w2).
 
     The inverse of either rule is the same rule at restitution 1/epsilon, so
-    it is singular as epsilon -> 0.
+    it is singular as epsilon -> 0, which the (0, 1] rule excludes.
     """
-    epsilon = _validate_inverse_restitution(epsilon)
+    epsilon = _validate_restitution(epsilon)
     n = _validate_normal(n)
     w1 = require_vector3("w1", w1)
     w2 = require_vector3("w2", w2)

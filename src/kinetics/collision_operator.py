@@ -33,7 +33,7 @@ from . import rng
 from .collision_kernel import (
     CollisionBranch,
     _dot3,
-    _validate_inverse_restitution,
+    _validate_restitution,
     transform_velocities,
 )
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
@@ -72,7 +72,7 @@ class QuadratureSpec:
         require_count("samples", self.samples, 2)  # a standard error needs two samples
         require_positive("diameter", self.diameter)
         require_positive("mass", self.mass)
-        _validate_inverse_restitution(self.epsilon)
+        _validate_restitution(self.epsilon)
 
     @property
     def cross_section(self) -> float:
@@ -204,8 +204,6 @@ def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):
 def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimate:
     """Collision rate of change of f at one probe velocity, with error bar."""
     v = require_vector3("v", v)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("probe velocity must be finite")
     # keyed by the probe's bit pattern, so equal probes share one stream
     generator = rng.stream(spec.seed, "operator-node", rng.derive_key(0, *v))
     vmax = f.grid.vmax
@@ -285,7 +283,7 @@ def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec, threads: int = 1
     """
     if weightings is None:
         weightings = [(spec.epsilon, spec.normalization)]
-    weightings = [(_validate_inverse_restitution(epsilon), norm)  # QuadratureSpec's rule
+    weightings = [(_validate_restitution(epsilon), norm)  # QuadratureSpec's rule
                   for epsilon, norm in weightings]
     sizes = _chunk_sizes(spec.samples)
     partials = _map(lambda task: _moment_chunk(f, spec, weightings, *task),

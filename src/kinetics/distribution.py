@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import BOLTZMANN
-from .errors import (UnderResolved, frozen_array, require_count, require_positive,
-                     require_vector3)
+from .errors import (UnderResolved, frozen_array, require_count, require_nonnegative,
+                     require_positive, require_vector3)
 
 SNAPSHOT_ORDER_3D = "row-major-z-fastest"
 
@@ -85,15 +85,12 @@ def _node_array(grid: VelocityGrid) -> np.ndarray:
                           f"array, more than can be allocated") from None
 
 
-def _gaussian_values(grid: VelocityGrid, density: float, bulk_velocity,
-                     temperature: float, mass: float, velocity_name: str,
-                     temperature_name: str) -> np.ndarray:
+def _gaussian_values(grid: VelocityGrid, density: float, u: np.ndarray,
+                     temperature: float, mass: float) -> np.ndarray:
     """One Maxwellian mode at the nodes; UnderResolved where the grid cannot hold it.
 
     The array is fresh and sealed, so a DiscreteDistribution adopts it without a copy.
     """
-    require_positive(temperature_name, temperature)
-    u = require_vector3(velocity_name, bulk_velocity)
     vth = np.sqrt(BOLTZMANN * temperature / mass)
     if grid.spacing > vth / 3.0:
         raise UnderResolved(
@@ -124,27 +121,24 @@ def maxwellian(grid: VelocityGrid, density: float, bulk_velocity,
     """Drifting Maxwellian sampled at the grid nodes."""
     require_positive("density", density)
     require_positive("mass", mass)
-    return DiscreteDistribution(grid, _gaussian_values(grid, density, bulk_velocity,
-                                                       temperature, mass, "bulk_velocity",
-                                                       "temperature"))
+    require_positive("temperature", temperature)
+    u = require_vector3("bulk_velocity", bulk_velocity)
+    return DiscreteDistribution(grid, _gaussian_values(grid, density, u, temperature, mass))
 
 
 def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
             density2: float, u2, temperature2: float, mass: float) -> DiscreteDistribution:
     """Sum of two Maxwellian modes; a mode with zero density contributes nothing."""
     require_positive("mass", mass)
+    # a skipped mode is still a mode: its temperature and velocity keep their rules
+    modes = [(require_nonnegative(f"density{i}", density),
+              require_positive(f"temperature{i}", temperature), require_vector3(f"u{i}", u))
+             for i, (density, u, temperature) in enumerate(((density1, u1, temperature1),
+                                                            (density2, u2, temperature2)), 1)]
     total = _node_array(grid)
-    for mode, (density, u, temperature) in enumerate(((density1, u1, temperature1),
-                                                      (density2, u2, temperature2)), 1):
-        if not density >= 0.0:  # NaN fails too
-            raise ValueError(f"density{mode} must be nonnegative, got {density}")
-        # a skipped mode is still a mode: its temperature and velocity keep their rules
-        require_positive(f"temperature{mode}", temperature)
-        require_vector3(f"u{mode}", u)
-        if density == 0.0:
-            continue
-        total += _gaussian_values(grid, density, u, temperature, mass, f"u{mode}",
-                                  f"temperature{mode}")
+    for density, temperature, u in modes:
+        if density != 0.0:
+            total += _gaussian_values(grid, density, u, temperature, mass)
     total.setflags(write=False)
     return DiscreteDistribution(grid, total)
 
@@ -221,7 +215,7 @@ def interpolate_many(f: DiscreteDistribution, points) -> np.ndarray:
 
 
 def interpolate(f: DiscreteDistribution, v) -> float:
-    """Trilinear interpolation at one velocity; zero outside the hull."""
+    """Trilinear interpolation at one finite velocity; zero outside the hull."""
     return float(interpolate_many(f, require_vector3("v", v)[None, :])[0])
 
 

@@ -8,11 +8,11 @@ accepted with probability |g . n| / g_max. Accepted pairs are transformed by
 the selected impact rule, so the realized collision frequency matches the
 quadrature kernel (1/4) d^2 |g . n| integrated over the full sphere.
 
-The majorant in force at each step is max(2 * max particle speed, config
-majorant); a collision chain that pushes a relative speed above it aborts
-the step, which is retried with the majorant doubled. Every draw comes from
-a stream keyed by (seed, step index), so a run is bit-reproducible and any
-step can be recomputed in isolation.
+The majorant in force at each step is max(2 * speed bound, config majorant),
+the bound being the largest particle speed at the last refresh (see advance)
+or any larger outgoing speed since. A collision chain that pushes a relative
+speed above it aborts the step, which is retried with the majorant doubled.
+Draws come from streams keyed by (seed, step index): a run is bit-reproducible.
 
 A step's candidates are drawn up front and run in dependency waves: a
 candidate's wave is 1 + the largest wave of any earlier candidate sharing
@@ -37,7 +37,7 @@ from . import rng
 from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
 from .constants import BOLTZMANN
 from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_count,
-                     require_positive, require_vector3)
+                     require_nonnegative, require_positive, require_vector3)
 
 _MAJORANT_RETRIES = 8
 _BOUND_REFRESH_STEPS = 64
@@ -93,8 +93,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
     T = 0 collapses every velocity onto the bulk velocity exactly.
     """
     require_count("count", count, 2)
-    if not temperature >= 0.0:  # NaN fails too
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    require_nonnegative("temperature", temperature)
     u = require_vector3("bulk_velocity", bulk_velocity)
     sigma = math.sqrt(BOLTZMANN * temperature / species.mass)
     generator = rng.stream(seed, "dsmc-maxwellian")
@@ -222,8 +221,10 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
             ) -> ParticleEnsemble:
     """The ensemble after the steps in indices; on_step(index, v) after each.
 
-    Each step is a pure function of (ensemble, config, index), so
-    range(i, i + 1) recomputes step i alone.
+    A step reads the velocities and a speed bound, taken afresh at the first
+    index and each multiple of _BOUND_REFRESH_STEPS and only grown between. So
+    range(i, i + 1), from the state before step i, recomputes step i of a run
+    only where i is such a multiple or the run's first index.
     """
     if ensemble.count < 2 and len(indices):
         raise ValueError("need at least 2 particles to step")

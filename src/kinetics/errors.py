@@ -12,6 +12,13 @@ def require_positive(name: str, value):
     return value
 
 
+def require_nonnegative(name: str, value):
+    """value, if it is a nonnegative finite number; else ValueError naming it."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+    return value
+
+
 def require_count(name: str, value, minimum):
     """value, if it is an integer (not a bool) of at least minimum; else ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -22,10 +29,12 @@ def require_count(name: str, value, minimum):
 
 
 def require_vector3(name: str, value) -> np.ndarray:
-    """value as a float64 array, if its shape is exactly (3,); else ValueError naming it."""
+    """value as a float64 array, if of shape exactly (3,) and finite; else ValueError naming it."""
     vector = np.asarray(value, dtype=np.float64)
     if vector.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {vector.shape}")
+    if not np.isfinite(vector).all():
+        raise ValueError(f"{name} must be finite")
     return vector
 
 
@@ -60,7 +69,7 @@ class KineticsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# The errors that reject input (the kernel's three, and a grid too coarse for its
+# The errors that reject input (the kernel's two, and a grid too coarse for its
 # distribution) are also ValueErrors, so callers that map bad input to a
 # configuration failure catch them without a special case.
 class NonUnitNormal(KineticsError, ValueError):
@@ -69,10 +78,6 @@ class NonUnitNormal(KineticsError, ValueError):
 
 class InvalidRestitution(KineticsError, ValueError):
     """Restitution coefficient outside the admissible interval (0, 1]."""
-
-
-class SingularRestitution(KineticsError, ValueError):
-    """Inverse collision requested at a restitution where it is singular."""
 
 
 class UnderResolved(KineticsError, ValueError):

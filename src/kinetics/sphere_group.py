@@ -78,13 +78,18 @@ def embed(v, lam: float, hemisphere: str = "lower") -> SpherePoint:
     return SpherePoint(np.array([scaled[0], scaled[1], scaled[2], theta4]))
 
 
+def _chart_denominator(theta4: float) -> float:
+    """The chart's denominator 1 - theta4; ChartSingularity inside the guard around p."""
+    denom = 1.0 - float(theta4)
+    if denom <= CHART_GUARD:
+        raise ChartSingularity(f"1 - theta4 = {denom!r} is inside the guard {CHART_GUARD}")
+    return denom
+
+
 def project_chart(point: SpherePoint) -> ChartCoords:
     """Stereographic projection away from the excluded point (0, 0, 0, 1)."""
     theta = point.theta
-    denom = 1.0 - theta[3]
-    if denom <= CHART_GUARD:
-        raise ChartSingularity(f"1 - theta4 = {denom!r} is inside the guard {CHART_GUARD}")
-    return ChartCoords(theta[:3] / denom)
+    return ChartCoords(theta[:3] / _chart_denominator(theta[3]))
 
 
 def unproject_chart(coords: ChartCoords) -> SpherePoint:
@@ -100,20 +105,13 @@ def chart_jacobian(v, lam: float, hemisphere: str = "lower") -> tuple[np.ndarray
     """Derivative matrix and determinant of velocity -> chart coordinates.
 
     Entry [i, j] is d(vstar_j)/d(v_i); the matrix is symmetric. Closed form:
-    I/(lam D) - sign * v v^T / (lam^3 D^2 q) with q = sqrt(1 - |v/lam|^2)
-    and D = 1 - sign * q.
+    I/(lam D) - s s^T / (lam D^2 theta4) with (s, theta4) = embed(v, lam).theta
+    and D = 1 - theta4.
     """
-    require_positive("lambda", lam)
-    sign = _hemisphere_sign(hemisphere)
-    v = require_vector3("v", v)
-    rho_sq = float(v @ v) / lam**2
-    if not rho_sq < 1.0:
-        raise SpeedExceedsLambda(f"|v| must be below lambda = {lam:g}")
-    q = math.sqrt(1.0 - rho_sq)
-    denom = 1.0 - sign * q
-    if denom <= CHART_GUARD:
-        raise ChartSingularity(f"1 - theta4 = {denom!r} is inside the guard {CHART_GUARD}")
-    matrix = np.eye(3) / (lam * denom) - sign * np.outer(v, v) / (lam**3 * denom**2 * q)
+    theta = embed(v, lam, hemisphere).theta
+    s, theta4 = theta[:3], theta[3]
+    denom = _chart_denominator(theta4)
+    matrix = np.eye(3) / (lam * denom) - np.outer(s, s) / (lam * denom**2 * theta4)
     return matrix, float(np.linalg.det(matrix))
 
 
@@ -133,14 +131,11 @@ def quaternion_multiply(a: SpherePoint, b: SpherePoint) -> SpherePoint:
 def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     """One-parameter subgroup G(tau) = (cos(|u| tau), sin(|u| tau) u/|u|)."""
     xi = u.xi
-    with np.errstate(over="ignore"):  # |xi|^2 past the float range is rescaled below
-        speed = math.sqrt(float(xi @ xi))
-    if speed == math.inf:  # |xi| past ~1e154; power-of-two scaling is exact
-        scaled = xi * 2.0**-600
-        speed = math.sqrt(float(scaled @ scaled)) * 2.0**600
+    speed = math.hypot(*xi)  # no overflow, as in pushforward_derivative
     angle = speed * tau  # NaN for an infinite tau even at speed 0
-    if speed == math.inf:  # |xi| past the float range; the scaled speed is >= 2**424
-        xi, speed = scaled, math.sqrt(float(scaled @ scaled))
+    if speed == math.inf:  # |xi| past the float range; power-of-two scaling is exact
+        xi = xi * 2.0**-600
+        speed = math.hypot(*xi)
         angle = (speed * tau) * 2.0**600
     if not math.isfinite(angle):
         raise ValueError(f"tau must be finite with |u| tau finite, got tau = {tau!r}")

@@ -187,6 +187,7 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     x-major copy, in the order of a sum over the grid's own values.
     """
     require_positive("dt", dt)
+    require_count("n_steps", n_steps, 0)
     ax = float(field.acceleration[0])
     values = f0.values.T.copy()
     x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx

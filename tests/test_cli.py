@@ -580,7 +580,8 @@ def test_infinite_transport_end_time_exits_2_without_outputs(tmp_path, capsys):
     ("dsmc", {"particles": 200, "steps": 5}, (),
      "error: missing required key 'dt' in parameters"),
     ("operator", dict(BIMODAL, distribution=dict(BIMODAL["distribution"], density1=-0.5)), (),
-     "error: parameters.distribution.density1 must be nonnegative"),
+     "error: parameters.distribution.density1: value must be nonnegative and finite, "
+     "got -0.5"),
     ("dsmc", MINIMAL_DSMC["parameters"], ("--threads", "0"), "error: --threads must be >= 1"),
     # |n| and |u| are computed without overflow, so each line names the true magnitude
     ("collide", dict(VALID_PARAMETERS["collide"], n=[1e200, 0.0, 0.0]), (),

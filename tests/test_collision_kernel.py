@@ -19,8 +19,7 @@ from kinetics.collision_kernel import (
     jacobian_signed,
     transform_velocities,
 )
-from kinetics.errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal,
-                             SingularRestitution)
+from kinetics.errors import InvalidRestitution, NonFiniteEstimate, NonUnitNormal
 
 UNIT = Species(mass=1.0, diameter=1.0)
 EX = np.array([1.0, 0.0, 0.0])
@@ -237,12 +236,12 @@ def test_validation_errors():
                 CollisionBranch.REFLECTIVE, UNIT, UNIT)
     # a NaN normal is bad input, not a NaN outcome or a numerical failure
     nan_normal = (math.nan, 0.0, 0.0)
-    with pytest.raises(NonUnitNormal, match=r"^\|n\| = nan "):
+    with pytest.raises(ValueError, match="^n must be finite$"):
         collide((0, 0, 0), (1, 0, 0), nan_normal, 0.5, CollisionBranch.REFLECTIVE, UNIT, UNIT)
-    with pytest.raises(NonUnitNormal, match=r"^\|n\| = nan "):
+    with pytest.raises(ValueError, match="^n must be finite$"):
         inverse_collide((0, 0, 0), (1, 0, 0), nan_normal, 0.5, CollisionBranch.PASSING,
                         UNIT, UNIT)
-    with pytest.raises(NonUnitNormal, match=r"^\|n\| = nan "):
+    with pytest.raises(ValueError, match="^n must be finite$"):
         actual_energy_loss((0, 0, 0), (1, 0, 0), nan_normal, 0.5, UNIT, UNIT)
     # |n| is computed without overflow, so the message names the true magnitude
     with pytest.raises(NonUnitNormal, match=r"^\|n\| = 1e\+200 "):
@@ -252,10 +251,10 @@ def test_validation_errors():
         with pytest.raises(InvalidRestitution):
             collide((0, 0, 0), (1, 0, 0), EX, bad_epsilon,
                     CollisionBranch.REFLECTIVE, UNIT, UNIT)
-    with pytest.raises(SingularRestitution):
+    with pytest.raises(InvalidRestitution):
         inverse_collide((0, 0, 0), (1, 0, 0), EX, 0.0,
                         CollisionBranch.REFLECTIVE, UNIT, UNIT)
-    with pytest.raises(SingularRestitution):
+    with pytest.raises(InvalidRestitution):
         inverse_collide((0, 0, 0), (1, 0, 0), EX, -1.0,
                         CollisionBranch.PASSING, UNIT, UNIT)
     # no impact has these restitutions, so no impact has an inverse at them

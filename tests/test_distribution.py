@@ -97,7 +97,8 @@ def test_bimodal_rejects_a_negative_mode_density_by_name(mode):
     for bad in (-0.5, math.nan):  # NaN is named too, not left to the finiteness check
         density1, density2 = (bad, 0.5) if mode == 1 else (0.5, bad)
         with pytest.raises(ValueError,
-                           match=f"^density{mode} must be nonnegative, got {re.escape(str(bad))}$"):
+                           match=f"^density{mode} must be nonnegative and finite, "
+                                 f"got {re.escape(str(bad))}$"):
             bimodal(GRID, density1, (1.0, 0, 0), 1.0, density2, (-1.0, 0, 0), 1.0, UNIT_MASS)
 
 

@@ -109,6 +109,19 @@ def test_step_is_a_pure_function_of_inputs():
     assert np.any(c.velocities != a.velocities)
 
 
+def test_a_step_at_a_bound_refresh_recomputes_alone_bit_for_bit():
+    # step 64 takes its speed bound afresh from the velocities, in the run and alone
+    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, (0, 0, 0), 1.0, seed=0)
+    config = config_with(epsilon=0.8, dt=0.05, seed=0)
+    states = {}
+    dsmc.advance(ensemble, config, range(65),
+                 lambda index, v: states.__setitem__(index, v.copy()))
+    alone = dsmc.advance(dsmc.ParticleEnsemble(velocities=states[63], species=SPECIES),
+                         config, range(64, 65))
+    assert alone.velocities.tobytes() == states[64].tobytes()
+    assert np.any(states[64] != states[63])  # the step collides some pairs
+
+
 def test_small_cooling_exponent_is_haff_like():
     ensemble = dsmc.sample_maxwellian_ensemble(10_000, SPECIES, (0, 0, 0), 1.0, seed=10)
     series = dsmc.run(ensemble, config_with(epsilon=0.9, dt=0.02), 800,
@@ -125,10 +138,11 @@ def test_majorant_hard_error_after_bounded_retries(monkeypatch):
 
 
 def test_sample_ensemble_rejects_a_negative_temperature_by_name():
-    with pytest.raises(ValueError, match=r"^temperature must be nonnegative, got -1\.0$"):
+    with pytest.raises(ValueError,
+                       match=r"^temperature must be nonnegative and finite, got -1\.0$"):
         dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), -1.0, seed=0)
     # NaN is named too, not left to the ensemble's finiteness check
-    with pytest.raises(ValueError, match=r"^temperature must be nonnegative, got nan$"):
+    with pytest.raises(ValueError, match=r"^temperature must be nonnegative and finite, got nan$"):
         dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), math.nan, seed=0)
 
 

@@ -1,5 +1,6 @@
 """The value rules of errors.py at every caller: require_positive,
-frozen_array, require_count and require_vector3."""
+require_nonnegative, frozen_array, require_count and require_vector3; and
+the chart's one entry, through embed."""
 
 import dataclasses
 import json
@@ -12,7 +13,7 @@ import pytest
 from conftest import UNIT_MASS
 from test_cli import VALID_PARAMETERS
 from kinetics import cli, dsmc
-from kinetics.claim_audit import audit_chain_rule
+from kinetics.claim_audit import audit_chain_rule, audit_energy_formula, audit_jacobian
 from kinetics.collision_kernel import (
     CollisionBranch,
     Species,
@@ -30,11 +31,14 @@ from kinetics.distribution import (
     interpolate,
     maxwellian,
 )
-from kinetics.errors import ConfigError
+from kinetics.errors import (ChartSingularity, ConfigError, SpeedExceedsLambda,
+                             require_positive, require_vector3)
 from kinetics.sphere_group import (
+    CHART_GUARD,
     ChartCoords,
     PureQuaternion,
     SpherePoint,
+    _hemisphere_sign,
     chart_jacobian,
     embed,
     match_generator,
@@ -214,6 +218,11 @@ COUNTS = {
     "dsmc.run.n_steps": ("n_steps", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), n), 0),
     "dsmc.run.sample_every": (
         "sample_every", lambda n: dsmc.run(ENSEMBLE, dsmc_config(), 1, n), 1),
+    "semi_lagrangian_run.n_steps": ("n_steps", lambda n: semi_lagrangian_run(
+        phase_grid(), ForceField(force=EX, mass=1.0), 0.1, n), 0),
+    "audit_jacobian.n_configs": ("n_configs", lambda n: audit_jacobian(n_configs=n), 1),
+    "audit_energy_formula.n_configs": (
+        "n_configs", lambda n: audit_energy_formula(n_configs=n), 1),
     **{f"cli.{subcommand}.{key}": (*cli_key(subcommand, key), minimum)
        for subcommand, key, minimum in [
            ("operator", "nodes_per_axis", 4), ("operator", "samples", 2),
@@ -269,6 +278,9 @@ VECTORS = {
                    (1, -1, 0)),
     "bimodal.u2": ("u2", lambda x: bimodal(WIDE, 0.5, ORIGIN, 1.0, 0.5, x, 1.0, UNIT_MASS),
                    (1, -1, 0)),
+    # a mode of density 0 is skipped, but its velocity keeps its rule
+    "bimodal.u2.skipped": (
+        "u2", lambda x: bimodal(WIDE, 0.5, ORIGIN, 1.0, 0.0, x, 1.0, UNIT_MASS), (1, -1, 0)),
     "interpolate.v": ("v", lambda x: interpolate(GAS, x), (1, 0, -1)),
     "sample_maxwellian_ensemble.bulk_velocity": (
         "bulk_velocity", lambda x: dsmc.sample_maxwellian_ensemble(4, UNIT, x, 1.0, 0), A),
@@ -309,3 +321,83 @@ def test_3_vector_as_a_list_tuple_or_int_list_reads_as_the_float64_array(caller)
     floats = [float(x) for x in valid]
     for form in (floats, tuple(floats), list(valid)):
         assert _bits(build(form)) == want
+
+
+@pytest.mark.parametrize("value", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf)])
+@pytest.mark.parametrize("caller", sorted(VECTORS))
+def test_non_finite_3_vector_is_rejected_by_name(caller, value):
+    name, build, _ = VECTORS[caller]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
+        build(value)
+
+
+def cli_mode_density(key):
+    """The CLI schema's nonnegative rule for one bimodal mode density; its errors name it."""
+    def build(x):
+        distribution = dict(VALID_PARAMETERS["operator-bimodal"]["distribution"], **{key: x})
+        parameters = dict(VALID_PARAMETERS["operator-bimodal"], distribution=distribution)
+        return cli.parse_config(json.dumps({"subcommand": "operator",
+                                            "parameters": parameters}))
+    return f"parameters.distribution.{key}", build
+
+
+# name in the error, call taking the value
+NONNEGATIVE = {
+    "bimodal.density1": (
+        "density1", lambda x: bimodal(GRID, x, ORIGIN, 1.0, 0.5, ORIGIN, 1.0, UNIT_MASS)),
+    "bimodal.density2": (
+        "density2", lambda x: bimodal(GRID, 0.5, ORIGIN, 1.0, x, ORIGIN, 1.0, UNIT_MASS)),
+    "sample_maxwellian_ensemble.temperature": (
+        "temperature", lambda x: dsmc.sample_maxwellian_ensemble(4, UNIT, EX, x, 0)),
+    "cli.operator.density1": cli_mode_density("density1"),
+    "cli.operator.density2": cli_mode_density("density2"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(NONNEGATIVE))
+def test_nonnegative_value_accepts_zero_and_rejects_negative_or_non_finite_by_name(caller):
+    name, build = NONNEGATIVE[caller]
+    build(0.0)
+    with pytest.raises((ValueError, ConfigError),
+                       match=f"^{re.escape(name)}(: value)? must be nonnegative and finite, "
+                             f"got -1"):
+        build(-1.0)
+    for value in (math.inf, math.nan):
+        # the CLI's number rule rejects a non-finite number first, also by name
+        with pytest.raises((ValueError, ConfigError),
+                           match=f"^{re.escape(name)}(: value)? must be "
+                                 f"(nonnegative and )?finite"):
+            build(value)
+
+
+def _former_chart_jacobian(v, lam: float, hemisphere: str = "lower"):
+    """chart_jacobian as it was before it read its point through embed, verbatim."""
+    require_positive("lambda", lam)
+    sign = _hemisphere_sign(hemisphere)
+    v = require_vector3("v", v)
+    rho_sq = float(v @ v) / lam**2
+    if not rho_sq < 1.0:
+        raise SpeedExceedsLambda(f"|v| must be below lambda = {lam:g}")
+    q = math.sqrt(1.0 - rho_sq)
+    denom = 1.0 - sign * q
+    if denom <= CHART_GUARD:
+        raise ChartSingularity(f"1 - theta4 = {denom!r} is inside the guard {CHART_GUARD}")
+    matrix = np.eye(3) / (lam * denom) - sign * np.outer(v, v) / (lam**3 * denom**2 * q)
+    return matrix, float(np.linalg.det(matrix))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])  # the audit's lambda, and a power of two
+@pytest.mark.parametrize("hemisphere", ["lower", "upper"])
+def test_chart_jacobian_through_embed_keeps_the_former_bits(hemisphere, lam):
+    generator = np.random.default_rng(20)
+    directions = generator.standard_normal((200, 3))
+    radii = lam * generator.uniform(0.0, 1.0, 200) ** (1.0 / 3.0)
+    velocities = directions / np.linalg.norm(directions, axis=1)[:, None] * radii[:, None]
+    for v in [*velocities, ORIGIN, (0.999999 * lam, 0.0, 0.0)]:
+        try:
+            want = _former_chart_jacobian(v, lam, hemisphere)
+        except ChartSingularity:  # the upper hemisphere's rest velocity maps to p
+            with pytest.raises(ChartSingularity):
+                chart_jacobian(v, lam, hemisphere)
+            continue
+        assert _bits(chart_jacobian(v, lam, hemisphere)) == _bits(want)
