@@ -13,10 +13,12 @@ counter-based and keyed per probe, which makes results independent of how
 probes are scheduled across workers.
 
 Samples are drawn in chunks of _CHUNK, which fix the stream order and the
-per-chunk statistics. Everything computed per sample runs over _BLOCK-sample
-slices of a chunk and is written into chunk-sized arrays, so its temporaries
-stay cache-sized; every operation is elementwise, so the bits do not depend
-on the block size.
+per-chunk statistics. The per-sample steps (directions, impact maps and
+lookups) run over _BLOCK-sample slices of a chunk and are written into
+chunk-sized arrays, so their temporaries stay cache-sized. Each weighting's
+moment integrands are then filled chunk-wide and in place, so each numpy call
+does more work between releases of the interpreter lock. Every operation is
+elementwise, so the bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -222,11 +224,12 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
                 pre_a, pre_b = pre_collision_pair(v[None, :], v1[s], n, spec.epsilon,
                                                   spec.branch)
                 gn = _dot3(v[None, :] - v1[s], n)
-                f_terms = (gain * interpolate_many(f, pre_a) * interpolate_many(f, pre_b)
-                           - f_probe * interpolate_many(f, v1[s]))
+                f_terms = gain * interpolate_many(f, pre_a)  # G f'f1' - f f1, in place
+                f_terms *= interpolate_many(f, pre_b)
+                f_terms -= f_probe * interpolate_many(f, v1[s])
                 block = np.abs(gn, out=integrand[s])
                 block *= f_terms
-                block[f_terms == 0.0] = 0.0
+                np.copyto(block, 0.0, where=f_terms == 0.0)
             stats.append(_sum_and_m2(integrand))
     weight = f.grid.hull_volume * 4.0 * np.pi * spec.cross_section
     return _estimates(sizes, stats, weight)[0]
@@ -243,7 +246,8 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: lis
     """Per (epsilon, G) weighting, _sum_and_m2 of the five weak-form integrands of one chunk.
 
     The draws and lookups depend only on spec's seed, so every weighting shares them:
-    gn and the lookup product are computed once per sample, the rest per weighting.
+    gn, the lookup product, the pair energy and v + v1 are computed once per sample,
+    the rest per weighting.
     """
     generator = rng.stream(spec.seed, "operator-moments", chunk_index)
     vmax = f.grid.vmax
@@ -255,16 +259,23 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: lis
     for s in _blocks(size):
         gn[s] = _dot3(v1[s] - v[s], _unit_rows(normals[s]))
         base[s] = 0.5 * interpolate_many(f, v[s]) * interpolate_many(f, v1[s]) * np.abs(gn[s])
+    pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
+    v_sum = np.add(v, v1, out=v)  # v, v1 and the normals are not read again
+    del v, v1, normals
     stats = []
-    integrands = np.empty((5, size))  # one weighting's, refilled for the next
+    integrands, scratch = np.empty((5, size)), np.empty(size)  # refilled per weighting
     for epsilon, norm in weightings:
         ge2 = norm.gain_factor(epsilon) * epsilon**2
-        for s in _blocks(size):
-            delta_e = 0.5 * (1.0 - epsilon**2) * mu * gn[s] * gn[s]
-            pair_ke = 0.5 * mass * (_dot3(v[s], v[s]) + _dot3(v1[s], v1[s]))
-            integrands[0, s] = base[s] * (2.0 * ge2 - 2.0)
-            integrands[1:4, s] = (base[s] * (ge2 - 1.0) * mass) * (v[s] + v1[s]).T
-            integrands[4, s] = base[s] * ((ge2 - 1.0) * pair_ke - ge2 * delta_e)
+        np.multiply(base, 2.0 * ge2 - 2.0, out=integrands[0])
+        np.multiply(base, ge2 - 1.0, out=scratch)
+        scratch *= mass
+        np.multiply(scratch, v_sum.T, out=integrands[1:4])
+        np.multiply(gn, 0.5 * (1.0 - epsilon**2) * mu, out=scratch)
+        scratch *= gn
+        scratch *= ge2  # the energy deficit times G eps^2
+        np.multiply(pair_ke, ge2 - 1.0, out=integrands[4])
+        integrands[4] -= scratch
+        integrands[4] *= base
         stats.append(_sum_and_m2(integrands))
     return stats
 

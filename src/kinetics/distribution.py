@@ -167,16 +167,18 @@ def _axis_index_frac(ax: np.ndarray, coords: np.ndarray, spacing: float):
     node below and one with the node above put such an index in the right
     cell; the second clip handles the hull faces. The fraction snaps to
     exactly 1.0 when the query sits on the upper node, so node queries
-    reproduce stored values bit-exactly.
+    reproduce stored values bit-exactly. ``ax[1:].take(idx)`` is ``ax[idx + 1]``,
+    and at -1 the top node, which lies above any coordinate that sent it there.
     """
     n = ax.shape[0]
     idx = ((coords - ax[0]) * (1.0 / spacing)).astype(np.intp)
-    np.clip(idx, 0, n - 2, out=idx)
-    idx -= ax[idx] > coords
-    idx += ax[idx + 1] <= coords
-    np.clip(idx, 0, n - 2, out=idx)
-    frac = (coords - ax[idx]) / spacing
-    frac[coords == ax[idx + 1]] = 1.0
+    np.minimum(np.maximum(idx, 0, out=idx), n - 2, out=idx)
+    idx -= ax.take(idx) > coords
+    idx += ax[1:].take(idx) <= coords
+    np.minimum(np.maximum(idx, 0, out=idx), n - 2, out=idx)
+    frac = coords - ax.take(idx)
+    frac /= spacing
+    np.copyto(frac, 1.0, where=coords == ax[1:].take(idx))
     return idx, frac
 
 
@@ -193,24 +195,25 @@ def interpolate_many(f: DiscreteDistribution, points) -> np.ndarray:
     coords = pts.reshape(-1, 3).T.copy()
     n = f.grid.nodes_per_axis
     within = np.abs(coords) <= f.grid.vmax
-    inside = within[0] & within[1] & within[2]
-    coords[:, ~inside] = 0.0
-    (ix, iy, iz), (fx, fy, fz) = _axis_index_frac(f.grid.axis, coords, f.grid.spacing)
-    corner = (ix * n + iy) * n + iz
+    outside = ~(within[0] & within[1] & within[2])
+    np.copyto(coords, 0.0, where=outside)
+    idx, frac = _axis_index_frac(f.grid.axis, coords, f.grid.spacing)
+    corner = (idx[0] * n + idx[1]) * n + idx[2]
+    del idx  # the corner loop's buffers take its place
+    weights = (1.0 - frac, frac)  # per axis, the weights of the lower and upper node
     vals = f.values.ravel()
     acc = np.zeros(coords.shape[1])
-    term, corner_vals = np.empty_like(acc), np.empty_like(acc)
+    wxy, term, corner_vals = np.empty_like(acc), np.empty_like(acc), np.empty_like(acc)
     for dx in (0, 1):
-        wx = fx if dx else 1.0 - fx
         for dy in (0, 1):
-            wxy = wx * (fy if dy else 1.0 - fy)
+            np.multiply(weights[dx][0], weights[dy][1], out=wxy)
             for dz in (0, 1):
                 # corner indices are in range by construction; "clip" lets take fill out in place
                 vals[(dx * n + dy) * n + dz:].take(corner, out=corner_vals, mode="clip")
-                np.multiply(wxy, fz if dz else 1.0 - fz, out=term)
+                np.multiply(wxy, weights[dz][2], out=term)
                 term *= corner_vals
                 acc += term
-    acc[~inside] = 0.0
+    np.copyto(acc, 0.0, where=outside)
     return acc.reshape(pts.shape[:-1])
 
 

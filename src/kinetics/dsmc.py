@@ -82,7 +82,6 @@ class DsmcConfig:
 class EnsembleMoments(NamedTuple):
     density: float
     momentum: np.ndarray
-    kinetic_energy: float
     temperature: float
 
 
@@ -105,7 +104,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
 
 
 def moments(v: np.ndarray, m: float, density: float) -> EnsembleMoments:
-    """Density as given, then momentum, kinetic energy per volume and temperature (K).
+    """Density as given, then momentum per volume and temperature (K).
 
     v is (N, 3) in a unit volume, so each particle of mass m counts density / N times.
     """
@@ -113,7 +112,6 @@ def moments(v: np.ndarray, m: float, density: float) -> EnsembleMoments:
     w = density / n
     total = np.sum(v, axis=0)
     momentum = m * w * total
-    kinetic = 0.5 * m * w * float(np.sum(v * v))
     # E|v - E v|^2 in two passes, since E|v|^2 - |E v|^2 cancels under a bulk velocity
     mean = total / n  # the bits of np.mean(v, axis=0)
     peculiar_sq = np.zeros(n)
@@ -122,8 +120,7 @@ def moments(v: np.ndarray, m: float, density: float) -> EnsembleMoments:
         component *= component
         peculiar_sq += component
     temperature = m * float(np.mean(peculiar_sq)) / (3.0 * BOLTZMANN)
-    return EnsembleMoments(density=density, momentum=momentum,
-                           kinetic_energy=kinetic, temperature=temperature)
+    return EnsembleMoments(density=density, momentum=momentum, temperature=temperature)
 
 
 def _wave_schedule(first: np.ndarray, second: np.ndarray,

@@ -11,6 +11,7 @@ import numpy as np
 
 from conftest import UNIT_MASS, fit_cooling_exponent
 from quadrature_oracle import brute_force_rate
+from test_dsmc_reference import _reference_moments
 from kinetics import claim_audit as ca
 from kinetics import cli, dsmc
 from kinetics.collision_kernel import (
@@ -196,6 +197,11 @@ def test_stokes_claim_audit():
            f"verdict row inconsistent; {elapsed:.1f}s")
 
 
+def _kinetic_energy(v: np.ndarray) -> float:
+    """Kinetic energy per volume of a unit-density ensemble of UNIT_MASS particles."""
+    return _reference_moments(v, UNIT_MASS, 1.0 / v.shape[0], 1.0)[2]
+
+
 def test_cross_oracle_moment_rates():
     start = time.time()
     grid = VelocityGrid(vmax=4.5, nodes_per_axis=61)
@@ -212,12 +218,12 @@ def test_cross_oracle_moment_rates():
     for r in range(replicas):
         ensemble = dsmc.sample_maxwellian_ensemble(20_000, SPECIES, (0, 0, 0), 1.0,
                                                    seed=100 + r)
-        e0 = dsmc.moments(ensemble.velocities, UNIT_MASS, 1.0).kinetic_energy
+        e0 = _kinetic_energy(ensemble.velocities)
         config = dsmc.DsmcConfig(dt=dt, number_density=1.0, epsilon=0.8,
                                  branch=CollisionBranch.REFLECTIVE, seed=200 + r,
                                  majorant_relative_speed=1.0)
         final = dsmc.advance(ensemble, config, range(window_steps))
-        e1 = dsmc.moments(final.velocities, UNIT_MASS, 1.0).kinetic_energy
+        e1 = _kinetic_energy(final.velocities)
         slopes.append((e1 - e0) / (window_steps * dt))
     slopes = np.array(slopes)
     dsmc_rate = float(np.mean(slopes))

@@ -187,6 +187,35 @@ def test_jacobian_numeric_sweep(setup):
     assert abs(det - epsilon) < 1e-6
 
 
+def _reference_jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2):
+    """Former body of jacobian_numeric: one map call per stencil point."""
+    x0 = np.concatenate([v1, v2])
+    h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
+
+    def f(x):
+        w1, w2 = transform_velocities(x[:3], x[3:], n, epsilon, branch, s1.mass, s2.mass)
+        return np.concatenate([w1, w2])
+
+    jac = np.empty((6, 6))
+    for i in range(6):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (f(xp) - f(xm)) / (2.0 * h)
+    return abs(float(np.linalg.det(jac)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(setups(), st.floats(1.0, 16.0))
+def test_jacobian_numeric_matches_the_per_point_stencil_bits(setup, scale):
+    # the 12 stencil points in one broadcast map give the loop's determinant bit for bit
+    v1, v2, n, epsilon, branch, s1, s2 = setup
+    args = (v1 * scale, v2 * scale, n, epsilon, branch, s1, s2)
+    got, want = jacobian_numeric(*args), _reference_jacobian_numeric(*args)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_transform_velocities_broadcasts():
     rng = np.random.default_rng(9)
     v1 = rng.uniform(-2, 2, (40, 3))

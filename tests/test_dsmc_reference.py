@@ -6,9 +6,10 @@ pierced attempt. Its rows are sampled by ``_reference_moments``, whose
 arithmetic is a former body of ``dsmc.moments``, with the temperature taken
 from the peculiar velocities v - mean(v) as the package takes it; it still
 takes molecules per particle and a volume, which for an ensemble filling a
-unit volume are number_density / N and 1. The package must
-reproduce its rows, final velocities and single steps bit for bit, and
-``dsmc.moments`` must report the density it is given.
+unit volume are number_density / N and 1. Its kinetic energy, which the
+package does not report, serves the acceptance energy-rate oracle. The
+package must reproduce its rows, final velocities and single steps bit for
+bit, and ``dsmc.moments`` must report the density it is given.
 """
 
 import math
@@ -234,7 +235,6 @@ def test_moments_match_reference_bit_for_bit():
         m = 10.0 ** generator.uniform(-26, 0)
         density = 10.0 ** generator.uniform(-26, 26)
         actual = dsmc.moments(v, m, density)
-        _, momentum, kinetic, temperature = _reference_moments(v, m, density / n, 1.0)
-        _assert_bits_equal([actual.density, actual.kinetic_energy, actual.temperature],
-                           [density, kinetic, temperature])
+        _, momentum, _, temperature = _reference_moments(v, m, density / n, 1.0)
+        _assert_bits_equal([actual.density, actual.temperature], [density, temperature])
         _assert_bits_equal(actual.momentum, momentum)
