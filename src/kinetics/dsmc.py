@@ -9,10 +9,11 @@ the selected impact rule, so the realized collision frequency matches the
 quadrature kernel (1/4) d^2 |g . n| integrated over the full sphere.
 
 The majorant in force at each step is max(2 * speed bound, config majorant),
-the bound being the largest particle speed at the last refresh (see advance)
-or any larger outgoing speed since. A collision chain that pushes a relative
-speed above it aborts the step, which is retried with the majorant doubled.
-Draws come from streams keyed by (seed, step index): a run is bit-reproducible.
+the bound being the largest particle speed at the step's start, read from
+squared speeds kept beside the velocities. A collision chain that pushes a
+relative speed above it aborts the step, which is retried with the majorant
+doubled. Draws come from streams keyed by (seed, step index): a run is
+bit-reproducible.
 
 A step's candidates are drawn up front and run in dependency waves: a
 candidate's wave is 1 + the largest wave of any earlier candidate sharing
@@ -40,7 +41,6 @@ from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_
                      require_nonnegative, require_positive, require_vector3)
 
 _MAJORANT_RETRIES = 8
-_BOUND_REFRESH_STEPS = 64
 _UNOWNED = np.iinfo(np.intp).max  # _wave_schedule's free-particle mark, above every index
 
 
@@ -149,16 +149,16 @@ def _wave_schedule(first: np.ndarray, second: np.ndarray,
     return waves
 
 
-def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: Species,
-                  generator: np.random.Generator, majorant: float,
-                  owner: np.ndarray) -> float | None:
-    """One candidate sweep on v in place; the new speed bound, or None if pierced.
+def _attempt_step(v: np.ndarray, speed_sq: np.ndarray, config: DsmcConfig,
+                  species: Species, generator: np.random.Generator, majorant: float,
+                  owner: np.ndarray) -> bool:
+    """One candidate sweep on v and its squared speeds in place; False if pierced.
 
     owner is _wave_schedule's scratch array, reused across steps.
 
     Accepted collisions are journaled wave by wave with their pre-collision
-    velocities, so a pierced attempt is unwound exactly instead of copying
-    the whole ensemble every step.
+    velocities and squared speeds, so a pierced attempt is unwound exactly
+    instead of copying the whole ensemble every step.
     """
     n = v.shape[0]
     expected = (0.5 * n * (n - 1) * (config.number_density / n) * math.pi
@@ -169,7 +169,7 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: S
                          f"{expected!r} expected candidates exceed the {pairs} pairs")
     n_candidates = int(math.floor(expected + generator.uniform()))
     if n_candidates == 0:
-        return bound_sq
+        return True
     first = generator.integers(0, n, n_candidates)
     second = generator.integers(0, n - 1, n_candidates)
     second = second + (second >= first)
@@ -189,10 +189,12 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: S
         vj = v.take(j, axis=0)
         g = vj - vi
         if np.any(_dot3(g, g) > majorant_sq):
-            for accepted_i, accepted_j, old_i, old_j in reversed(journal):
+            for accepted_i, accepted_j, old_i, old_j, old_si, old_sj in reversed(journal):
                 v[accepted_i] = old_i
                 v[accepted_j] = old_j
-            return None
+                speed_sq[accepted_i] = old_si
+                speed_sq[accepted_j] = old_sj
+            return False
         nw = normals.take(wave, axis=0)
         gn = _dot3(g, nw) / norms[wave]
         hit = np.flatnonzero(usable[wave] & ~(thresholds[wave] >= np.abs(gn)))
@@ -202,15 +204,15 @@ def _attempt_step(v: np.ndarray, bound_sq: float, config: DsmcConfig, species: S
         j = j[hit]
         vi = vi.take(hit, axis=0)
         vj = vj.take(hit, axis=0)
-        journal.append((i, j, vi, vj))
+        journal.append((i, j, vi, vj, speed_sq[i], speed_sq[j]))
         impulse = (factor * gn[hit] / norms[wave[hit]])[:, None] * nw.take(hit, axis=0)
         w1 = vi + impulse
         w2 = vj - impulse
         v[i] = w1
         v[j] = w2
-        bound_sq = max(bound_sq, float(np.max(_dot3(w1, w1))),
-                       float(np.max(_dot3(w2, w2))))
-    return bound_sq
+        speed_sq[i] = _dot3(w1, w1)
+        speed_sq[j] = _dot3(w2, w2)
+    return True
 
 
 def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
@@ -218,30 +220,26 @@ def advance(ensemble: ParticleEnsemble, config: DsmcConfig, indices: range,
             ) -> ParticleEnsemble:
     """The ensemble after the steps in indices; on_step(index, v) after each.
 
-    A step reads the velocities and a speed bound, taken afresh at the first
-    index and each multiple of _BOUND_REFRESH_STEPS and only grown between. So
-    range(i, i + 1), from the state before step i, recomputes step i of a run
-    only where i is such a multiple or the run's first index.
+    A step reads only the velocities: its speed bound is the largest speed at
+    its start, from squared speeds kept beside them. So range(i, i + 1), from
+    the state before step i, recomputes step i of any run bit for bit.
     """
     if ensemble.count < 2 and len(indices):
         raise ValueError("need at least 2 particles to step")
     v = np.array(ensemble.velocities)
+    speed_sq = _dot3(v, v)
     owner = np.full(ensemble.count, _UNOWNED)
     for index in indices:
-        if index == indices.start or index % _BOUND_REFRESH_STEPS == 0:
-            bound_sq = float(np.max(_dot3(v, v)))
         generator = rng.stream(config.seed, "dsmc-step", index)
-        majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(bound_sq))
+        majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(np.max(speed_sq)))
         for _ in range(_MAJORANT_RETRIES):
-            swept = _attempt_step(v, bound_sq, config, ensemble.species, generator, majorant,
-                                  owner)
-            if swept is not None:
+            if _attempt_step(v, speed_sq, config, ensemble.species, generator, majorant,
+                             owner):
                 break
             majorant *= 2.0
         else:
             raise MajorantExceeded(
                 f"relative speed still above majorant after {_MAJORANT_RETRIES} doublings")
-        bound_sq = swept
         if on_step is not None:
             on_step(index, v)
     v.setflags(write=False)  # this call's own copy, so the ensemble adopts it

@@ -466,9 +466,10 @@ def test_estimator_peak_memory_is_the_chunk_arrays_plus_a_block_allowance():
     # numpy reports its buffers to tracemalloc. A chunk's draws, and the arrays
     # that collect its per-sample results, span the chunk; every other
     # temporary spans one _BLOCK, and 36 block-sized float arrays (2.4 MB) cover
-    # them (measured: about 29 for evaluate_at, 2 for _moment_chunk). Temporaries
-    # that span the chunk exceed it: 8.0 and 8.1 MB when measured, against the
-    # gates' 4.5 and 7.9 MB.
+    # them (measured: evaluate_at peaks 25.6 blocks above its chunk columns, and
+    # moment_rates 15.9 blocks below the columns it asserts, an upper bound).
+    # Temporaries that span the chunk exceed it: 8.0 and 8.1 MB when measured,
+    # against the gates' 4.5 and 7.9 MB.
     f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,
                 0.5, (-2, 0, 0), 1.0, UNIT_MASS)
     spec = spec_with(samples=3 * collision_operator._CHUNK + 17, epsilon=0.9,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import UNIT_MASS, fit_cooling_exponent
 from kinetics import cli, dsmc
-from kinetics.collision_kernel import CollisionBranch, Species
+from kinetics.collision_kernel import CollisionBranch, Species, _dot3
 from kinetics.errors import MajorantExceeded
 
 SPECIES = Species(mass=UNIT_MASS, diameter=1.0)
@@ -109,17 +109,42 @@ def test_step_is_a_pure_function_of_inputs():
     assert np.any(c.velocities != a.velocities)
 
 
-def test_a_step_at_a_bound_refresh_recomputes_alone_bit_for_bit():
-    # step 64 takes its speed bound afresh from the velocities, in the run and alone
+def test_every_step_recomputes_alone_bit_for_bit():
+    # a step reads only the velocities, so each step of a run, recomputed alone from
+    # the state before it, gives the run's bits
     ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, (0, 0, 0), 1.0, seed=0)
     config = config_with(epsilon=0.8, dt=0.05, seed=0)
-    states = {}
-    dsmc.advance(ensemble, config, range(65),
-                 lambda index, v: states.__setitem__(index, v.copy()))
-    alone = dsmc.advance(dsmc.ParticleEnsemble(velocities=states[63], species=SPECIES),
-                         config, range(64, 65))
-    assert alone.velocities.tobytes() == states[64].tobytes()
-    assert np.any(states[64] != states[63])  # the step collides some pairs
+    states = [ensemble.velocities]
+    dsmc.advance(ensemble, config, range(130), lambda index, v: states.append(v.copy()))
+    mismatched = [index for index in range(130)
+                  if dsmc.advance(dsmc.ParticleEnsemble(velocities=states[index],
+                                                        species=SPECIES),
+                                  config, range(index, index + 1)).velocities.tobytes()
+                  != states[index + 1].tobytes()]
+    assert mismatched == []
+    assert all(np.any(after != before) for before, after in zip(states, states[1:]))
+
+
+def test_each_step_majorant_is_the_exact_speed_bound(monkeypatch):
+    # in a fast-cooling gas the majorant falls with the speeds: each step's first
+    # attempt runs at max(floor, 2 * the largest speed at the step's start)
+    ensemble = dsmc.sample_maxwellian_ensemble(4000, SPECIES, (0, 0, 0), 1.0, seed=0)
+    config = config_with(epsilon=0.7, dt=0.5, seed=0)
+    attempt = dsmc._attempt_step
+    firsts = []  # (step's generator, majorant, velocities) of each step's first attempt
+
+    def recording(v, speed_sq, step_config, species, generator, majorant, owner):
+        if not firsts or firsts[-1][0] is not generator:  # retries reuse the generator
+            firsts.append((generator, majorant, v.copy()))
+        return attempt(v, speed_sq, step_config, species, generator, majorant, owner)
+
+    monkeypatch.setattr(dsmc, "_attempt_step", recording)
+    dsmc.advance(ensemble, config, range(64))
+    assert len(firsts) == 64
+    for _, majorant, v in firsts:
+        assert majorant == max(config.majorant_relative_speed,
+                               2.0 * math.sqrt(float(np.max(_dot3(v, v)))))
+    assert firsts[-1][1] < 0.5 * firsts[0][1]  # the gas cools, and the majorant with it
 
 
 def test_small_cooling_exponent_is_haff_like():

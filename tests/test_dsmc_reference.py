@@ -27,7 +27,7 @@ SPECIES = Species(mass=UNIT_MASS, diameter=1.0)
 
 
 class _Columns:
-    """Velocity columns as Python lists plus an upper bound on max speed^2."""
+    """Velocity columns as Python lists plus the largest speed^2 at the last refresh."""
 
     def __init__(self, velocities):
         self.vx = velocities[:, 0].tolist()
@@ -35,7 +35,6 @@ class _Columns:
         self.vz = velocities[:, 2].tolist()
         self.count = velocities.shape[0]
         self.pierced = 0
-        self.refresh_bound()
 
     def refresh_bound(self):
         arr = self.as_array()
@@ -65,7 +64,6 @@ def _scalar_attempt(state, config, weight, volume, generator, majorant):
     vx, vy, vz = state.vx, state.vy, state.vz
     factor = 0.5 * config.branch.normal_factor(config.epsilon)
     majorant_sq = majorant * majorant
-    bound_sq = state.bound_sq
     journal = []
     sqrt = math.sqrt
     for k in range(n_candidates):
@@ -111,18 +109,12 @@ def _scalar_attempt(state, config, weight, volume, generator, majorant):
         vx[j] = wx2
         vy[j] = wy2
         vz[j] = wz2
-        s1 = wx1 * wx1 + wy1 * wy1 + wz1 * wz1
-        if s1 > bound_sq:
-            bound_sq = s1
-        s2 = wx2 * wx2 + wy2 * wy2 + wz2 * wz2
-        if s2 > bound_sq:
-            bound_sq = s2
-    state.bound_sq = bound_sq
     return True
 
 
 def _scalar_step(state, config, weight, volume, step_index):
     generator = rng.stream(config.seed, "dsmc-step", step_index)
+    state.refresh_bound()  # every step takes its bound afresh from the velocities
     majorant = max(config.majorant_relative_speed, 2.0 * math.sqrt(state.bound_sq))
     for _ in range(dsmc._MAJORANT_RETRIES):
         if _scalar_attempt(state, config, weight, volume, generator, majorant):
@@ -159,8 +151,6 @@ def reference_run(ensemble, config, n_steps, sample_every):
     weight, volume = _unit_volume(ensemble, config)
     rows = [_sample(0.0, state, weight, volume)]
     for index in range(n_steps):
-        if index and index % dsmc._BOUND_REFRESH_STEPS == 0:
-            state.refresh_bound()
         _scalar_step(state, config, weight, volume, index)
         if (index + 1) % sample_every == 0:
             rows.append(_sample((index + 1) * config.dt, state, weight, volume))

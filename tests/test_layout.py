@@ -6,7 +6,8 @@ its name is loaded somewhere in M; some package module imports it with
 some package module refers to ``M.name`` after importing M from the package.
 A bare name elsewhere does not count, so a local variable that shares the
 name cannot hide an unused definition. Anything else is code that only tests
-call, and belongs in the tests or nowhere.
+call, and belongs in the tests or nowhere. A module-level constant is held to
+the same rule, so none survives only because a test reads it.
 """
 
 import ast
@@ -43,13 +44,22 @@ def _uses(module: str, tree: ast.Module) -> set[tuple[str, str]]:
     return uses
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+    return []
+
+
 def test_every_definition_is_used_in_src_or_exported():
     trees = _trees()
     used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
-    unused = [f"{module}.py:{node.name}" for module, tree in trees.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and (module, node.name) not in used]
+    unused = [f"{module}.py:{name}" for module, tree in trees.items()
+              for node in tree.body for name in _defined_names(node)
+              if (module, name) not in used]
     assert unused == []
 
 
