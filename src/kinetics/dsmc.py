@@ -76,6 +76,7 @@ class DsmcConfig:
         require_positive("dt", self.dt)
         require_positive("number_density", self.number_density)
         _validate_restitution(self.epsilon)
+        require_count("seed", self.seed, -math.inf)
         require_positive("majorant_relative_speed", self.majorant_relative_speed)
 
 

@@ -8,6 +8,8 @@ alone, so parallel results are bitwise equal to sequential ones.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -23,8 +25,6 @@ def _mix64(x: int) -> int:
 
 
 def _part_to_int(part: int | float | str | bytes) -> int:
-    if isinstance(part, int):
-        return part & _MASK64
     if isinstance(part, float):
         return int(np.float64(part).view(np.uint64))
     if isinstance(part, str):
@@ -34,12 +34,15 @@ def _part_to_int(part: int | float | str | bytes) -> int:
         for b in part:
             h = ((h ^ b) * 0x100000001B3) & _MASK64
         return h
-    raise TypeError(f"cannot derive a stream from part of type {type(part)!r}")
+    try:  # an int, a numpy integer or a bool, as a Python int
+        return operator.index(part) & _MASK64
+    except TypeError:
+        raise TypeError(f"cannot derive a stream from part of type {type(part)!r}") from None
 
 
 def derive_key(seed: int, *parts: int | float | str | bytes) -> int:
     """Mix a base seed with arbitrary labels into one 64-bit stream key."""
-    h = _mix64(seed & _MASK64)
+    h = _mix64(operator.index(seed) & _MASK64)
     for part in parts:
         h = _mix64((h + _GOLDEN + _part_to_int(part)) & _MASK64)
     return h
@@ -47,5 +50,5 @@ def derive_key(seed: int, *parts: int | float | str | bytes) -> int:
 
 def stream(seed: int, *parts: int | float | str | bytes) -> np.random.Generator:
     """Philox generator keyed by (seed, parts); independent across distinct parts."""
-    key = np.array([seed & _MASK64, derive_key(seed, *parts)], dtype=np.uint64)
+    key = np.array([operator.index(seed) & _MASK64, derive_key(seed, *parts)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -167,8 +167,8 @@ def test_audit_rows_rerun_bit_exactly_from_recorded_seed():
 
 
 def test_conservation_audit_draws_and_interpolates_each_chunk_once(monkeypatch):
-    # four weightings share one stream per chunk and two lookups per block of a
-    # chunk, not four of each; the blocks cover each sample once
+    # four weightings share one stream and one pair of lookups per chunk, not
+    # four of each; the lookups cover each sample once
     grid = VelocityGrid(vmax=4.5, nodes_per_axis=29)
     f = maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS)
     chunks = 4
@@ -189,9 +189,8 @@ def test_conservation_audit_draws_and_interpolates_each_chunk_once(monkeypatch):
     reports = ca.audit_mass_conservation([1.0, 0.8], spec, f, threads=2)
     assert len(reports) == 8
     assert sorted(streams) == [(3, "operator-moments", i) for i in range(chunks)]
-    blocks = (chunks - 1) * (collision_operator._CHUNK // collision_operator._BLOCK) + 1
-    assert len(lookups) == 2 * blocks
-    assert max(lookups) == collision_operator._BLOCK
+    assert len(lookups) == 2 * chunks
+    assert max(lookups) == collision_operator._CHUNK
     assert sum(lookups) == 2 * spec.samples
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -311,6 +312,12 @@ def test_rate_estimate_validation_and_spec_errors():
         spec_with(epsilon=1.2)
 
 
+@pytest.mark.parametrize("seed", [1.5, "a", None, True])
+def test_spec_rejects_a_seed_that_is_not_an_integer_by_name(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        spec_with(seed=seed)
+
+
 def test_overflowing_estimate_is_a_numerical_failure():
     assert not issubclass(NonFiniteEstimate, ValueError)
     grid = VelocityGrid(vmax=4.0, nodes_per_axis=41)
@@ -462,26 +469,26 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_estimator_peak_memory_is_the_chunk_arrays_plus_a_block_allowance():
-    # numpy reports its buffers to tracemalloc. A chunk's draws, and the arrays
-    # that collect its per-sample results, span the chunk; every other
-    # temporary spans one _BLOCK, and 36 block-sized float arrays (2.4 MB) cover
-    # them (measured: evaluate_at peaks 25.6 blocks above its chunk columns, and
-    # moment_rates 15.9 blocks below the columns it asserts, an upper bound).
-    # Temporaries that span the chunk exceed it: 8.0 and 8.1 MB when measured,
-    # against the gates' 4.5 and 7.9 MB.
+def test_estimator_peak_memory_is_the_chunk_columns_it_holds():
+    # numpy reports its buffers to tracemalloc. A column is one float per sample
+    # of a chunk. Each estimator peaks in a lookup's corner loop, where
+    # interpolate_many holds 14.5 columns: the (3, m) coordinates, fractions and
+    # lower weights, the corner index, four accumulators, and 4 bytes a sample
+    # of hull masks. The allowance of half a column is for interpreter objects
+    # (measured: 28.53 and 22.54 columns in all), so one more chunk-sized array
+    # held across a lookup exceeds it.
     f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,
                 0.5, (-2, 0, 0), 1.0, UNIT_MASS)
     spec = spec_with(samples=3 * collision_operator._CHUNK + 17, epsilon=0.9,
                      normalization=GainNormalization.STANDARD_GRANULAR)
-    column = 8 * collision_operator._CHUNK  # one float per sample of a chunk
-    allowance = 36 * 8 * collision_operator._BLOCK
+    column = 8 * collision_operator._CHUNK
+    lookup = 14.5 * column + column // 2  # with the allowance
     evaluate_at(f, (0.5, 0.3, -0.1), spec)  # first-call caches are not per call
     at_peak = _traced_peak(lambda: evaluate_at(f, (0.5, 0.3, -0.1), spec))
-    # partners and normals (3 columns each), the integrand and its deviations
-    assert at_peak <= (6 + 2) * column + allowance, f"{at_peak / 1e6:.2f} MB"
+    # partners, directions and the two pre-collision velocities (3 columns
+    # each), the integrand and the f terms
+    assert at_peak <= (12 + 2) * column + lookup, f"{at_peak / column:.2f} columns"
     weightings = [(epsilon, norm) for epsilon in (1.0, 0.8) for norm in GainNormalization]
     moments_peak = _traced_peak(lambda: moment_rates(f, spec, weightings=weightings))
-    # v, v1 and normals (9 columns), gn and the lookup product, then one
-    # weighting's five integrands and their deviations
-    assert moments_peak <= (9 + 2 + 10) * column + allowance, f"{moments_peak / 1e6:.2f} MB"
+    # v and v1 (3 columns each), gn and the first lookup's product
+    assert moments_peak <= (6 + 2) * column + lookup, f"{moments_peak / column:.2f} columns"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,12 @@ def test_advance_needs_two_particles_to_step():
     assert dsmc.advance(lone, config_with(), range(0)).count == 1
     with pytest.raises(ValueError, match="^need at least 2 particles to step$"):
         dsmc.advance(lone, config_with(), range(1))
+
+
+@pytest.mark.parametrize("seed", [1.5, "a", None, True])
+def test_config_rejects_a_seed_that_is_not_an_integer_by_name(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        config_with(seed=seed)
 
 
 def test_config_and_ensemble_validation():

@@ -1,14 +1,14 @@
-"""Block-wise estimator against the whole-chunk bodies it replaces.
+"""Chunk-wide estimator against the bodies its rewrites replaced.
 
 ``_reference_unit_sphere``, ``_reference_sum_and_m2`` and
 ``_reference_evaluate_at`` are the former bodies of
 ``collision_operator._unit_sphere``, ``_sum_and_m2`` and ``evaluate_at``,
 kept here verbatim as the reference, except that the lookups call the
-searchsorted ``_reference_interpolate_many``. Each per-sample temporary there
-spans a whole ``_CHUNK``. The current code runs the same elementwise work
-over ``_BLOCK``-sample slices, so it must give the same bits on either side
-of a block and a chunk boundary, for a probe far past the hull, and at any
-worker count.
+searchsorted ``_reference_interpolate_many``. Like the current code, each
+per-sample step there spans a whole ``_CHUNK``; the current code writes the
+unit rows, the lookups, the integrand and M2 differently, so it must give the
+same bits on either side of a chunk boundary, for a probe far past the hull,
+and at any worker count.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from kinetics.collision_kernel import CollisionBranch, _dot3
 from kinetics.collision_operator import (
     GainNormalization,
     QuadratureSpec,
-    _BLOCK,
     _CHUNK,
     _chunk_sizes,
     _estimates,
@@ -87,7 +86,7 @@ def _bits(estimates) -> list[tuple[int, int]]:
 PROBES = [(2.0, 0.0, 0.0), (0.5, 0.3, -0.1), (6.0, -6.0, 6.0), (1e200, 0.0, 0.0)]
 
 
-@pytest.mark.parametrize("samples", [2, _BLOCK - 1, _BLOCK + 1, _CHUNK, 3 * _CHUNK + 17])
+@pytest.mark.parametrize("samples", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
 @pytest.mark.parametrize("branch", list(CollisionBranch))
 def test_evaluate_at_matches_whole_chunk_reference(samples, branch):
     f = bimodal(VelocityGrid(vmax=6.0, nodes_per_axis=41), 0.5, (2, 0, 0), 1.0,
@@ -102,7 +101,7 @@ def test_evaluate_at_matches_whole_chunk_reference(samples, branch):
 
 def test_sum_and_m2_matches_reference_on_rows_that_rescale():
     generator = np.random.default_rng(17)
-    rows = generator.standard_normal((6, 3 * _BLOCK + 5))
+    rows = generator.standard_normal((6, 2 * _CHUNK))
     rows[1] *= 1e300  # past the rescale threshold
     rows[2] = 3.0  # no spread
     rows[3, ::7] = -0.0

@@ -6,6 +6,7 @@ streams (and every rate the operator writes) keep their bits.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -75,3 +76,11 @@ def test_an_unsupported_key_part_is_rejected_by_its_type(part):
     with pytest.raises(TypeError, match=f"^cannot derive a stream from part of type "
                                         f"{re.escape(repr(type(part)))}$"):
         rng.stream(0, "label", part)
+
+
+@pytest.mark.parametrize("seed", [5, np.int64(5), np.uint64(5)])
+def test_a_numpy_integer_seed_or_part_draws_as_its_int(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rng.stream(seed, "label", type(seed)(3)).random(8)
+    assert got.tobytes() == rng.stream(5, "label", 3).random(8).tobytes()
