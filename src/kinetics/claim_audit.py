@@ -9,8 +9,6 @@ diagnostic-only rows that never carry a pass/fail.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -18,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng, sphere_group
+from .cli import csv_text
 from .collision_kernel import (
     CollisionBranch,
     Species,
@@ -75,6 +74,7 @@ def _sigma_ratio(estimate: RateEstimate) -> float:
 
 def audit_jacobian(seed: int = 0, n_configs: int = 100) -> AuditReport:
     """Finite-difference determinant of the pair map versus the restitution."""
+    require_count("seed", seed, -math.inf)
     require_count("n_configs", n_configs, 1)
     generator = rng.stream(seed, "audit-jacobian")
     worst = 0.0
@@ -106,6 +106,7 @@ def audit_energy_formula(seed: int = 0, n_configs: int = 200) -> list[AuditRepor
     Head-on geometry agrees to round-off; oblique geometry disagrees by
     (1/2)(1 - eps^2) mu (|g|^2 - (g.n)^2), which is reported, not repaired.
     """
+    require_count("seed", seed, -math.inf)
     require_count("n_configs", n_configs, 1)
     generator = rng.stream(seed, "audit-energy")
     worst_head_on = 0.0
@@ -298,6 +299,9 @@ class AuditSettings:
     mass_samples: int = 1_000_000
     mass_nodes: int = 61
 
+    def __post_init__(self):
+        require_count("seed", self.seed, -math.inf)
+
 
 def _stokes_reports(settings: AuditSettings, vth: float, spec: QuadratureSpec,
                     threads: int) -> list[AuditReport]:
@@ -348,17 +352,6 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
 
     reports.extend(audit_transport_relation())
     return reports
-
-
-def csv_text(header: list[str], rows) -> str:
-    """CSV with "\n" line ends; numbers as shortest round-trip floats."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating))
-                         else str(x) for x in row])
-    return buffer.getvalue()
 
 
 def audit_csv_text(reports: list[AuditReport]) -> str:

@@ -11,6 +11,9 @@ place until all are written, so failed runs leave no partial set. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
+import importlib
+import io
 import json
 import math
 import os
@@ -22,10 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import claim_audit, dsmc, transport_solver
-from .collision_kernel import CollisionBranch, Species, _validate_restitution, collide
-from .collision_operator import GainNormalization, QuadratureSpec, evaluate_field
-from .distribution import VelocityGrid, bimodal, maxwellian
 from .errors import (
     ConfigError,
     KineticsError,
@@ -36,7 +35,6 @@ from .errors import (
     require_nonnegative,
     require_positive,
 )
-from .transport_solver import ForceField
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,6 +47,41 @@ class RunConfig:
     parameters: dict
     seed: int
     output_dir: str
+
+
+# The sibling modules that the subcommands read, each with the names read from it. A
+# module is imported and bound here when a subcommand that runs it is resolved, so a
+# process loads only what its subcommand runs.
+_IMPORTS = {
+    "collision_kernel": ("CollisionBranch", "Species", "_validate_restitution", "collide"),
+    "collision_operator": ("GainNormalization", "QuadratureSpec", "evaluate_field"),
+    "distribution": ("VelocityGrid", "bimodal", "maxwellian"),
+    "dsmc": (),
+    "transport_solver": ("ForceField",),
+    "claim_audit": (),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import the sibling modules and bind each here, with the names _IMPORTS lists.
+
+    A name already bound stays, so a wrapper set on this module is what a runner calls.
+    """
+    namespace = globals()
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        namespace.setdefault(module, loaded)
+        for name in _IMPORTS[module]:
+            namespace.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A name of _IMPORTS, read from outside before its subcommand was resolved."""
+    for module, names in _IMPORTS.items():
+        if name == module or name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Schema:
@@ -123,8 +156,9 @@ def _choice(allowed):
     return check
 
 
-_branch = _choice(member.value for member in CollisionBranch)
-_normalization = _choice(member.value for member in GainNormalization)
+def _member(enum):
+    """Checker accepting the value of one of the enum's members."""
+    return _choice(member.value for member in enum)
 
 
 def _string(value, context) -> str:
@@ -173,72 +207,91 @@ def _distribution_params(value, context) -> dict:
     return _DISTRIBUTIONS[kind][0].resolve(value, context)
 
 
-_COLLIDE_SCHEMA = _Schema({
-    "v1": (_vec3,),
-    "v2": (_vec3,),
-    "n": (_vec3,),
-    "epsilon": (_restitution,),
-    "branch": (_branch,),
-    "mass1": (_positive, 1.0),
-    "mass2": (_positive, 1.0),
-    "diameter1": (_positive, 1.0),
-    "diameter2": (_positive, 1.0),
-})
+# Each subcommand's schema fields, built once its modules are loaded (see _schema).
+def _collide_fields() -> dict:
+    return {
+        "v1": (_vec3,),
+        "v2": (_vec3,),
+        "n": (_vec3,),
+        "epsilon": (_restitution,),
+        "branch": (_member(CollisionBranch),),
+        "mass1": (_positive, 1.0),
+        "mass2": (_positive, 1.0),
+        "diameter1": (_positive, 1.0),
+        "diameter2": (_positive, 1.0),
+    }
 
-_OPERATOR_SCHEMA = _Schema({
-    "vmax": (_positive,),
-    "nodes_per_axis": (_count(4),),
-    "distribution": (_distribution_params,),
-    "mass": (_positive, 1.0),
-    "diameter": (_positive, 1.0),
-    "epsilon": (_restitution, 1.0),
-    "branch": (_branch, CollisionBranch.REFLECTIVE.value),
-    "normalization": (_normalization, GainNormalization.RESTITUTION_WEIGHTED.value),
-    "samples": (_count(2), 100_000),
-    "probes": (_probes,),
-})
 
-_DSMC_SCHEMA = _Schema({
-    "particles": (_count(2),),
-    "steps": (_count(0),),
-    "sample_every": (_count(1), 1),
-    "dt": (_positive,),
-    "number_density": (_positive, 1.0),
-    "epsilon": (_restitution, 1.0),
-    "branch": (_branch, CollisionBranch.REFLECTIVE.value),
-    "temperature": (_positive, 1.0),
-    "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
-    "mass": (_positive, 1.0),
-    "diameter": (_positive, 1.0),
-    "majorant_relative_speed": (_positive, 1.0),
-})
+def _operator_fields() -> dict:
+    return {
+        "vmax": (_positive,),
+        "nodes_per_axis": (_count(4),),
+        "distribution": (_distribution_params,),
+        "mass": (_positive, 1.0),
+        "diameter": (_positive, 1.0),
+        "epsilon": (_restitution, 1.0),
+        "branch": (_member(CollisionBranch), CollisionBranch.REFLECTIVE.value),
+        "normalization": (_member(GainNormalization),
+                          GainNormalization.RESTITUTION_WEIGHTED.value),
+        "samples": (_count(2), 100_000),
+        "probes": (_probes,),
+    }
 
-_TRANSPORT_SCHEMA = _Schema({
-    "nx": (_count(4), 128),
-    "length": (_positive, 10.0),
-    "nv": (_count(4), 128),
-    "vmax": (_positive, 3.0),
-    "dt": (_positive,),
-    "steps": (_count(0),),
-    "force": (_vec3, [0.0, 0.0, 0.0]),
-    "mass": (_positive, 1.0),
-    "center_x": (_number, 3.0),
-    "center_v": (_number, 0.0),
-    "sigma_x": (_positive, 0.5),
-    "sigma_v": (_positive, 0.4),
-    "amplitude": (_positive, 1.0),
-})
 
-# Every AuditSettings field but the seed, checked by its type, with its default; a node
-# count takes VelocityGrid's minimum, a sample count the 2 that a standard error needs.
-_AUDIT_TYPES = typing.get_type_hints(claim_audit.AuditSettings)
-_AUDIT_SCHEMA = _Schema({
-    field.name: (_count(4) if field.name.endswith("_nodes")
-                 else _count(2) if field.name.endswith("_samples")
-                 else {int: _count(1), float: _positive}[_AUDIT_TYPES[field.name]],
-                 field.default)
-    for field in fields(claim_audit.AuditSettings) if field.name != "seed"
-})
+def _dsmc_fields() -> dict:
+    return {
+        "particles": (_count(2),),
+        "steps": (_count(0),),
+        "sample_every": (_count(1), 1),
+        "dt": (_positive,),
+        "number_density": (_positive, 1.0),
+        "epsilon": (_restitution, 1.0),
+        "branch": (_member(CollisionBranch), CollisionBranch.REFLECTIVE.value),
+        "temperature": (_positive, 1.0),
+        "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
+        "mass": (_positive, 1.0),
+        "diameter": (_positive, 1.0),
+        "majorant_relative_speed": (_positive, 1.0),
+    }
+
+
+def _transport_fields() -> dict:
+    return {
+        "nx": (_count(4), 128),
+        "length": (_positive, 10.0),
+        "nv": (_count(4), 128),
+        "vmax": (_positive, 3.0),
+        "dt": (_positive,),
+        "steps": (_count(0),),
+        "force": (_vec3, [0.0, 0.0, 0.0]),
+        "mass": (_positive, 1.0),
+        "center_x": (_number, 3.0),
+        "center_v": (_number, 0.0),
+        "sigma_x": (_positive, 0.5),
+        "sigma_v": (_positive, 0.4),
+        "amplitude": (_positive, 1.0),
+    }
+
+
+def _audit_fields() -> dict:
+    """Every AuditSettings field but the seed, checked by its type, with its default; a node
+    count takes VelocityGrid's minimum, a sample count the 2 that a standard error needs."""
+    types = typing.get_type_hints(claim_audit.AuditSettings)
+    return {
+        field.name: (_count(4) if field.name.endswith("_nodes")
+                     else _count(2) if field.name.endswith("_samples")
+                     else {int: _count(1), float: _positive}[types[field.name]],
+                     field.default)
+        for field in fields(claim_audit.AuditSettings) if field.name != "seed"
+    }
+
+
+def _schema(subcommand: str) -> _Schema:
+    """The subcommand's config schema, built once its modules are loaded; so every
+    import is done when parse_config returns, and none falls in the run."""
+    modules, schema_fields, _ = _SUBCOMMANDS[subcommand]
+    _load(*modules)
+    return _Schema(schema_fields())
 
 
 def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
@@ -260,7 +313,7 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     chosen = declared or subcommand
     if chosen is None:
         raise ValidationError("no subcommand given (config or command line)")
-    resolved = _SUBCOMMANDS[chosen][0].resolve(top["parameters"], "parameters")
+    resolved = _schema(chosen).resolve(top["parameters"], "parameters")
     return RunConfig(subcommand=chosen, parameters=resolved, seed=top["seed"],
                      output_dir=top["output_dir"])
 
@@ -269,6 +322,17 @@ def config_to_json(config: RunConfig) -> str:
     payload = {"subcommand": config.subcommand, "seed": config.seed,
                "output_dir": config.output_dir, "parameters": config.parameters}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV with "\n" line ends; numbers as shortest round-trip floats."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating))
+                         else str(x) for x in row])
+    return buffer.getvalue()
 
 
 def _publish(root: Path, outputs: dict[str, str | bytes]) -> None:
@@ -296,7 +360,7 @@ def _run_collide(config: RunConfig, threads: int) -> dict:
     event = collide(p["v1"], p["v2"], p["n"], p["epsilon"],
                     CollisionBranch(p["branch"]), s1, s2)
     row = [*event.w1, *event.w2, event.lambda1, event.lambda2, event.delta_e]
-    return {"collision.csv": claim_audit.csv_text(
+    return {"collision.csv": csv_text(
         ["w1x", "w1y", "w1z", "w2x", "w2y", "w2z", "lambda1", "lambda2",
          "delta_e"], [row])}
 
@@ -311,7 +375,7 @@ def _run_operator(config: RunConfig, threads: int) -> dict:
         normalization=GainNormalization(p["normalization"]))
     estimates = evaluate_field(f, p["probes"], spec, threads=threads)
     rows = [[*probe, est.value, est.std_error] for probe, est in zip(p["probes"], estimates)]
-    return {"rates.csv": claim_audit.csv_text(
+    return {"rates.csv": csv_text(
         ["vx", "vy", "vz", "rate", "std_error"], rows)}
 
 
@@ -325,7 +389,7 @@ def _run_dsmc(config: RunConfig, threads: int) -> dict:
         branch=CollisionBranch(p["branch"]), seed=config.seed,
         majorant_relative_speed=p["majorant_relative_speed"])
     series = dsmc.run(ensemble, cfg, p["steps"], p["sample_every"])
-    return {"timeseries.csv": claim_audit.csv_text(
+    return {"timeseries.csv": csv_text(
         ["t", "density", "px", "py", "pz", "temperature"], series)}
 
 
@@ -350,7 +414,7 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
         raise NonFiniteEstimate(f"t_end = dt * steps = {t_end!r} overflows the exact solution"
                                 ) from None
     linf = float(np.max(np.abs(final.values - exact)))
-    return {"transport.csv": claim_audit.csv_text(
+    return {"transport.csv": csv_text(
                 ["metric", "value"],
                 [["mass_drift", result.mass_drift],
                  ["linf_error_vs_exact", linf],
@@ -365,13 +429,15 @@ def _run_audit(config: RunConfig, threads: int) -> dict:
             "audit_summary.txt": claim_audit.audit_summary_text(reports)}
 
 
-# Each subcommand's config schema and runner; a runner maps file names to contents.
+# Each subcommand's sibling modules, schema fields and runner; a runner maps file names
+# to contents. The modules are those its schema and runner read, and no others.
 _SUBCOMMANDS = {
-    "collide": (_COLLIDE_SCHEMA, _run_collide),
-    "operator": (_OPERATOR_SCHEMA, _run_operator),
-    "dsmc": (_DSMC_SCHEMA, _run_dsmc),
-    "transport": (_TRANSPORT_SCHEMA, _run_transport),
-    "audit": (_AUDIT_SCHEMA, _run_audit),
+    "collide": (("collision_kernel",), _collide_fields, _run_collide),
+    "operator": (("collision_kernel", "collision_operator", "distribution"),
+                 _operator_fields, _run_operator),
+    "dsmc": (("collision_kernel", "dsmc"), _dsmc_fields, _run_dsmc),
+    "transport": (("transport_solver",), _transport_fields, _run_transport),
+    "audit": (("claim_audit",), _audit_fields, _run_audit),
 }
 SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
@@ -409,7 +475,7 @@ def run(args: argparse.Namespace) -> int:
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
         with np.errstate(all="ignore"):  # non-stop: each result's finiteness check names a failure
-            outputs = _SUBCOMMANDS[config.subcommand][1](config, args.threads)
+            outputs = _SUBCOMMANDS[config.subcommand][2](config, args.threads)
         try:
             _publish(Path(config.output_dir),
                      {"config_echo.json": config_to_json(config), **outputs})

@@ -93,6 +93,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
     T = 0 collapses every velocity onto the bulk velocity exactly.
     """
     require_count("count", count, 2)
+    require_count("seed", seed, -math.inf)
     require_nonnegative("temperature", temperature)
     u = require_vector3("bulk_velocity", bulk_velocity)
     sigma = math.sqrt(BOLTZMANN * temperature / species.mass)

@@ -2,9 +2,11 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from conftest import UNIT_MASS
 from kinetics import claim_audit as ca
@@ -21,6 +23,28 @@ def small_spec(**overrides) -> QuadratureSpec:
                 normalization=GainNormalization.RESTITUTION_WEIGHTED)
     base.update(overrides)
     return QuadratureSpec(**base)
+
+
+SEED_TAKERS = {
+    "settings": lambda seed: ca.AuditSettings(seed=seed),
+    "jacobian": lambda seed: ca.audit_jacobian(seed=seed, n_configs=1),
+    "energy": lambda seed: ca.audit_energy_formula(seed=seed, n_configs=1),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(SEED_TAKERS))
+@pytest.mark.parametrize("seed", [1.5, "a", None, True])
+def test_a_seed_that_is_not_an_integer_is_rejected_by_name(taker, seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        SEED_TAKERS[taker](seed)
+
+
+def test_a_numpy_integer_seed_keys_as_its_value():
+    assert ca.audit_jacobian(seed=np.int64(5), n_configs=3).residual == ca.audit_jacobian(
+        seed=5, n_configs=3).residual
+    assert [r.residual for r in ca.audit_energy_formula(seed=np.int64(5), n_configs=3)] == [
+        r.residual for r in ca.audit_energy_formula(seed=5, n_configs=3)]
+    assert ca.AuditSettings(seed=np.int64(5)).seed == 5
 
 
 def test_audit_jacobian_consistent_and_reproducible():

@@ -409,7 +409,7 @@ def test_parse_config_raises_only_config_errors(data, replacement, name_the_subc
     config = {"subcommand": subcommand, "seed": 3, "output_dir": "out",
               "parameters": copy.deepcopy(VALID_PARAMETERS[case])}
     targets = [(config, key) for key in ("subcommand", "seed", "output_dir", "parameters")]
-    targets += [(config["parameters"], key) for key in cli._SUBCOMMANDS[subcommand][0].fields]
+    targets += [(config["parameters"], key) for key in cli._schema(subcommand).fields]
     if "distribution" in config["parameters"]:
         distribution = config["parameters"]["distribution"]
         targets += [(distribution, key) for key in DISTRIBUTION_KEYS[distribution["kind"]]]

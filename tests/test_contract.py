@@ -1,7 +1,7 @@
 """The CLI contract as a property: a run ends in its artifacts or in one named line.
 
 Each example takes a small valid config for one subcommand, built from the
-keys of ``cli._SUBCOMMANDS``' schema (and ``cli._DISTRIBUTIONS``' for the
+keys of ``cli._schema(subcommand)`` (and ``cli._DISTRIBUTIONS``' for the
 distribution), perturbs one number in it and runs ``cli.main`` in-process.
 Floats come from the whole range, extremes and both signs included; the
 property holds with numpy's warnings recorded, so an overflow that no
@@ -52,7 +52,7 @@ def _defaults(schema, toy: dict) -> dict:
 
 def _valid(subcommand: str, kind: str = "maxwellian") -> dict:
     distribution = _defaults(cli._DISTRIBUTIONS[kind][0], dict(TOY_DISTRIBUTION, kind=kind))
-    return _defaults(cli._SUBCOMMANDS[subcommand][0],
+    return _defaults(cli._schema(subcommand),
                      dict(TOY[subcommand], distribution=distribution))
 
 

@@ -198,6 +198,18 @@ def test_config_rejects_a_seed_that_is_not_an_integer_by_name(seed):
         config_with(seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, "a", None, True])
+def test_ensemble_rejects_a_seed_that_is_not_an_integer_by_name(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        dsmc.sample_maxwellian_ensemble(4, SPECIES, (0, 0, 0), 1.0, seed)
+
+
+def test_ensemble_keys_a_numpy_integer_seed_as_its_value():
+    a = dsmc.sample_maxwellian_ensemble(50, SPECIES, (0, 0, 0), 1.0, np.int64(5))
+    b = dsmc.sample_maxwellian_ensemble(50, SPECIES, (0, 0, 0), 1.0, 5)
+    np.testing.assert_array_equal(a.velocities, b.velocities)
+
+
 def test_config_and_ensemble_validation():
     with pytest.raises(ValueError):
         config_with(dt=0.0)

@@ -2,12 +2,14 @@
 
 A function or class defined in module M counts as used in one of three ways:
 its name is loaded somewhere in M; some package module imports it with
-``from .M import name`` (kinetics/__init__.py does so for the public API); or
+``from .M import name``, or lists it under M in its ``_IMPORTS`` table, the
+lazy imports that kinetics/__init__.py (the public API) and the CLI keep; or
 some package module refers to ``M.name`` after importing M from the package.
 A bare name elsewhere does not count, so a local variable that shares the
 name cannot hide an unused definition. Anything else is code that only tests
 call, and belongs in the tests or nowhere. A module-level constant is held to
-the same rule, so none survives only because a test reads it.
+the same rule, so none survives only because a test reads it. A dunder, such as
+a module's ``__getattr__``, is the interpreter's to call.
 """
 
 import ast
@@ -24,17 +26,30 @@ def _trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _uses(module: str, tree: ast.Module) -> set[tuple[str, str]]:
-    """(defining module, name) pairs that this module uses."""
-    imported_modules = {}  # local name -> package module
-    uses = set()
+def _imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """This module's package imports: local name -> module, and local name ->
+    (defining module, name). An ``_IMPORTS`` table {module: (name, ...)} counts
+    as ``from . import module`` and ``from .module import name`` for each name."""
+    modules, names = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 if node.module is None:
-                    imported_modules[alias.asname or alias.name] = alias.name
+                    modules[alias.asname or alias.name] = alias.name
                 else:
-                    uses.add((node.module, alias.name))
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_IMPORTS":
+            for key, value in zip(node.value.keys, node.value.values):
+                modules[key.value] = key.value
+                names.update((item.value, (key.value, item.value)) for item in value.elts)
+    return modules, names
+
+
+def _uses(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(defining module, name) pairs that this module uses."""
+    imported_modules, imported_names = _imports(tree)
+    uses = set(imported_names.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             uses.add((module, node.id))
@@ -59,7 +74,8 @@ def test_every_definition_is_used_in_src_or_exported():
     used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
     unused = [f"{module}.py:{name}" for module, tree in trees.items()
               for node in tree.body for name in _defined_names(node)
-              if (module, name) not in used]
+              if (module, name) not in used
+              and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
 
 
@@ -188,14 +204,8 @@ def test_every_defaulted_parameter_is_set_by_a_src_caller():
     for module, tree in trees.items():
         local = {node.name: (module, node.name) for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-        modules = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    if node.module is None:
-                        modules[alias.asname or alias.name] = alias.name
-                    else:
-                        local[alias.asname or alias.name] = (node.module, alias.name)
+        modules, imported = _imports(tree)
+        local.update(imported)
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
             target = _callee(call.func, local, modules)
             passed |= {(target, index) for index in range(len(call.args))}
