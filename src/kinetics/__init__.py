@@ -17,7 +17,7 @@ _IMPORTS = {
     "collision_operator": ("GainNormalization", "MomentRates", "QuadratureSpec",
                            "RateEstimate", "evaluate_at", "evaluate_field", "moment_rates"),
     "distribution": ("DiscreteDistribution", "VelocityGrid", "bimodal", "interpolate",
-                     "load_distribution", "maxwellian", "moments", "save_distribution"),
+                     "maxwellian"),
     "dsmc": ("DsmcConfig", "ParticleEnsemble", "sample_maxwellian_ensemble"),
     "sphere_group": ("ChartCoords", "PureQuaternion", "SpherePoint", "chart_jacobian", "embed",
                      "exp_subgroup", "match_generator", "project_chart",

@@ -46,7 +46,7 @@ _RESCALE_ABOVE = 2.0**500  # past this |deviation|, M2 squares it rescaled by a 
 
 
 class GainNormalization(enum.Enum):
-    """Weight applied to the gain term; explicit selection required."""
+    """Weight applied to the gain term; QuadratureSpec defaults to RESTITUTION_WEIGHTED."""
 
     RESTITUTION_WEIGHTED = "restitution_weighted"
     STANDARD_GRANULAR = "standard_granular"
@@ -104,6 +104,7 @@ class MomentRates:
 
 def _map(fn, tasks: list, threads: int) -> list:
     """[fn(task) for task in tasks] on at most min(threads, tasks, cores) workers."""
+    require_count("threads", threads, 1)
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(task) for task in tasks]

@@ -8,21 +8,15 @@ analytically.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .constants import BOLTZMANN
 from .errors import (UnderResolved, frozen_array, require_count, require_nonnegative,
                      require_positive, require_vector3)
-
-SNAPSHOT_ORDER_3D = "row-major-z-fastest"
 
 
 @dataclass(frozen=True)
@@ -50,10 +44,6 @@ class VelocityGrid:
     def hull_volume(self) -> float:
         return (2.0 * self.vmax) ** 3
 
-    @property
-    def node_volume(self) -> float:
-        return self.spacing**3
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -67,12 +57,6 @@ class DiscreteDistribution:
         values = frozen_array(self, "values", self.values, (n, n, n))
         if values.min() < 0.0:
             raise ValueError("distribution values must be nonnegative")
-
-
-class Moments(NamedTuple):
-    density: float
-    momentum: np.ndarray
-    kinetic_energy: float
 
 
 def _node_array(grid: VelocityGrid) -> np.ndarray:
@@ -143,20 +127,6 @@ def bimodal(grid: VelocityGrid, density1: float, u1, temperature1: float,
     return DiscreteDistribution(grid, total)
 
 
-def moments(f: DiscreteDistribution, mass: float) -> Moments:
-    """Node-weight sums: density, momentum, kinetic energy per volume."""
-    h3 = f.grid.node_volume
-    ax = f.grid.axis
-    density = float(np.sum(f.values)) * h3
-    px = float(np.sum(f.values * ax[:, None, None]))
-    py = float(np.sum(f.values * ax[None, :, None]))
-    pz = float(np.sum(f.values * ax[None, None, :]))
-    momentum = mass * h3 * np.array([px, py, pz])
-    sq = (ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :]
-    kinetic = 0.5 * mass * h3 * float(np.sum(f.values * sq))
-    return Moments(density=density, momentum=momentum, kinetic_energy=kinetic)
-
-
 def _axis_index_frac(ax: np.ndarray, coords: np.ndarray, spacing: float):
     """Lower node index and fractional offset per query coordinate.
 
@@ -221,56 +191,3 @@ def interpolate(f: DiscreteDistribution, v) -> float:
     """Trilinear interpolation at one finite velocity; zero outside the hull."""
     return float(interpolate_many(f, require_vector3("v", v)[None, :])[0])
 
-
-def snapshot_bytes(header: dict, array: np.ndarray) -> bytes:
-    """One-line JSON header, newline, then little-endian float64 payload."""
-    payload = np.ascontiguousarray(array, dtype="<f8")
-    return json.dumps(header).encode("ascii") + b"\n" + payload.tobytes()
-
-
-def read_snapshot(path, expect: dict, dims: tuple[str, ...],
-                  floats: tuple[str, ...]) -> tuple[dict, np.ndarray]:
-    """Header and payload of a snapshot whose header holds ``expect``.
-
-    The payload is shaped by the integer header fields named in ``dims``; the
-    header fields named in ``floats`` must be positive finite numbers. A
-    malformed file raises ValueError that names what is wrong with it.
-    """
-    head, newline, payload = Path(path).read_bytes().partition(b"\n")
-    if not newline:
-        raise ValueError("snapshot has no header line")
-    try:
-        header = json.loads(head.decode("ascii"))
-    except (ValueError, RecursionError):
-        header = None
-    if not isinstance(header, dict):
-        raise ValueError("snapshot header is not a JSON object")
-    for key, value in expect.items():
-        if header.get(key) != value:
-            raise ValueError(f"snapshot {key} is {header.get(key)!r}, expected {value!r}")
-    shape = [header.get(name) for name in dims]
-    for name, size in zip(dims, shape):
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ValueError(f"snapshot dimension {name} is missing or not a positive integer")
-    for name in floats:
-        value = header.get(name)
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real and 0.0 < value <= sys.float_info.max):
-            raise ValueError(f"snapshot {name} is missing or not a positive finite number")
-    if len(payload) != 8 * math.prod(shape):
-        raise ValueError(f"snapshot payload is {len(payload)} bytes, expected 8 x "
-                         f"{' x '.join(map(str, shape))}")
-    return header, np.frombuffer(payload, dtype="<f8").reshape(shape)
-
-
-def save_distribution(f: DiscreteDistribution, path) -> None:
-    header = {"nodes_per_axis": f.grid.nodes_per_axis, "vmax": f.grid.vmax,
-              "order": SNAPSHOT_ORDER_3D}
-    Path(path).write_bytes(snapshot_bytes(header, f.values))
-
-
-def load_distribution(path) -> DiscreteDistribution:
-    header, values = read_snapshot(path, {"order": SNAPSHOT_ORDER_3D},
-                                   ("nodes_per_axis",) * 3, ("vmax",))
-    grid = VelocityGrid(vmax=float(header["vmax"]), nodes_per_axis=header["nodes_per_axis"])
-    return DiscreteDistribution(grid, values)

@@ -4,17 +4,20 @@ The exact evaluator works in full 3D-3V, at points or over broadcast arrays,
 and needs no mesh. The grid solver exists to measure convergence: positions
 are periodic on [0, length), velocities live on [-vmax, vmax] with zero
 inflow from outside the hull, and each step is a Strang-split pair of
-constant-coefficient back-traces with cubic interpolation.
+constant-coefficient back-traces with cubic interpolation. phase_snapshot
+writes a grid as the package's one binary format; load_phase_grid reads it.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .distribution import read_snapshot, snapshot_bytes
 from .errors import NonFiniteEstimate, frozen_array, require_count, require_positive
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
@@ -217,15 +220,41 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
 
 
 def phase_snapshot(grid: PhaseGrid1D1V) -> bytes:
-    """Snapshot bytes of a phase grid; load_phase_grid reads them back."""
+    """Snapshot bytes of a phase grid: a one-line JSON header, a newline, then the
+    values as little-endian float64, v fastest; load_phase_grid reads them back."""
     header = {"kind": "phase-1d1v", "nx": grid.nx, "length": grid.length,
               "nv": grid.nv, "vmax": grid.vmax, "order": SNAPSHOT_ORDER_1D1V}
-    return snapshot_bytes(header, grid.values)
+    payload = np.ascontiguousarray(grid.values, dtype="<f8")
+    return json.dumps(header).encode("ascii") + b"\n" + payload.tobytes()
 
 
 def load_phase_grid(path) -> PhaseGrid1D1V:
-    header, values = read_snapshot(
-        path, {"kind": "phase-1d1v", "order": SNAPSHOT_ORDER_1D1V}, ("nx", "nv"),
-        ("length", "vmax"))
-    return PhaseGrid1D1V(header["nx"], float(header["length"]), header["nv"],
-                         float(header["vmax"]), values)
+    """The phase grid of a phase_snapshot file. A malformed file raises ValueError
+    naming its defect: no header line, a header that is not a JSON object, a wrong
+    kind or order, a bad nx, nv, length or vmax, or a payload of the wrong size."""
+    head, newline, payload = Path(path).read_bytes().partition(b"\n")
+    if not newline:
+        raise ValueError("snapshot has no header line")
+    try:
+        header = json.loads(head.decode("ascii"))
+    except (ValueError, RecursionError):
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError("snapshot header is not a JSON object")
+    for key, value in (("kind", "phase-1d1v"), ("order", SNAPSHOT_ORDER_1D1V)):
+        if header.get(key) != value:
+            raise ValueError(f"snapshot {key} is {header.get(key)!r}, expected {value!r}")
+    for name in ("nx", "nv"):
+        size = header.get(name)
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"snapshot dimension {name} is missing or not a positive integer")
+    for name in ("length", "vmax"):
+        value = header.get(name)
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and 0.0 < value <= sys.float_info.max):
+            raise ValueError(f"snapshot {name} is missing or not a positive finite number")
+    nx, nv = header["nx"], header["nv"]
+    if len(payload) != 8 * nx * nv:
+        raise ValueError(f"snapshot payload is {len(payload)} bytes, expected 8 x {nx} x {nv}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(nx, nv)
+    return PhaseGrid1D1V(nx, float(header["length"]), nv, float(header["vmax"]), values)

@@ -376,6 +376,20 @@ def test_worker_threads_clamped_to_tasks_and_cores(monkeypatch):
     assert requested == [2, 2, 3, 3]
 
 
+@pytest.mark.parametrize("threads, message", [
+    (0, "at least 1, got 0"), (-3, "at least 1, got -3"), (1.5, "an integer, got 1.5"),
+    ("2", "an integer, got '2'"), (None, "an integer, got None"), (True, "an integer, got True"),
+])
+def test_a_bad_thread_count_is_rejected_by_name(threads, message):
+    # not silently one worker (0, -3), two (1.5), or a TypeError naming nothing ("2", None)
+    f = maxwellian(VelocityGrid(vmax=4.5, nodes_per_axis=29), 1.0, (0, 0, 0), 1.0, UNIT_MASS)
+    spec = spec_with(samples=100)
+    with pytest.raises(ValueError, match=f"^threads must be {re.escape(message)}$"):
+        evaluate_field(f, [(0.5, 0.0, 0.0), (0.0, 0.5, 0.0)], spec, threads=threads)
+    with pytest.raises(ValueError, match=f"^threads must be {re.escape(message)}$"):
+        moment_rates(f, spec, threads=threads)
+
+
 def _naive_sem(sizes, sums, sq_sums):
     """The former sum(x^2) - n mean^2 standard error, kept to show it cancels."""
     total = sum(sizes)

@@ -1,8 +1,9 @@
-"""Velocity-grid distributions: moments, interpolation, snapshots."""
+"""Velocity-grid distributions: builds, interpolation, and their moments."""
 
 import math
 import re
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,14 +16,31 @@ from kinetics.distribution import (
     bimodal,
     interpolate,
     interpolate_many,
-    load_distribution,
     maxwellian,
-    moments,
-    save_distribution,
 )
 from kinetics.errors import UnderResolved
 
 GRID = VelocityGrid(vmax=6.5, nodes_per_axis=53)
+
+
+class Moments(NamedTuple):
+    density: float
+    momentum: np.ndarray
+    kinetic_energy: float
+
+
+def moments(f: DiscreteDistribution, mass: float) -> Moments:
+    """Node-weight sums: density, momentum, kinetic energy per volume."""
+    h3 = f.grid.spacing**3
+    ax = f.grid.axis
+    density = float(np.sum(f.values)) * h3
+    px = float(np.sum(f.values * ax[:, None, None]))
+    py = float(np.sum(f.values * ax[None, :, None]))
+    pz = float(np.sum(f.values * ax[None, None, :]))
+    momentum = mass * h3 * np.array([px, py, pz])
+    sq = (ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :]
+    kinetic = 0.5 * mass * h3 * float(np.sum(f.values * sq))
+    return Moments(density=density, momentum=momentum, kinetic_energy=kinetic)
 
 
 def test_maxwellian_density_and_momentum_moments():
@@ -220,44 +238,6 @@ def test_distribution_validation():
         VelocityGrid(vmax=-1.0, nodes_per_axis=8)
     with pytest.raises(ValueError):
         VelocityGrid(vmax=1.0, nodes_per_axis=3)
-
-
-def test_snapshot_round_trip_is_bit_exact(tmp_path):
-    f = maxwellian(GRID, 1.0, (0.1, 0.2, 0.3), 1.2, UNIT_MASS)
-    path = tmp_path / "snapshot.bin"
-    save_distribution(f, path)
-    loaded = load_distribution(path)
-    assert loaded.grid == f.grid
-    np.testing.assert_array_equal(loaded.values, f.values)
-    save_distribution(loaded, tmp_path / "snapshot2.bin")
-    assert (tmp_path / "snapshot.bin").read_bytes() == (tmp_path / "snapshot2.bin").read_bytes()
-
-
-@pytest.mark.parametrize("mangle, reason", [
-    (lambda raw: raw[:raw.index(b"\n")], "no header line"),
-    (lambda raw: b'"header"' + raw[raw.index(b"\n"):], "not a JSON object"),
-    (lambda raw: b"{nodes" + raw[raw.index(b"\n"):], "not a JSON object"),
-    (lambda raw: b"\xff" + raw, "not a JSON object"),
-    (lambda raw: raw.replace(b'"nodes_per_axis": 5, ', b"", 1),
-     "nodes_per_axis is missing"),
-    (lambda raw: raw.replace(b'"nodes_per_axis": 5', b'"nodes_per_axis": "5"', 1),
-     "nodes_per_axis is missing or not"),
-    (lambda raw: raw[:-8], "payload is 992 bytes, expected 8 x 5 x 5 x 5"),
-    (lambda raw: raw.replace(b"z-fastest", b"x-fastest", 1), "order"),
-    (lambda raw: raw.replace(b'"vmax": 4.5, ', b"", 1), "vmax is missing"),
-    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": true', 1), "vmax is missing or not"),
-    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": "4.5"', 1), "vmax is missing or not"),
-    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": -Infinity', 1), "vmax is"),
-    (lambda raw: raw.replace(b'"vmax": 4.5', b'"vmax": 0', 1), "vmax is"),
-])
-def test_load_distribution_names_the_defect(tmp_path, mangle, reason):
-    f = DiscreteDistribution(VelocityGrid(vmax=4.5, nodes_per_axis=5),
-                             np.arange(125.0).reshape(5, 5, 5))
-    path = tmp_path / "snapshot.bin"
-    save_distribution(f, path)
-    path.write_bytes(mangle(path.read_bytes()))
-    with pytest.raises(ValueError, match=reason):
-        load_distribution(path)
 
 
 # 10^5 nodes need 8 * 10^15 bytes and 2^21 more bytes than an index holds, so

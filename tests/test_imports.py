@@ -28,7 +28,7 @@ PUBLIC = {
     "collision_operator": ["GainNormalization", "MomentRates", "QuadratureSpec",
                            "RateEstimate", "evaluate_at", "evaluate_field", "moment_rates"],
     "distribution": ["DiscreteDistribution", "VelocityGrid", "bimodal", "interpolate",
-                     "load_distribution", "maxwellian", "moments", "save_distribution"],
+                     "maxwellian"],
     "dsmc": ["DsmcConfig", "ParticleEnsemble", "sample_maxwellian_ensemble"],
     "sphere_group": ["ChartCoords", "PureQuaternion", "SpherePoint", "chart_jacobian", "embed",
                      "exp_subgroup", "match_generator", "project_chart",
@@ -47,7 +47,7 @@ SUBCOMMANDS = {
     "dsmc": ({"particles": 20, "steps": 2, "dt": 0.01, "mass": 1.380649e-23},
              {"collision_kernel", "constants", "dsmc", "rng"}),
     "transport": ({"nx": 8, "nv": 8, "dt": 0.02, "steps": 2},
-                  {"constants", "distribution", "transport_solver"}),
+                  {"transport_solver"}),
     "audit": ({"jacobian_configs": 2, "stokes_samples": 64, "stokes_nodes": 34,
                "mass_samples": 64, "mass_nodes": 34},
               {"claim_audit", "collision_kernel", "collision_operator", "constants",

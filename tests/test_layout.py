@@ -79,6 +79,28 @@ def test_every_definition_is_used_in_src_or_exported():
     assert unused == []
 
 
+# Public names that no src/kinetics module uses, and why each belongs in the API
+PUBLIC_BY_DESIGN = {
+    "inverse_collide": "the impact rules' inverse",
+    "jacobian_analytic": "the impact rules' Jacobian",
+    "match_generator": "an S^3 group operation of the paper",
+    "pushforward_derivative": "an S^3 group operation of the paper",
+    "quaternion_multiply": "an S^3 group operation of the paper",
+    "unproject_chart": "an S^3 group operation of the paper",
+    "load_phase_grid": "the reader of the CLI's phase_snapshot.bin",
+}
+
+
+def test_every_public_name_is_used_in_src_or_allowlisted():
+    # a name that only tests call is not API: it moves into the tests or goes.
+    # __init__'s own _IMPORTS table lists the names, so it is not a use.
+    trees = _trees()
+    public = trees.pop("__init__")
+    used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
+    unused = sorted(name for name, pair in _imports(public)[1].items() if pair not in used)
+    assert unused == sorted(PUBLIC_BY_DESIGN)
+
+
 def test_only_errors_py_sets_frozen_fields():
     # errors.frozen_array is the one way a value type stores its array field
     offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))

@@ -236,10 +236,15 @@ def test_semi_lagrangian_run_leaves_f0_and_hands_over_its_fresh_array(monkeypatc
 @pytest.mark.parametrize("mangle, reason", [
     (lambda raw: raw[:raw.index(b"\n")], "no header line"),
     (lambda raw: b"[1, 2]" + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: b'"header"' + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: b"{nodes" + raw[raw.index(b"\n"):], "not a JSON object"),
+    (lambda raw: b"\xff" + raw, "not a JSON object"),
     (lambda raw: raw.replace(b'"nx": 8, ', b"", 1), "nx is missing"),
     (lambda raw: raw.replace(b'"nv": 6', b'"nv": 6.0', 1), "nv is missing or not"),
+    (lambda raw: raw.replace(b'"nx": 8', b'"nx": "8"', 1), "nx is missing or not"),
     (lambda raw: raw[:-8], "payload is 376 bytes, expected 8 x 8 x 6"),
     (lambda raw: raw.replace(b"phase-1d1v", b"phase-2d2v", 1), "kind"),
+    (lambda raw: raw.replace(b"v-fastest", b"x-fastest", 1), "order"),
     (lambda raw: raw.replace(b'"length": 10.0, ', b"", 1), "length is missing"),
     (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": true', 1), "vmax is missing or not"),
     (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": "3.0"', 1), "vmax is missing or not"),
@@ -247,6 +252,8 @@ def test_semi_lagrangian_run_leaves_f0_and_hands_over_its_fresh_array(monkeypatc
     (lambda raw: raw.replace(b'"length": 10.0', b'"length": NaN', 1), "length is"),
     (lambda raw: raw.replace(b'"length": 10.0', b'"length": 1' + b"0" * 400, 1), "length is"),
     (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": -3.0', 1), "vmax is"),
+    (lambda raw: raw.replace(b'"length": 10.0', b'"length": -Infinity', 1), "length is"),
+    (lambda raw: raw.replace(b'"vmax": 3.0', b'"vmax": 0', 1), "vmax is"),
 ])
 def test_load_phase_grid_names_the_defect(tmp_path, mangle, reason):
     grid = phase_grid_from_function(blob, 8, 10.0, 6, 3.0)
