@@ -28,6 +28,7 @@ from .collision_operator import (
     GainNormalization,
     QuadratureSpec,
     RateEstimate,
+    _directions,
     evaluate_field,
     moment_rates,
 )
@@ -87,8 +88,7 @@ def audit_jacobian(seed: int = 0, n_configs: int = 100) -> AuditReport:
             s2 = Species(mass=float(generator.uniform(0.5, 3.0)), diameter=1.0)
             v1 = generator.uniform(-2.0, 2.0, 3)
             v2 = generator.uniform(-2.0, 2.0, 3)
-            n = generator.standard_normal(3)
-            n /= np.linalg.norm(n)
+            n = _directions(*generator.random((2, 1)))[0]
             det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
             worst = max(worst, abs(det - epsilon))
     return AuditReport(
@@ -118,8 +118,7 @@ def audit_energy_formula(seed: int = 0, n_configs: int = 200) -> list[AuditRepor
         epsilon = float(generator.uniform(0.05, 0.999))
         mu = s1.mass * s2.mass / (s1.mass + s2.mass)
         v2 = generator.uniform(-2.0, 2.0, 3)
-        n = generator.standard_normal(3)
-        n /= np.linalg.norm(n)
+        n = _directions(*generator.random((2, 1)))[0]
         # head-on: relative velocity parallel to n
         v1 = v2 + float(generator.uniform(0.2, 3.0)) * n
         formula = energy_loss_formula(v1, v2, epsilon, s1, s2)

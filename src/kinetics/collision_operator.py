@@ -8,9 +8,12 @@ the primed values are taken at the pre-collision pair that maps onto
 eps = 1.
 
 Partners are drawn uniformly over the grid hull and directions uniformly on
-the full sphere, so the estimator weight is hull_volume * 4 pi. Streams are
-counter-based and keyed per probe, which makes results independent of how
-probes are scheduled across workers.
+the full sphere, so the estimator weight is hull_volume * 4 pi. Each draw maps
+uniforms in [0, 1): a velocity is -vmax + 2 vmax u (numpy's uniform), and
+_directions takes (u, phi) to z = 1 - 2u at azimuth 2 pi phi, so a sample takes
+a fixed 3 uniforms per velocity plus 2 per direction. Streams are counter-based
+and keyed per probe, which makes results independent of how probes are
+scheduled across workers.
 
 Samples are drawn in chunks of _CHUNK, the one batch: a chunk fixes the
 stream order and the per-chunk statistics, and every per-sample step runs over
@@ -36,7 +39,8 @@ from .collision_kernel import (
     transform_velocities,
 )
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import NonFiniteEstimate, require_count, require_positive, require_vector3
+from .errors import (NonFiniteEstimate, require_count, require_member, require_positive,
+                     require_vector3)
 
 # Measured on 2 cores, 2^20 samples and 4 weightings on a 61^3 grid: moment_rates
 # took 1.15x the time at 2 threads with 1 << 13 (shorter calls between releases
@@ -75,6 +79,8 @@ class QuadratureSpec:
         require_positive("diameter", self.diameter)
         require_positive("mass", self.mass)
         _validate_restitution(self.epsilon)
+        require_member("branch", self.branch, CollisionBranch)
+        require_member("normalization", self.normalization, GainNormalization)
 
     @property
     def cross_section(self) -> float:
@@ -118,10 +124,11 @@ def _map(fn, tasks: list, threads: int) -> list:
         return list(pool.map(run, tasks))
 
 
-def _unit_rows(normals: np.ndarray) -> np.ndarray:
-    """(m, 3) standard normal draws scaled to directions uniform on the unit sphere."""
-    norm = np.sqrt(_dot3(normals, normals))[:, None]
-    return normals / np.maximum(norm, 1e-300)
+def _directions(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(m, 3) rows exactly uniform on the unit sphere: z = 1 - 2u at azimuth 2 pi phi."""
+    radius = 2.0 * np.sqrt(u * (1.0 - u))  # sqrt(1 - z^2) without cancellation
+    azimuth = 2.0 * np.pi * phi
+    return np.stack([radius * np.cos(azimuth), radius * np.sin(azimuth), 1.0 - 2.0 * u], axis=1)
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -211,7 +218,7 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
     stats = []
     for size in sizes:
         v1 = generator.uniform(-vmax, vmax, (size, 3))
-        n = _unit_rows(generator.standard_normal((size, 3)))
+        n = _directions(*generator.random((2, size)))
         # for a probe far past the hull, the integrand is 0 where the f terms vanish
         with np.errstate(over="ignore", invalid="ignore"):
             pre_a, pre_b = pre_collision_pair(v[None, :], v1, n, spec.epsilon, spec.branch)
@@ -244,7 +251,7 @@ def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: lis
     vmax = f.grid.vmax
     v = generator.uniform(-vmax, vmax, (size, 3))
     v1 = generator.uniform(-vmax, vmax, (size, 3))
-    gn = _dot3(v1 - v, _unit_rows(generator.standard_normal((size, 3))))
+    gn = _dot3(v1 - v, _directions(*generator.random((2, size))))
     base = 0.5 * interpolate_many(f, v) * interpolate_many(f, v1) * np.abs(gn)
     mass, mu = spec.mass, 0.5 * spec.mass
     pair_ke = 0.5 * mass * (_dot3(v, v) + _dot3(v1, v1))
@@ -282,7 +289,8 @@ def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec, threads: int = 1
     """
     if weightings is None:
         weightings = [(spec.epsilon, spec.normalization)]
-    weightings = [(_validate_restitution(epsilon), norm)  # QuadratureSpec's rule
+    weightings = [(_validate_restitution(epsilon),  # QuadratureSpec's rules
+                   require_member("normalization", norm, GainNormalization))
                   for epsilon, norm in weightings]
     sizes = _chunk_sizes(spec.samples)
     partials = _map(lambda task: _moment_chunk(f, spec, weightings, *task),

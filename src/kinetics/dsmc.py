@@ -38,7 +38,7 @@ from . import rng
 from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
 from .constants import BOLTZMANN
 from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_count,
-                     require_nonnegative, require_positive, require_vector3)
+                     require_member, require_nonnegative, require_positive, require_vector3)
 
 _MAJORANT_RETRIES = 8
 _UNOWNED = np.iinfo(np.intp).max  # _wave_schedule's free-particle mark, above every index
@@ -76,6 +76,7 @@ class DsmcConfig:
         require_positive("dt", self.dt)
         require_positive("number_density", self.number_density)
         _validate_restitution(self.epsilon)
+        require_member("branch", self.branch, CollisionBranch)
         require_count("seed", self.seed, -math.inf)
         require_positive("majorant_relative_speed", self.majorant_relative_speed)
 

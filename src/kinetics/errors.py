@@ -28,6 +28,13 @@ def require_count(name: str, value, minimum):
     return value
 
 
+def require_member(name: str, value, kind):
+    """value, if it is a member of the enum class kind; else ValueError naming it."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def require_vector3(name: str, value) -> np.ndarray:
     """value as a float64 array, if of shape exactly (3,) and finite; else ValueError naming it."""
     vector = np.asarray(value, dtype=np.float64)

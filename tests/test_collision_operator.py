@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import UNIT_MASS
 from quadrature_oracle import brute_force_density_rate, brute_force_rate
 from test_estimator_reference import _reference_sum_and_m2, _reference_unit_sphere
-from kinetics import cli, collision_operator, rng
+from kinetics import cli, collision_operator, dsmc, rng
 from kinetics.claim_audit import equilibrium_ray_probes
 from kinetics.collision_kernel import CollisionBranch, _dot3
 from kinetics.collision_operator import (
@@ -316,6 +316,47 @@ def test_rate_estimate_validation_and_spec_errors():
 def test_spec_rejects_a_seed_that_is_not_an_integer_by_name(seed):
     with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
         spec_with(seed=seed)
+
+
+def _moment_rates_weighted_by(normalization):
+    f = maxwellian(VelocityGrid(vmax=4.5, nodes_per_axis=29), 1.0, (0, 0, 0), 1.0,
+                   UNIT_MASS)
+    return moment_rates(f, spec_with(samples=10), weightings=[(0.8, normalization)])
+
+
+@pytest.mark.parametrize("build, name, kind, value", [
+    (lambda value: spec_with(branch=value), "branch", "CollisionBranch", "reflective"),
+    (lambda value: spec_with(normalization=value), "normalization", "GainNormalization",
+     "standard_granular"),
+    (lambda value: spec_with(branch=value), "branch", "CollisionBranch",
+     GainNormalization.STANDARD_GRANULAR),
+    (lambda value: dsmc.DsmcConfig(dt=0.002, number_density=1.0, epsilon=1.0, branch=value,
+                                   seed=42, majorant_relative_speed=1.0),
+     "branch", "CollisionBranch", "passing"),
+    (_moment_rates_weighted_by, "normalization", "GainNormalization", "standard_granular"),
+], ids=["spec-branch", "spec-normalization", "spec-branch-other-enum", "dsmc-branch",
+        "weighting-normalization"])
+def test_an_enum_field_takes_only_a_member_and_names_itself(build, name, kind, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+def test_directions_are_unit_rows_uniform_on_the_sphere():
+    count = 1 << 20
+    n = collision_operator._directions(*rng.stream(3, "directions").random((2, count)))
+    assert n.shape == (count, 3)
+    assert np.max(np.abs(np.sqrt(_dot3(n, n)) - 1.0)) <= 4 * np.finfo(np.float64).eps
+    # moments of the uniform sphere, each within 4 standard errors: E n_i = 0 with
+    # var 1/3, E n_i^2 = 1/3 with var 1/5 - 1/9 = 4/45, and E n_x n_y = 0 with var 1/15
+    assert np.all(np.abs(n.mean(axis=0)) < 4.0 * math.sqrt(1 / 3 / count))
+    assert np.all(np.abs(np.mean(n * n, axis=0) - 1 / 3) < 4.0 * math.sqrt(4 / 45 / count))
+    assert abs(np.mean(n[:, 0] * n[:, 1])) < 4.0 * math.sqrt(1 / 15 / count)
+
+
+def test_directions_at_u_zero_are_exactly_the_pole():
+    phi = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    np.testing.assert_array_equal(collision_operator._directions(np.zeros(5), phi),
+                                  [[0.0, 0.0, 1.0]] * 5)
 
 
 def test_overflowing_estimate_is_a_numerical_failure():

@@ -1,14 +1,15 @@
 """Chunk-wide estimator against the bodies its rewrites replaced.
 
-``_reference_unit_sphere``, ``_reference_sum_and_m2`` and
-``_reference_evaluate_at`` are the former bodies of
-``collision_operator._unit_sphere``, ``_sum_and_m2`` and ``evaluate_at``,
-kept here verbatim as the reference, except that the lookups call the
-searchsorted ``_reference_interpolate_many``. Like the current code, each
+``_reference_sum_and_m2`` and ``_reference_evaluate_at`` are the former bodies
+of ``collision_operator._sum_and_m2`` and ``evaluate_at``, kept here verbatim
+as the reference, except that the lookups call the searchsorted
+``_reference_interpolate_many`` and the directions come from
+``_reference_unit_sphere``: the direction map of two uniforms, z = 1 - 2u at
+azimuth 2 pi phi, written out column by column. Like the current code, each
 per-sample step there spans a whole ``_CHUNK``; the current code writes the
-unit rows, the lookups, the integrand and M2 differently, so it must give the
-same bits on either side of a chunk boundary, for a probe far past the hull,
-and at any worker count.
+lookups, the integrand and M2 differently, so it must give the same bits on
+either side of a chunk boundary, for a probe far past the hull, and at any
+worker count.
 """
 
 import numpy as np
@@ -34,9 +35,14 @@ _RESCALE_ABOVE = collision_operator._RESCALE_ABOVE
 
 
 def _reference_unit_sphere(generator: np.random.Generator, count: int) -> np.ndarray:
-    raw = generator.standard_normal((count, 3))
-    norm = np.sqrt(_dot3(raw, raw))[:, None]
-    return raw / np.maximum(norm, 1e-300)
+    u, phi = generator.random((2, count))
+    z = 1.0 - 2.0 * u
+    r = 2.0 * np.sqrt(u * (1.0 - u))
+    n = np.empty((count, 3))
+    n[:, 0] = r * np.cos(2.0 * np.pi * phi)
+    n[:, 1] = r * np.sin(2.0 * np.pi * phi)
+    n[:, 2] = z
+    return n
 
 
 def _reference_sum_and_m2(samples: np.ndarray) -> np.ndarray:

@@ -135,6 +135,19 @@ def test_only_errors_py_reads_a_3_vector():
     assert offenders == []
 
 
+def test_only_dsmc_py_draws_normals():
+    # every other random direction is collision_operator._directions of two uniforms:
+    # randomized quasi-Monte Carlo draws would swap only the source of the uniforms,
+    # and numpy has no inverse normal CDF to feed a normal draw from them. DSMC, the
+    # independent oracle, keeps its own draws, whose bits test_dsmc_reference.py pins.
+    offenders = [f"{module}.py:{node.lineno}" for module, tree in _trees().items()
+                 if module != "dsmc"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("standard_normal", "normal")]
+    assert offenders == []
+
+
 # (module, top-level function) that sets numpy's error state, and why. Elsewhere the
 # caller's state governs: the CLI computes under one errstate(all="ignore") and names
 # each non-finite result, and a library caller sees numpy's default warnings.
