@@ -9,14 +9,12 @@ diagnostic-only rows that never carry a pass/fail.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng, sphere_group
-from .cli import csv_text
 from .collision_kernel import (
     CollisionBranch,
     Species,
@@ -351,28 +349,3 @@ def run_all_audits(settings: AuditSettings, threads: int = 1) -> list[AuditRepor
 
     reports.extend(audit_transport_relation())
     return reports
-
-
-def audit_csv_text(reports: list[AuditReport]) -> str:
-    return csv_text(
-        ["claim_id", "paper_ref", "residual", "threshold", "verdict", "metadata_json"],
-        [[r.claim_id, r.paper_ref, r.residual, r.tolerance_or_sigma, r.verdict,
-          json.dumps(r.metadata, sort_keys=True)] for r in reports])
-
-
-def audit_summary_text(reports: list[AuditReport]) -> str:
-    lines = ["claim audit summary", "==================="]
-    for report in reports:
-        if report.verdict == VERDICT_DIAGNOSTIC:
-            status = f"diagnostic (residual {report.residual:.3e})"
-        else:
-            status = (f"{report.verdict} (residual {report.residual:.3e}"
-                      f" vs threshold {report.tolerance_or_sigma:.3e})")
-        lines.append(f"{report.claim_id}: {status}")
-    counts: dict[str, int] = {}
-    for report in reports:
-        counts[report.verdict] = counts.get(report.verdict, 0) + 1
-    lines.append("")
-    lines.append(", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
-    return "\n".join(lines) + "\n"
-

@@ -422,11 +422,35 @@ def _run_transport(config: RunConfig, threads: int) -> dict:
             "phase_snapshot.bin": transport_solver.phase_snapshot(final)}
 
 
+def audit_csv_text(reports: list) -> str:
+    return csv_text(
+        ["claim_id", "paper_ref", "residual", "threshold", "verdict", "metadata_json"],
+        [[r.claim_id, r.paper_ref, r.residual, r.tolerance_or_sigma, r.verdict,
+          json.dumps(r.metadata, sort_keys=True)] for r in reports])
+
+
+def audit_summary_text(reports: list) -> str:
+    """One line per row, then the verdict counts; a NaN threshold marks a diagnostic row."""
+    lines = ["claim audit summary", "==================="]
+    for report in reports:
+        if math.isnan(report.tolerance_or_sigma):
+            status = f"diagnostic (residual {report.residual:.3e})"
+        else:
+            status = (f"{report.verdict} (residual {report.residual:.3e}"
+                      f" vs threshold {report.tolerance_or_sigma:.3e})")
+        lines.append(f"{report.claim_id}: {status}")
+    counts: dict[str, int] = {}
+    for report in reports:
+        counts[report.verdict] = counts.get(report.verdict, 0) + 1
+    lines.append("")
+    lines.append(", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
+    return "\n".join(lines) + "\n"
+
+
 def _run_audit(config: RunConfig, threads: int) -> dict:
     settings = claim_audit.AuditSettings(seed=config.seed, **config.parameters)
     reports = claim_audit.run_all_audits(settings, threads=threads)
-    return {"audit.csv": claim_audit.audit_csv_text(reports),
-            "audit_summary.txt": claim_audit.audit_summary_text(reports)}
+    return {"audit.csv": audit_csv_text(reports), "audit_summary.txt": audit_summary_text(reports)}
 
 
 # Each subcommand's sibling modules, schema fields and runner; a runner maps file names

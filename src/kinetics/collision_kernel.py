@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal, frozen_array,
-                     require_positive, require_vector3)
+                     require_member, require_positive, require_vector3)
 
 UNIT_NORMAL_TOL = 1e-9
 
@@ -128,6 +128,7 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
     """
     n = _validate_normal(n)
     epsilon = _validate_restitution(epsilon)
+    require_member("branch", branch, CollisionBranch)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
     m1, m2 = s1.mass, s2.mass
@@ -152,6 +153,7 @@ def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
     it is singular as epsilon -> 0, which the (0, 1] rule excludes.
     """
     epsilon = _validate_restitution(epsilon)
+    require_member("branch", branch, CollisionBranch)
     n = _validate_normal(n)
     w1 = require_vector3("w1", w1)
     w2 = require_vector3("w2", w2)
@@ -200,7 +202,7 @@ def jacobian_signed(epsilon: float, branch: CollisionBranch) -> float:
     non-trivial; its determinant is 1 - factor.
     """
     epsilon = _validate_restitution(epsilon)
-    return 1.0 - branch.normal_factor(epsilon)
+    return 1.0 - require_member("branch", branch, CollisionBranch).normal_factor(epsilon)
 
 
 def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
@@ -212,6 +214,7 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     """
     n = _validate_normal(n)
     epsilon = _validate_restitution(epsilon)
+    require_member("branch", branch, CollisionBranch)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
     x0 = np.concatenate([v1, v2])

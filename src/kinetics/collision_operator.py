@@ -128,7 +128,11 @@ def _directions(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(m, 3) rows exactly uniform on the unit sphere: z = 1 - 2u at azimuth 2 pi phi."""
     radius = 2.0 * np.sqrt(u * (1.0 - u))  # sqrt(1 - z^2) without cancellation
     azimuth = 2.0 * np.pi * phi
-    return np.stack([radius * np.cos(azimuth), radius * np.sin(azimuth), 1.0 - 2.0 * u], axis=1)
+    n = np.empty((len(u), 3))  # filled in place: the peak is n, radius and azimuth
+    np.multiply(radius, np.cos(azimuth, out=n[:, 0]), out=n[:, 0])
+    np.multiply(radius, np.sin(azimuth, out=n[:, 1]), out=n[:, 1])
+    np.subtract(1.0, np.multiply(2.0, u, out=n[:, 2]), out=n[:, 2])
+    return n
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -138,63 +142,54 @@ def _chunk_sizes(total: int) -> list[int]:
     return sizes
 
 
-def _sum_and_m2(samples: np.ndarray) -> np.ndarray:
-    """Sums, M2s (squared deviations from the mean) times 4^-e, and e, along the last axis.
+def _exponents(deviations: np.ndarray) -> np.ndarray:
+    """The one rescale rule: frexp exponent of max |deviation| past _RESCALE_ABOVE, else 0."""
+    peak = np.maximum(np.max(deviations, axis=-1), -np.min(deviations, axis=-1))
+    return np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
 
-    e is 0 unless the largest |deviation| passes _RESCALE_ABOVE; then it is its frexp exponent.
-    """
+
+def _sum_and_m2(samples: np.ndarray) -> np.ndarray:
+    """Sums, M2s (squared deviations from the mean) times 4^-e, and e, along the last axis."""
     sums = np.sum(samples, axis=-1)
     deviations = samples - (sums / samples.shape[-1])[..., None]  # the one temporary
-    peak = np.maximum(np.max(deviations, axis=-1), -np.min(deviations, axis=-1))  # max |d|
-    exponents = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
+    exponents = _exponents(deviations)
     if np.any(exponents):
         np.ldexp(deviations, -exponents[..., None], out=deviations)
     deviations *= deviations
     return np.stack([sums, np.sum(deviations, axis=-1), exponents])
 
 
-def _mean_and_sem(sizes: list[int], sums: list[float], m2s: list[float],
-                  exponents: list[float]) -> tuple[float, float]:
-    """Mean and standard error from per-chunk sample counts, sums, M2s and M2 exponents.
+def _mean_and_sem(sizes, sums, m2s, exponents) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors from per-chunk counts, sums, M2s and M2 exponents.
 
-    The mean is the sum of the chunk sums over the sample count. The M2s are
-    merged in chunk order with the update of Chan, Golub & LeVeque (1979),
-    which, unlike sum(x^2) - n mean^2, does not cancel when |mean| dwarfs the
-    spread. M2 is carried times 4^-scale, scale the largest exponent so far;
-    powers of two are exact, so with all exponents 0 this is the plain update.
+    Chunks run along the last axis. The M2s merge by the two-level form of Chan, Golub
+    & LeVeque (1979), M2 = sum M2_i + sum n_i (mean_i - mean)^2, which, unlike
+    sum(x^2) - n mean^2, does not cancel when |mean| dwarfs the spread. Both sums are
+    taken times 4^-scale, scale the largest of the chunk and the gap exponents.
     """
-    total = sum(sizes)
-    mean = float(np.sum(sums)) / total
-    count, centre, m2, scale = 0, 0.0, 0.0, 0
-    for size, chunk_sum, chunk_m2, exponent in zip(sizes, sums, m2s, map(int, exponents)):
-        delta = float(chunk_sum) / size - centre
-        common = max(scale, exponent, math.frexp(delta)[1] if abs(delta) > _RESCALE_ABOVE else 0)
-        scaled = math.ldexp(delta, -common)
-        count += size
-        m2 = math.ldexp(m2, 2 * (scale - common)) + (
-            math.ldexp(float(chunk_m2), 2 * (exponent - common))
-            + scaled * scaled * ((count - size) * size / count))
-        centre += delta * (size / count)
-        scale = common
-    return mean, float(np.ldexp(math.sqrt(m2 / (total - 1) / total), scale))
+    sizes, exponents = np.asarray(sizes), np.asarray(exponents, dtype=int)
+    total = np.sum(sizes)
+    mean = np.sum(sums, axis=-1) / total
+    gaps = sums / sizes - mean[..., None]
+    scale = np.maximum(np.max(exponents, axis=-1), _exponents(gaps))[..., None]
+    gaps = np.ldexp(gaps, -scale)
+    m2 = np.sum(np.ldexp(m2s, 2 * (exponents - scale)), axis=-1) + np.sum(sizes * gaps**2, axis=-1)
+    return mean, np.ldexp(np.sqrt(m2 / (total - 1) / total), scale[..., 0])
 
 
-def _estimates(sizes: list[int], partials: list[np.ndarray],
-               weight: float) -> list[RateEstimate]:
+def _estimates(sizes: list[int], partials: list[np.ndarray], weight: float) -> list[RateEstimate]:
     """Weighted RateEstimates, one per component of the per-chunk _sum_and_m2 results.
 
     A non-finite estimate (overflow or NaN) raises NonFiniteEstimate, a numerical failure.
     """
     stats = np.stack(partials, axis=-1).reshape(3, -1, len(sizes))  # (sum|M2|exp, comp, chunk)
-    estimates = []
-    for sums, m2s, exponents in zip(*stats):
-        mean, sem = _mean_and_sem(sizes, sums, m2s, exponents)
-        value, std_error = weight * mean, weight * sem
-        if not (np.isfinite(value) and np.isfinite(std_error)):
-            raise NonFiniteEstimate(
-                f"rate estimate is not finite: {value!r} +/- {std_error!r}")
-        estimates.append(RateEstimate(value=value, std_error=std_error))
-    return estimates
+    values, errors = ((weight * part).tolist() for part in _mean_and_sem(sizes, *stats))
+    finite = np.isfinite(values) & np.isfinite(errors)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFiniteEstimate(
+            f"rate estimate is not finite: {values[first]!r} +/- {errors[first]!r}")
+    return list(map(RateEstimate, values, errors))
 
 
 def pre_collision_pair(v, v1, n, epsilon: float, branch: CollisionBranch):

@@ -148,7 +148,7 @@ def test_energy_formula_audit(tmp_path):
         worst = max(worst, abs((formula - actual) - predicted) / predicted)
     assert worst < 1e-12
     csv_path = tmp_path / "audit.csv"
-    csv_path.write_text(ca.audit_csv_text([head_on, oblique]))
+    csv_path.write_text(cli.audit_csv_text([head_on, oblique]))
     text = csv_path.read_text()
     assert "energy-loss-formula-oblique" in text and "inconsistent" in text
     report("energy-formula-audit", f"head-on residual {head_on.residual:.2e}; "
@@ -248,7 +248,7 @@ def test_gain_weighting_mass_audit(tmp_path):
                           normalization=GainNormalization.RESTITUTION_WEIGHTED)
     reports = ca.audit_mass_conservation([0.8], spec, f, threads=4)
     csv_path = tmp_path / "audit.csv"
-    csv_path.write_text(ca.audit_csv_text(reports))
+    csv_path.write_text(cli.audit_csv_text(reports))
     import csv as csv_module
     with open(csv_path, newline="") as handle:
         rows = {row["claim_id"]: row for row in csv_module.DictReader(handle)}

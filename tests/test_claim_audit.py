@@ -10,7 +10,7 @@ import pytest
 
 from conftest import UNIT_MASS
 from kinetics import claim_audit as ca
-from kinetics import collision_operator, rng
+from kinetics import cli, collision_operator, rng
 from kinetics.collision_kernel import CollisionBranch
 from kinetics.collision_operator import (GainNormalization, QuadratureSpec, RateEstimate,
                                          moment_rates)
@@ -142,7 +142,7 @@ def test_audit_csv_format_and_metadata_round_trip():
         ca.audit_jacobian(seed=0, n_configs=5),
         ca.AuditReport("some-diagnostic", "ref text", 0.25, math.nan, {"alpha": 1, "b": [1, 2]}),
     ]
-    text = ca.audit_csv_text(reports)
+    text = cli.audit_csv_text(reports)
     lines = text.strip().split("\n")
     assert lines[0] == "claim_id,paper_ref,residual,threshold,verdict,metadata_json"
     assert len(lines) == 3
@@ -154,7 +154,7 @@ def test_audit_csv_format_and_metadata_round_trip():
     meta = json.loads(rows[1]["metadata_json"])
     assert meta == {"alpha": 1, "b": [1, 2]}
     assert math.isnan(float(rows[1]["threshold"]))
-    summary = ca.audit_summary_text(reports)
+    summary = cli.audit_summary_text(reports)
     assert "pair-map-determinant-equals-restitution: consistent" in summary
     assert "some-diagnostic: diagnostic" in summary
 

@@ -1,6 +1,7 @@
 """Collision rules: hand values, conservation laws, inverses, Jacobians."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kinetics.collision_kernel import (
     jacobian_signed,
     transform_velocities,
 )
+from kinetics.collision_operator import GainNormalization
 from kinetics.errors import InvalidRestitution, NonFiniteEstimate, NonUnitNormal
 
 UNIT = Species(mass=1.0, diameter=1.0)
@@ -295,3 +297,20 @@ def test_validation_errors():
         Species(mass=-1.0, diameter=1.0)
     with pytest.raises(ValueError):
         Species(mass=1.0, diameter=0.0)
+
+
+@pytest.mark.parametrize("branch", ["reflective", None, GainNormalization.RESTITUTION_WEIGHTED],
+                         ids=["string", "none", "other-enum"])
+@pytest.mark.parametrize("call", [
+    lambda branch: collide((0, 0, 0), (1, 0, 0), EX, 0.5, branch, UNIT, UNIT),
+    lambda branch: inverse_collide((0, 0, 0), (1, 0, 0), EX, 0.5, branch, UNIT, UNIT),
+    lambda branch: jacobian_signed(0.5, branch),
+    lambda branch: jacobian_analytic(0.5, branch),
+    lambda branch: jacobian_numeric((0, 0, 0), (1, 0, 0), EX, 0.5, branch, UNIT, UNIT),
+], ids=["collide", "inverse_collide", "jacobian_signed", "jacobian_analytic",
+        "jacobian_numeric"])
+def test_a_branch_that_is_not_a_member_is_rejected_by_name(call, branch):
+    # not the unnamed AttributeError of branch.normal_factor
+    with pytest.raises(ValueError,
+                       match=f"^branch must be a CollisionBranch, got {re.escape(repr(branch))}$"):
+        call(branch)

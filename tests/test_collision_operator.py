@@ -547,3 +547,44 @@ def test_estimator_peak_memory_is_the_chunk_columns_it_holds():
     moments_peak = _traced_peak(lambda: moment_rates(f, spec, weightings=weightings))
     # v and v1 (3 columns each), gn and the first lookup's product
     assert moments_peak <= (6 + 2) * column + lookup, f"{moments_peak / column:.2f} columns"
+
+
+def test_directions_peak_memory_is_its_rows_plus_radius_and_azimuth():
+    # the three columns are written into the (m, 3) result in place: its 3 columns,
+    # the radius and the azimuth (measured: 5.01 columns), where stacking fresh
+    # columns held 8
+    u, phi = rng.stream(5, "directions-memory").random((2, collision_operator._CHUNK))
+    column = 8 * collision_operator._CHUNK
+    peak = _traced_peak(lambda: collision_operator._directions(u, phi))
+    assert peak <= 5.5 * column, f"{peak / column:.2f} columns"
+    assert collision_operator._directions(u, phi).flags.c_contiguous
+
+
+def _chunk_stats(chunks):
+    stats = [collision_operator._sum_and_m2(chunk) for chunk in chunks]
+    return [len(chunk) for chunk in chunks], *zip(*stats)
+
+
+def test_sem_merge_of_many_rows_is_each_row_merged_alone():
+    generator = np.random.default_rng(5)
+    sizes = [4096, 4096, 1000, 7]
+    # rows with a small spread, a large mean, a spread past the rescale point, and zeros
+    rows = [[scale * generator.standard_normal(size) + offset for size in sizes]
+            for scale, offset in ((1.0, 0.0), (1.0, 1e9), (2.0**700, 3.0), (0.0, 0.0))]
+    stats = np.array([_chunk_stats(row)[1:] for row in rows])  # (row, sum|M2|exp, chunk)
+    means, sems = collision_operator._mean_and_sem(sizes, *stats.transpose(1, 0, 2))
+    assert means.shape == sems.shape == (len(rows),)
+    for row, mean, sem in zip(rows, means, sems):
+        alone = collision_operator._mean_and_sem(*_chunk_stats(row))
+        assert (mean, sem) == alone
+
+
+def test_sem_merge_rescales_a_gap_past_the_rescale_point():
+    # every chunk exponent is 0: only the gap between the chunk means passes 2^500
+    def merged(top):
+        return collision_operator._mean_and_sem(
+            *_chunk_stats([np.zeros(collision_operator._CHUNK), np.full(17, top)]))
+    (mean, sem), (big_mean, big_sem) = merged(1.0), merged(2.0**600)
+    assert 0.0 < sem < math.inf
+    assert big_mean == math.ldexp(mean, 600)
+    assert big_sem == math.ldexp(sem, 600)

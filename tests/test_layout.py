@@ -148,6 +148,17 @@ def test_only_dsmc_py_draws_normals():
     assert offenders == []
 
 
+def test_no_package_module_imports_the_cli():
+    # the CLI sits on top: it loads the modules its subcommand runs and lays out
+    # every artifact, so none of them imports it back
+    offenders = [f"{module}.py:{node.lineno}" for module, tree in _trees().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and (node.module == "cli"
+                      or (node.module is None and "cli" in [a.name for a in node.names]))]
+    assert offenders == []
+
+
 # (module, top-level function) that sets numpy's error state, and why. Elsewhere the
 # caller's state governs: the CLI computes under one errstate(all="ignore") and names
 # each non-finite result, and a library caller sees numpy's default warnings.
