@@ -124,6 +124,18 @@ def _positive(value, context) -> float:
     return require_positive("value", _number(value, context))
 
 
+def _gaussian_width(value, context) -> float:
+    """A positive sigma whose 2 * sigma**2, a Gaussian's divisor, is a positive finite float."""
+    sigma = _positive(value, context)
+    try:
+        divisor = 2.0 * sigma**2
+    except OverflowError:
+        divisor = math.inf
+    if not 0.0 < divisor < math.inf:
+        raise ValueError(f"2 * value**2 must be a positive finite float, got {divisor!r}")
+    return sigma
+
+
 def _nonneg(value, context) -> float:
     return require_nonnegative("value", _number(value, context))
 
@@ -267,8 +279,8 @@ def _transport_fields() -> dict:
         "mass": (_positive, 1.0),
         "center_x": (_number, 3.0),
         "center_v": (_number, 0.0),
-        "sigma_x": (_positive, 0.5),
-        "sigma_v": (_positive, 0.4),
+        "sigma_x": (_gaussian_width, 0.5),
+        "sigma_v": (_gaussian_width, 0.4),
         "amplitude": (_positive, 1.0),
     }
 

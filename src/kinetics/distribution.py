@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .constants import BOLTZMANN
-from .errors import (UnderResolved, frozen_array, require_count, require_nonnegative,
-                     require_positive, require_vector3)
+from .errors import (UnderResolved, frozen_array, grid_allocation, require_count,
+                     require_nonnegative, require_positive, require_vector3)
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,8 @@ class DiscreteDistribution:
 def _node_array(grid: VelocityGrid) -> np.ndarray:
     """A zeroed (n, n, n) array; MemoryError naming nodes_per_axis if none can be allocated."""
     n = grid.nodes_per_axis
-    try:
+    with grid_allocation(f"nodes_per_axis {n}", 8 * int(n)**3):
         return np.zeros((n, n, n))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an index can hold
-        raise MemoryError(f"nodes_per_axis {n} needs {8 * n**3} bytes for one grid "
-                          f"array, more than can be allocated") from None
 
 
 def _gaussian_values(grid: VelocityGrid, density: float, u: np.ndarray,

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all kinetics modules, and the value rules."""
 
 import math
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -10,6 +12,20 @@ def require_positive(name: str, value):
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+@contextmanager
+def grid_allocation(sizes: str, nbytes: int):
+    """Turn a failed allocation inside into a MemoryError naming the grid's sizes and the
+    bytes one grid array needs; past what an array can index, raise it at once."""
+    error = MemoryError(f"{sizes} needs {nbytes} bytes for one grid array, "
+                        f"more than can be allocated")
+    if nbytes > sys.maxsize:  # numpy would raise a ValueError that names no size
+        raise error
+    try:
+        yield
+    except MemoryError:
+        raise error from None
 
 
 def require_nonnegative(name: str, value):

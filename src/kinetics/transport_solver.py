@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteEstimate, frozen_array, require_count, require_positive
+from .errors import (NonFiniteEstimate, frozen_array, grid_allocation, require_count,
+                     require_positive)
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
 # Node shifts at or past this are rejected: base + offset must fit in int64.
@@ -102,6 +103,11 @@ class PhaseGrid1D1V:
         return 2.0 * self.vmax / (self.nv - 1)
 
 
+def _grid_allocation(nx: int, nv: int):
+    """The allocation context of a grid of nx by nv nodes; see errors.grid_allocation."""
+    return grid_allocation(f"nx {nx} by nv {nv}", 8 * int(nx) * int(nv))
+
+
 def phase_grid_from_function(fn, nx: int, length: float, nv: int, vmax: float) -> PhaseGrid1D1V:
     """Sample fn(x, v) on the grid nodes; x and v are the x_axis column and v_axis row.
 
@@ -109,9 +115,10 @@ def phase_grid_from_function(fn, nx: int, length: float, nv: int, vmax: float) -
     sealed read-only and the grid adopts it without a copy.
     """
     _check_mesh(nx, length, nv, vmax)
-    x = (np.arange(nx) * (length / nx))[:, None]
-    v = np.linspace(-vmax, vmax, nv)[None, :]
-    values = np.asarray(fn(x, v), dtype=np.float64)
+    with _grid_allocation(nx, nv):
+        x = (np.arange(nx) * (length / nx))[:, None]
+        v = np.linspace(-vmax, vmax, nv)[None, :]
+        values = np.asarray(fn(x, v), dtype=np.float64)
     values.setflags(write=False)
     return PhaseGrid1D1V(nx, length, nv, vmax, values)
 
@@ -126,28 +133,35 @@ def _cubic_weights(t: np.ndarray):
     )
 
 
-def _x_plan(shifts: np.ndarray, nx: int):
-    """Back-trace plan along axis 1 for a per-row node shift.
+# The cubic stencil reads 3 columns past each of a row's nx: the ghost columns of a run row.
+_GHOSTS = 3
 
-    Its source is the values laid side by side, whose columns start..start+nx
-    are the columns rolled by start. Consecutive rows that share an integer
-    base form one group, a contiguous block of rows, with one (weight column,
-    destination, source) term per offset -1, 0, 1, 2.
+
+def _x_plan(shifts: np.ndarray, nx: int):
+    """Back-trace plan along x for a per-row node shift, on flat rows of width nx + 3.
+
+    The gather index rolls every row by its own integer base, less 1, into its
+    padded row, so offset -1, 0, 1, 2 reads the row from column 0, 1, 2, 3.
+    Each offset is one (weight, destination, source) term of contiguous flat
+    slices. Its weight array holds the row's weight in each of its nx columns
+    and 0 in the ghosts, so every ghost of the result of a finite grid is 0.
     """
+    nv, width = shifts.shape[0], nx + _GHOSTS
     tau = -shifts
     base = np.floor(tau).astype(np.int64)
-    weights = _cubic_weights(tau - base)
-    edges = [0, *(np.flatnonzero(np.diff(base)) + 1).tolist(), base.shape[0]]
-    plan = []
-    for j, k in zip(edges[:-1], edges[1:]):
-        for offset, w in zip((-1, 0, 1, 2), weights):
-            start = int(base[j] + offset) % nx
-            plan.append((w[j:k, None], np.s_[j:k], np.s_[j:k, start:start + nx]))
-    return plan
+    index = (base[:, None] - 1 + np.arange(width)) % nx
+    index += width * np.arange(nv)[:, None]
+    size = nv * width - _GHOSTS
+    terms = []
+    for offset, w in enumerate(_cubic_weights(tau - base)):
+        weight = np.zeros((nv, width))
+        weight[:, :nx] = w[:, None]
+        terms.append((weight.ravel()[:size], np.s_[0:size], np.s_[offset:offset + size]))
+    return index.ravel(), terms
 
 
-def _v_plan(shift: float, nv: int):
-    """Back-trace plan along axis 0 for a uniform node shift.
+def _v_plan(shift: float, nv: int, width: int):
+    """Back-trace plan along v for a uniform node shift, on flat rows of the given width.
 
     One (weight, destination, source) term per offset whose source rows
     overlap the hull; the rest of the hull has zero inflow.
@@ -160,17 +174,38 @@ def _v_plan(shift: float, nv: int):
         d = base + offset
         lo, hi = max(0, -d), min(nv, nv - d)
         if lo < hi:
-            plan.append((float(w), np.s_[lo:hi], np.s_[lo + d:hi + d]))
+            plan.append((float(w), np.s_[lo * width:hi * width],
+                         np.s_[(lo + d) * width:(hi + d) * width]))
     return plan
 
 
-def _advect(source: np.ndarray, plan, shape) -> np.ndarray:
-    """Sum of the plan's terms out[dst] += w * source[src], from +0.0, in plan order."""
-    out = np.zeros_like(source, shape=shape)
-    for w, dst, src in plan:
-        block = out[dst]  # a view, so the add writes through without storing back
-        block += w * source[src]
-    return out
+def _advect(source: np.ndarray, terms, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Set out to the sum of the terms' w * source[src], each added into out[dst], from +0.0
+    in plan order; scratch holds the products.
+
+    The first product goes straight into its destination and gets 0.0 added,
+    which gives the bits of 0.0 + product, a -0.0 product included; the rest
+    of out is set to +0.0.
+    """
+    if not terms:
+        out.fill(0.0)
+        return
+    (w, dst, src), *rest = terms
+    first = np.multiply(w, source[src], out=out[dst])
+    first += 0.0
+    out[:dst.start] = 0.0
+    out[dst.stop:] = 0.0
+    for w, dst, src in rest:
+        product = np.multiply(w, source[src], out=scratch[dst])
+        np.add(out[dst], product, out=out[dst])
+
+
+def _advect_x(source: np.ndarray, plan, out: np.ndarray, rolled: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """The x half-step: one gather of every rolled row, then the stencil terms."""
+    index, terms = plan
+    np.take(source, index, out=rolled, mode="clip")
+    _advect(rolled, terms, out, scratch)
 
 
 @dataclass(frozen=True)
@@ -185,37 +220,44 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
 
     The velocity axis is driven by the x-component of the force. The shifts
     are fixed for the run, so both back-trace plans are built once. The run
-    keeps the grid velocity-major, shape (nv, nx), so every term of both
-    half-steps is a block of contiguous rows; the mass is summed over an
+    keeps the grid velocity-major, nv rows of nx values and 3 ghost columns,
+    flat in one array, so every term of both half-steps is a contiguous
+    slice; the buffers are reused across steps. The mass is summed over an
     x-major copy, in the order of a sum over the grid's own values.
     """
     require_positive("dt", dt)
     require_count("n_steps", n_steps, 0)
     ax = float(field.acceleration[0])
-    values = f0.values.T.copy()
+    nx, nv = f0.nx, f0.nv
+    width = nx + _GHOSTS
     x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
     v_shift = ax * dt / f0.dv
     if not (np.all(np.abs(x_shift_half) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
         raise ValueError(f"dt {dt} moves the grid by a node shift that is not finite "
                          f"or not below 2**62 nodes")
-    x_plan = _x_plan(x_shift_half, f0.nx)
-    v_plan = _v_plan(v_shift, f0.nv)
+    with _grid_allocation(nx, nv):
+        x_plan = _x_plan(x_shift_half, nx)
+        v_plan = _v_plan(v_shift, nv, width)
+        values, out, rolled, scratch = (np.zeros(nv * width) for _ in range(4))
+        xmajor = np.empty((nx, nv))
+    values.reshape(nv, width)[:, :nx] = f0.values.T
     worst_drift = 0.0
     mass0 = float(np.sum(f0.values)) * f0.dx * f0.dv
-    shape = values.shape
     for _ in range(n_steps):
-        values = _advect(np.concatenate((values, values), axis=1), x_plan, shape)
-        values = _advect(values, v_plan, shape)
-        values = _advect(np.concatenate((values, values), axis=1), x_plan, shape)
+        _advect_x(values, x_plan, out, rolled, scratch)
+        _advect(out, v_plan, values, scratch)
+        _advect_x(values, x_plan, out, rolled, scratch)
+        values, out = out, values
         if mass0 != 0.0:
-            mass = float(np.sum(values.T.copy())) * f0.dx * f0.dv
+            np.copyto(xmajor, values.reshape(nv, width)[:, :nx].T)
+            mass = float(np.sum(xmajor)) * f0.dx * f0.dv
             drift = abs(mass - mass0) / abs(mass0)
             if not np.isfinite(drift):
                 raise NonFiniteEstimate(f"mass drift is not finite ({mass0!r} -> {mass!r})")
             worst_drift = max(worst_drift, drift)
-    values = values.T.copy()
-    values.setflags(write=False)  # a fresh array, adopted by the grid
-    grid = PhaseGrid1D1V(f0.nx, f0.length, f0.nv, f0.vmax, values)
+    np.copyto(xmajor, values.reshape(nv, width)[:, :nx].T)
+    xmajor.setflags(write=False)  # a fresh array, adopted by the grid
+    grid = PhaseGrid1D1V(nx, f0.length, nv, f0.vmax, xmajor)
     return TransportRunResult(grid=grid, mass_drift=worst_drift)
 
 

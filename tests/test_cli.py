@@ -157,11 +157,9 @@ def test_unrepresentable_transport_shift_exits_1_without_outputs(tmp_path, capsy
 
 
 @pytest.mark.parametrize("overrides, code, prefix", [
-    # sigma_x**2 underflows to 0, so the initial grid holds NaN: bad input
-    ({"nx": 16, "nv": 16, "center_x": 0.0, "sigma_x": 1e-200}, 1, "error: values must be finite"),
     # the mass sum overflows: a numerical failure, not a drift of 0
     ({"nx": 64, "nv": 64, "amplitude": 1e307}, 2, "numerical failure: mass drift is not finite"),
-], ids=["non-finite-grid", "mass-overflow"])
+], ids=["mass-overflow"])
 def test_non_finite_transport_exits_without_outputs(tmp_path, capsys, overrides, code, prefix):
     config_path = tmp_path / "config.json"
     out_dir = tmp_path / "out"
@@ -536,7 +534,10 @@ def test_unreadable_config_exits_1_without_outputs(tmp_path, capsys, prefix, pat
     ("operator", dict(BIMODAL, nodes_per_axis=10**7, mass=1.380649e-23),
      "error: nodes_per_axis 10000000 needs 8000000000000000000000 bytes for one grid array"),
     ("dsmc", dict(MINIMAL_DSMC["parameters"], particles=10**15), "error: Unable to allocate "),
-], ids=["operator-grid", "operator-bimodal-grid", "dsmc-ensemble"])
+    # numpy named only the shape; the x axis alone needs 8 PB
+    ("transport", {"nx": 10**15, "nv": 16, "dt": 0.01, "steps": 1},
+     "error: nx 1000000000000000 by nv 16 needs 128000000000000000 bytes for one grid array"),
+], ids=["operator-grid", "operator-bimodal-grid", "dsmc-ensemble", "transport-grid"])
 def test_unmet_allocation_exits_1_without_outputs(tmp_path, capsys, subcommand, parameters,
                                                   prefix):
     line = _failing_run(tmp_path, capsys, subcommand, parameters, 1)
@@ -554,7 +555,19 @@ def test_unmet_allocation_exits_1_without_outputs(tmp_path, capsys, subcommand, 
      "error: 2 * vmax / (nv - 1) must be positive and finite, got 0.0"),
     # numpy warned of a division by zero and the error blamed dt
     ({"length": 5e-324}, "error: length / nx must be positive and finite, got 0.0"),
-], ids=["force-over-mass", "vmax-overflow", "vmax-underflow", "length-underflow"])
+    # 2 * sigma_x**2 overflowed in the Gaussian and the numerical failure named no key
+    ({"sigma_x": 2e154},
+     "error: parameters.sigma_x: 2 * value**2 must be a positive finite float, got inf"),
+    # 2 * sigma_x**2 underflowed to 0: a node on the centre read NaN, others a zero grid
+    ({"sigma_x": 1e-200, "center_x": 0.0},
+     "error: parameters.sigma_x: 2 * value**2 must be a positive finite float, got 0.0"),
+    ({"sigma_x": 1e-200, "center_x": 0.1},
+     "error: parameters.sigma_x: 2 * value**2 must be a positive finite float, got 0.0"),
+    ({"sigma_v": 1e-170},
+     "error: parameters.sigma_v: 2 * value**2 must be a positive finite float, got 0.0"),
+], ids=["force-over-mass", "vmax-overflow", "vmax-underflow", "length-underflow",
+        "sigma-overflow", "sigma-underflow-on-node", "sigma-underflow-off-node",
+        "sigma-v-underflow"])
 def test_unrepresentable_transport_input_exits_1_naming_its_keys(tmp_path, capsys, parameters,
                                                                  line):
     parameters = dict({"nx": 16, "nv": 16, "dt": 0.01, "steps": 2}, **parameters)

@@ -106,6 +106,10 @@ def _numbers(path: Path) -> list[float]:
 @example(case=("collide", _replace(_valid("collide"), ("n",), [1e200, 0.0, 0.0])), threads=1)
 @example(case=("operator", _replace(_valid("operator"), ("distribution", "bulk_velocity"),
                                     [1e200, 0.0, 0.0])), threads=1)
+# 2 * sigma_x**2 overflowed to a numerical failure naming no key, or underflowed to 0
+@example(case=("transport", _replace(_valid("transport"), ("sigma_x",), 2e154)), threads=1)
+@example(case=("transport", _replace(_replace(_valid("transport"), ("sigma_x",), 1e-200),
+                                     ("center_x",), 0.0)), threads=1)
 def test_every_run_ends_in_artifacts_or_one_named_line(case, threads):
     subcommand, parameters = case
     with tempfile.TemporaryDirectory() as scratch:

@@ -241,12 +241,13 @@ def test_distribution_validation():
 
 
 # 10^5 nodes need 8 * 10^15 bytes and 2^21 more bytes than an index holds, so
-# neither allocates on any machine; the failure names the key and the bytes
-@pytest.mark.parametrize("n", [10**5, 2**21])
+# neither allocates on any machine; the failure names the key and the bytes,
+# counted without int64 overflow for a numpy integer count
+@pytest.mark.parametrize("n", [10**5, 2**21, np.int64(2**21)])
 @pytest.mark.parametrize("build", [
     lambda grid: maxwellian(grid, 1.0, (0, 0, 0), 1.0, UNIT_MASS),
     lambda grid: bimodal(grid, 0.5, (1, 0, 0), 1.0, 0.5, (-1, 0, 0), 1.0, UNIT_MASS),
 ], ids=["maxwellian", "bimodal"])
 def test_grid_array_too_large_to_allocate_is_named(build, n):
-    with pytest.raises(MemoryError, match=f"^nodes_per_axis {n} needs {8 * n**3} bytes "):
+    with pytest.raises(MemoryError, match=f"^nodes_per_axis {n} needs {8 * int(n)**3} bytes "):
         build(VelocityGrid(vmax=6.0, nodes_per_axis=n))

@@ -3,8 +3,9 @@
 ``_reference_advect_x``, ``_reference_advect_v`` and the step loop in
 ``_reference_run`` are the former per-step bodies of the x and v half-steps
 and of ``semi_lagrangian_run``, kept here verbatim as the reference. They act
-on the x-major (nx, nv) grid; the solver runs both half-steps through
-``transport_solver._advect`` on its velocity-major (nv, nx) transpose.
+on the x-major (nx, nv) grid; the solver keeps the grid velocity-major, nv
+flat rows of nx values and 3 ghost columns, and runs the x half-step through
+``transport_solver._advect_x`` and the v half-step through ``_advect``.
 ``semi_lagrangian_run`` must give the same value bits and the same
 ``mass_drift``.
 
@@ -15,16 +16,20 @@ whole run; the half-steps are compared on their own for that.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinetics.transport_solver import (
+    _GHOSTS,
     ForceField,
     PhaseGrid1D1V,
     _advect,
+    _advect_x,
     _cubic_weights,
     _v_plan,
     _x_plan,
+    phase_grid_from_function,
     semi_lagrangian_run,
 )
 
@@ -91,11 +96,11 @@ NODES = st.integers(min_value=4, max_value=64)
 
 # In the first seven examples the grid spacing is 1 in x and 2**-3 in v, so
 # the node shifts are exact: x shifts are v * dt / 2, v shifts force * dt * 8.
-# In the eighth, x shifts of -7.5 to 7.5 step by 5/3 nodes, so every column is
-# its own x-plan group and the shifts are inexact. The last three cover the
-# other x-plan regimes: one group (dt / 2 underflows, so every column has
-# base 0), the two groups of a small dt (bases -1 and 0, as a 256 x 256 run
-# at dt 0.01 has), and six groups on a grid with nx != nv.
+# In the eighth, x shifts of -7.5 to 7.5 step by 5/3 nodes, so every column has
+# its own x base and the shifts are inexact. The last three cover the other
+# x-base regimes: one base (dt / 2 underflows, so every column has base 0),
+# the two bases of a small dt (-1 and 0, as a 256 x 256 run at dt 0.01 has),
+# and six bases on a grid with nx != nv.
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.0, steps=3, seed=0)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.25, steps=3, seed=1)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=-0.25, steps=3, seed=2)
@@ -127,7 +132,20 @@ def test_semi_lagrangian_run_matches_per_step_reference(nx, nv, length, vmax, dt
     assert got.mass_drift == want_drift
 
 
-# x shifts spread over +-200 nodes: every column is its own x-plan group
+@pytest.mark.parametrize("dt", [0.01, 5.0])
+def test_semi_lagrangian_run_matches_per_step_reference_at_256_squared(dt):
+    # perfbench's grid: at dt 0.01 the rows have two x bases, at dt 5 each its own
+    grid = phase_grid_from_function(lambda x, v: np.exp(-(x - 3.0) ** 2 - v**2),
+                                    256, 10.0, 256, 3.0)
+    field = ForceField(force=(0.5, 0.0, 0.0), mass=1.0)
+    want_values, want_drift = _reference_run(grid, field, dt, 2)
+    got = semi_lagrangian_run(grid, field, dt, 2)
+    np.testing.assert_array_equal(got.grid.values.view(np.uint64),
+                                  want_values.view(np.uint64))
+    assert got.mass_drift == want_drift
+
+
+# x shifts spread over +-200 nodes: every row has its own x base
 @example(nx=5, nv=8, scale=200.0, v_shift=0.3, seed=0)
 @settings(deadline=None, max_examples=200)
 @given(nx=NODES, nv=NODES,
@@ -142,12 +160,30 @@ def test_half_steps_match_per_step_reference(nx, nv, scale, v_shift, seed):
     x_shifts = rng.uniform(-scale, scale, nv)
     on_node = rng.random(nv) < 0.3
     x_shifts[on_node] = np.round(x_shifts[on_node])
-    # the solver's half-steps act on the velocity-major (nv, nx) transpose
-    vmajor = values.T.copy()
-    np.testing.assert_array_equal(
-        _advect(np.concatenate((vmajor, vmajor), axis=1), _x_plan(x_shifts, nx), vmajor.shape)
-        .T.view(np.uint64),
-        _reference_advect_x(values, x_shifts).view(np.uint64))
-    np.testing.assert_array_equal(
-        _advect(vmajor, _v_plan(v_shift, nv), vmajor.shape).T.view(np.uint64),
-        _reference_advect_v(values, v_shift).view(np.uint64))
+    # the half-steps act on the padded velocity-major rows, into buffers of any content
+    width = nx + _GHOSTS
+    source = np.zeros((nv, width))
+    source[:, :nx] = values.T
+    source = source.ravel()
+    out, rolled, scratch = (np.full_like(source, np.nan) for _ in range(3))
+    _advect_x(source, _x_plan(x_shifts, nx), out, rolled, scratch)
+    rows = out.reshape(nv, width)
+    np.testing.assert_array_equal(rows[:, :nx].T.view(np.uint64),
+                                  _reference_advect_x(values, x_shifts).view(np.uint64))
+    np.testing.assert_array_equal(rows[:, nx:].view(np.uint64), 0)  # +0.0 ghosts
+    out.fill(np.nan)
+    _advect(source, _v_plan(v_shift, nv, width), out, scratch)
+    np.testing.assert_array_equal(out.reshape(nv, width)[:, :nx].T.view(np.uint64),
+                                  _reference_advect_v(values, v_shift).view(np.uint64))
+
+
+def _plan_size(plan) -> tuple:
+    index, terms = plan
+    return index.nbytes, len(terms), sum(weight.nbytes for weight, _, _ in terms)
+
+
+def test_x_plan_size_does_not_depend_on_the_number_of_bases():
+    nx, nv = 32, 24
+    shifts = (np.zeros(nv), np.linspace(-0.5, 0.5, nv), np.linspace(-200.0, 200.0, nv))
+    assert [np.unique(np.floor(-s)).size for s in shifts] == [1, 2, nv]
+    assert len({_plan_size(_x_plan(s, nx)) for s in shifts}) == 1

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,47 @@ def test_semi_lagrangian_validation():
     for nx, nv, name in ((3, 32, "nx"), (32, 3, "nv")):
         with pytest.raises(ValueError, match=f"{name} must be at least 4"):
             PhaseGrid1D1V(nx, 10.0, nv, 3.0, np.zeros((nx, nv)))
+
+
+def test_semi_lagrangian_run_peak_memory_is_at_most_ten_and_a_half_grids():
+    # numpy reports its buffers to tracemalloc. The run keeps nine arrays of nv
+    # padded rows, nx + 3 wide (four flat value buffers, the gather index and four
+    # weight arrays), and one x-major grid for the mass and the result: 10.12
+    # grid arrays at 256^2 when measured. One more grid-sized array exceeds the cap.
+    grid = phase_grid_from_function(blob, 256, 10.0, 256, 3.0)
+    grid_bytes = 8 * 256 * 256
+    for dt in (0.01, 5.0):  # two x bases, and one for every row
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), dt, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * grid_bytes, f"peak {peak / grid_bytes:.2f} grid arrays"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate")
+
+
+@pytest.mark.parametrize("nx, nv, fn", [
+    (16, 12, _out_of_memory),  # the sample itself
+    (10**15, 4, blob),  # the x axis: 8 PB, past any address space
+    (10**20, 10**20, blob),  # past what an array can index: numpy raises a ValueError
+], ids=["sample", "x-axis", "unindexable"])
+def test_phase_grid_that_cannot_be_allocated_names_nx_and_nv(nx, nv, fn):
+    message = (f"^nx {nx} by nv {nv} needs {8 * nx * nv} bytes for one grid array, "
+               f"more than can be allocated$")
+    with pytest.raises(MemoryError, match=message):
+        phase_grid_from_function(fn, nx, 10.0, nv, 3.0)
+
+
+def test_semi_lagrangian_buffers_that_cannot_be_allocated_name_nx_and_nv(monkeypatch):
+    grid = phase_grid_from_function(blob, 24, 10.0, 20, 3.0)
+    monkeypatch.setattr(np, "zeros", _out_of_memory)
+    with pytest.raises(MemoryError, match="^nx 24 by nv 20 needs 3840 bytes for one grid array"):
+        semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, 3)
 
 
 def test_phase_snapshot_round_trip(tmp_path):
