@@ -1,15 +1,23 @@
 """Exception hierarchy shared by all kinetics modules, and the value rules."""
 
 import math
+import numbers
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 
+def require_real(name: str, value):
+    """value, if it is a real number (a bool is one); else ValueError naming it."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def require_positive(name: str, value):
     """value, if it is a positive finite number; else ValueError naming it."""
-    if not 0.0 < value < math.inf:
+    if not 0.0 < require_real(name, value) < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -30,7 +38,7 @@ def grid_allocation(sizes: str, nbytes: int):
 
 def require_nonnegative(name: str, value):
     """value, if it is a nonnegative finite number; else ValueError naming it."""
-    if not 0.0 <= value < math.inf:
+    if not 0.0 <= require_real(name, value) < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     return value
 

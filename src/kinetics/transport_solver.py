@@ -3,9 +3,12 @@
 The exact evaluator works in full 3D-3V, at points or over broadcast arrays,
 and needs no mesh. The grid solver exists to measure convergence: positions
 are periodic on [0, length), velocities live on [-vmax, vmax] with zero
-inflow from outside the hull, and each step is a Strang-split pair of
-constant-coefficient back-traces with cubic interpolation. phase_snapshot
-writes a grid as the package's one binary format; load_phase_grid reads it.
+inflow from outside the hull, and each step is the Strang split x/2 v x/2 of
+constant-coefficient back-traces with cubic interpolation. Constant shifts
+add, so the x half-steps that meet between two steps run as one full-step
+sweep: n steps take n + 1 x sweeps. The mass check sums the padded rows the
+run works on, whose ghost columns are 0. phase_snapshot writes a grid as the
+package's one binary format; load_phase_grid reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (NonFiniteEstimate, frozen_array, grid_allocation, require_count,
-                     require_positive)
+                     require_positive, require_real)
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
 # Node shifts at or past this are rejected: base + offset must fit in int64.
@@ -52,9 +55,10 @@ def exact_solution(f0, field: ForceField, x, v, t: float):
     and the components broadcast. The solution is constant along
     characteristics, so this back-traces to t = 0 and returns
     f0(x - v t + a t^2 / 2, v - a t), each argument a list of three components.
-    ValueError if t is not finite; OverflowError if t**2 is past the float range.
+    ValueError if t is not a finite real number; OverflowError if t**2 is past the
+    float range.
     """
-    if not math.isfinite(t):
+    if not math.isfinite(require_real("t", t)):
         raise ValueError("t must be finite")
     t_sq = float(t) ** 2
     with np.errstate(over="ignore", invalid="ignore"):  # a foot past the float range; f0 decides
@@ -218,12 +222,16 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
                         n_steps: int) -> TransportRunResult:
     """Advance n_steps of Strang-split advection; reports relative mass drift.
 
-    The velocity axis is driven by the x-component of the force. The shifts
-    are fixed for the run, so both back-trace plans are built once. The run
-    keeps the grid velocity-major, nv rows of nx values and 3 ghost columns,
-    flat in one array, so every term of both half-steps is a contiguous
-    slice; the buffers are reused across steps. The mass is summed over an
-    x-major copy, in the order of a sum over the grid's own values.
+    The velocity axis is driven by the x-component of the force. Each step is
+    x/2 v x/2, and the run applies them as x/2 (v x)^(n-1) v x/2: the last x
+    half-step of a step and the first of the next add up to one full-step
+    shift, so n steps take n + 1 x sweeps. The shifts are fixed for the run;
+    the v plan is built once and each x plan just before its first sweep,
+    after the previous one is dropped. The run keeps the grid velocity-major,
+    nv rows of nx values and 3 ghost columns, flat in one array, so every
+    term of both half-steps is a contiguous slice; the buffers are reused
+    across steps. After each step's last x sweep the mass is summed over the
+    flat rows, whose ghosts are 0.
     """
     require_positive("dt", dt)
     require_count("n_steps", n_steps, 0)
@@ -231,30 +239,38 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     nx, nv = f0.nx, f0.nv
     width = nx + _GHOSTS
     x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
+    x_shift_full = f0.v_axis * dt / f0.dx
     v_shift = ax * dt / f0.dv
-    if not (np.all(np.abs(x_shift_half) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
+    if not (np.all(np.abs(x_shift_full) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
         raise ValueError(f"dt {dt} moves the grid by a node shift that is not finite "
                          f"or not below 2**62 nodes")
     with _grid_allocation(nx, nv):
-        x_plan = _x_plan(x_shift_half, nx)
         v_plan = _v_plan(v_shift, nv, width)
         values, out, rolled, scratch = (np.zeros(nv * width) for _ in range(4))
-        xmajor = np.empty((nx, nv))
     values.reshape(nv, width)[:, :nx] = f0.values.T
     worst_drift = 0.0
-    mass0 = float(np.sum(f0.values)) * f0.dx * f0.dv
-    for _ in range(n_steps):
-        _advect_x(values, x_plan, out, rolled, scratch)
-        _advect(out, v_plan, values, scratch)
+    mass0 = float(np.sum(values)) * f0.dx * f0.dv
+    x_plan = planned = None
+    for sweep in range(n_steps + 1 if n_steps else 0):
+        if sweep:
+            _advect(values, v_plan, out, scratch)
+            values, out = out, values
+        shifts = x_shift_half if sweep in (0, n_steps) else x_shift_full
+        if shifts is not planned:
+            x_plan = None  # one x plan alive at a time
+            with _grid_allocation(nx, nv):
+                x_plan, planned = _x_plan(shifts, nx), shifts
         _advect_x(values, x_plan, out, rolled, scratch)
         values, out = out, values
-        if mass0 != 0.0:
-            np.copyto(xmajor, values.reshape(nv, width)[:, :nx].T)
-            mass = float(np.sum(xmajor)) * f0.dx * f0.dv
+        if sweep and mass0 != 0.0:
+            mass = float(np.sum(values)) * f0.dx * f0.dv
             drift = abs(mass - mass0) / abs(mass0)
             if not np.isfinite(drift):
                 raise NonFiniteEstimate(f"mass drift is not finite ({mass0!r} -> {mass!r})")
             worst_drift = max(worst_drift, drift)
+    x_plan = None  # freed first, so the result's copy does not raise the peak
+    with _grid_allocation(nx, nv):
+        xmajor = np.empty((nx, nv))
     np.copyto(xmajor, values.reshape(nv, width)[:, :nx].T)
     xmajor.setflags(write=False)  # a fresh array, adopted by the grid
     grid = PhaseGrid1D1V(nx, f0.length, nv, f0.vmax, xmajor)

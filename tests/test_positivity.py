@@ -1,4 +1,4 @@
-"""The value rules of errors.py at every caller: require_positive,
+"""The value rules of errors.py at every caller: require_real, require_positive,
 require_nonnegative, frozen_array, require_count and require_vector3; and
 the chart's one entry, through embed."""
 
@@ -118,6 +118,25 @@ def test_nonpositive_or_nonfinite_value_is_rejected_by_name(caller, value):
     field, build = CALLERS[caller]
     with pytest.raises(ValueError, match=f"^{re.escape(field)} must be positive and finite"):
         build(value)
+
+
+# name in the error, the value, a call taking it: each raised an unnamed TypeError
+# from its comparison before the rules checked the value's type
+NOT_REAL = {
+    "Species.mass": ("mass", "'1'", lambda: Species(mass="1", diameter=1.0)),
+    "embed.lambda": ("lambda", "'1'", lambda: embed((0.1, 0, 0), "1")),
+    "ForceField.mass": ("mass", "'1'", lambda: ForceField(np.zeros(3), "1")),
+    "semi_lagrangian_run.dt": ("dt", "None", lambda: semi_lagrangian(None)),
+    "sample_maxwellian_ensemble.temperature": (
+        "temperature", "'1'", lambda: dsmc.sample_maxwellian_ensemble(4, UNIT, EX, "1", 0)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(NOT_REAL))
+def test_a_value_that_is_not_a_real_number_is_rejected_by_name(caller):
+    name, shown, build = NOT_REAL[caller]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {shown}$"):
+        build()
 
 
 @pytest.mark.parametrize("caller", sorted(CALLERS))

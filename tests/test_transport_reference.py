@@ -1,13 +1,17 @@
-"""Run-once back-trace plans against the per-step advection they replace.
+"""Run-once back-trace plans and the fused x sweeps against the per-step advection
+they replace.
 
-``_reference_advect_x``, ``_reference_advect_v`` and the step loop in
-``_reference_run`` are the former per-step bodies of the x and v half-steps
-and of ``semi_lagrangian_run``, kept here verbatim as the reference. They act
+``_reference_advect_x`` and ``_reference_advect_v`` are the former per-step
+bodies of the x and v half-steps, kept here verbatim as the reference. They act
 on the x-major (nx, nv) grid; the solver keeps the grid velocity-major, nv
 flat rows of nx values and 3 ghost columns, and runs the x half-step through
 ``transport_solver._advect_x`` and the v half-step through ``_advect``.
+``_reference_run`` applies the bodies in the solver's fused schedule,
+x/2 (v x)^(n-1) v x/2, where a full x step is the x body at the full-step
+shift, and sums the mass over the same padded velocity-major rows;
 ``semi_lagrangian_run`` must give the same value bits and the same
-``mass_drift``.
+``mass_drift``. ``_unfused_run`` is the former loop, (x/2 v x/2)^n; it is kept
+only as the accuracy baseline that the fused schedule must match or beat.
 
 Each half-step starts its sums from +0.0, so it never returns -0.0 and its
 result does not depend on the signs of zeros in its input. A half-step that
@@ -29,6 +33,7 @@ from kinetics.transport_solver import (
     _cubic_weights,
     _v_plan,
     _x_plan,
+    exact_solution,
     phase_grid_from_function,
     semi_lagrangian_run,
 )
@@ -65,7 +70,34 @@ def _reference_advect_v(values: np.ndarray, shift: float) -> np.ndarray:
     return out
 
 
+def _padded_sum(values: np.ndarray) -> float:
+    """The sum of an (nx, nv) grid over the solver's velocity-major rows with 0 ghosts."""
+    nx, nv = values.shape
+    rows = np.zeros((nv, nx + _GHOSTS))
+    rows[:, :nx] = values.T
+    return float(np.sum(rows.ravel()))
+
+
 def _reference_run(f0: PhaseGrid1D1V, field: ForceField, dt: float, n_steps: int):
+    ax = float(field.acceleration[0])
+    values = np.asarray(f0.values, dtype=np.float64).copy()
+    x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
+    x_shift_full = f0.v_axis * dt / f0.dx
+    v_shift = ax * dt / f0.dv
+    mass0 = _padded_sum(values) * f0.dx * f0.dv
+    worst_drift = 0.0
+    if n_steps:
+        values = _reference_advect_x(values, x_shift_half)
+    for step in range(1, n_steps + 1):
+        values = _reference_advect_v(values, v_shift)
+        values = _reference_advect_x(values, x_shift_half if step == n_steps else x_shift_full)
+        if mass0 != 0.0:
+            mass = _padded_sum(values) * f0.dx * f0.dv
+            worst_drift = max(worst_drift, abs(mass - mass0) / abs(mass0))
+    return values, worst_drift
+
+
+def _unfused_run(f0: PhaseGrid1D1V, field: ForceField, dt: float, n_steps: int):
     ax = float(field.acceleration[0])
     values = np.asarray(f0.values, dtype=np.float64).copy()
     x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
@@ -143,6 +175,24 @@ def test_semi_lagrangian_run_matches_per_step_reference_at_256_squared(dt):
     np.testing.assert_array_equal(got.grid.values.view(np.uint64),
                                   want_values.view(np.uint64))
     assert got.mass_drift == want_drift
+
+
+def test_fused_run_is_no_less_accurate_than_the_unfused_loop():
+    # perfbench's transport config: the fused schedule takes 101 x sweeps, the former
+    # loop 200, and each cubic interpolation adds error; both shift by the same total
+    def initial(x, v):
+        return np.exp(-((x - 3.0) ** 2) / (2.0 * 0.5**2) - (v**2) / (2.0 * 0.4**2))
+
+    grid = phase_grid_from_function(initial, 256, 10.0, 256, 3.0)
+    field = ForceField(force=(0.5, 0.0, 0.0), mass=1.0)
+    exact = exact_solution(lambda r, w: initial(r[0], w[0]), field,
+                           (grid.x_axis[:, None], 0.0, 0.0), (grid.v_axis[None, :], 0.0, 0.0),
+                           0.01 * 100)
+    fused = semi_lagrangian_run(grid, field, 0.01, 100)
+    unfused_values, _ = _unfused_run(grid, field, 0.01, 100)
+    fused_error = np.max(np.abs(fused.grid.values - exact))
+    assert fused_error <= np.max(np.abs(unfused_values - exact))
+    assert fused.mass_drift < 1e-8
 
 
 # x shifts spread over +-200 nodes: every row has its own x base

@@ -97,6 +97,12 @@ def test_exact_solution_rejects_a_non_finite_time_by_name(t):
         exact_solution(gaussian_f0, field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), t)
 
 
+def test_exact_solution_rejects_a_time_that_is_not_a_number_by_name():
+    field = ForceField(force=(0, 0, 0), mass=1.0)
+    with pytest.raises(ValueError, match="^t must be a real number, got None$"):
+        exact_solution(gaussian_f0, field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), None)
+
+
 def test_exact_solution_rejects_a_time_whose_square_overflows():
     field = ForceField(force=(0, 0, 0), mass=1.0)
     with pytest.raises(OverflowError):
@@ -175,9 +181,10 @@ def test_semi_lagrangian_validation():
     field = ForceField(force=(0, 0, 0), mass=1.0)
     with pytest.raises(ValueError):
         semi_lagrangian_run(grid, field, -0.1, 10)
-    # node shifts past 2**62, or not finite, have no int64 base
+    # node shifts past 2**62, or not finite, have no int64 base; at 7.2e17 the half-step
+    # x shift is below 2**62 and the full-step shift of the fused x sweeps is not
     for dt, force in ((1e300, 0.0), (1e300, 1.0), (1e20, 0.0), (1e-3, 1e30),
-                      (float("inf"), 0.0)):
+                      (float("inf"), 0.0), (7.2e17, 0.0)):
         with pytest.raises(ValueError, match="dt"):
             semi_lagrangian_run(grid, ForceField(force=(force, 0, 0), mass=1.0), dt, 1)
     for length, vmax in ((0.0, 3.0), (10.0, -1.0), (np.inf, 3.0), (10.0, np.inf),
@@ -191,9 +198,11 @@ def test_semi_lagrangian_validation():
 
 def test_semi_lagrangian_run_peak_memory_is_at_most_ten_and_a_half_grids():
     # numpy reports its buffers to tracemalloc. The run keeps nine arrays of nv
-    # padded rows, nx + 3 wide (four flat value buffers, the gather index and four
-    # weight arrays), and one x-major grid for the mass and the result: 10.12
-    # grid arrays at 256^2 when measured. One more grid-sized array exceeds the cap.
+    # padded rows, nx + 3 wide: four flat value buffers and one x plan at a time (the
+    # gather index and four weight arrays), the previous plan dropped before the next
+    # is built. The mass is summed over the padded rows, and the x-major result is
+    # copied once, after the x plan is dropped: 9.15 grid arrays at 256^2
+    # when measured. Two more grid-sized arrays exceed the cap.
     grid = phase_grid_from_function(blob, 256, 10.0, 256, 3.0)
     grid_bytes = 8 * 256 * 256
     for dt in (0.01, 5.0):  # two x bases, and one for every row
