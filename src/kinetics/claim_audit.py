@@ -10,7 +10,7 @@ diagnostic-only rows that never carry a pass/fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .collision_operator import (
     moment_rates,
 )
 from .distribution import DiscreteDistribution, VelocityGrid, bimodal, maxwellian
-from .errors import require_count, require_vector3
+from .errors import require_count, require_positive, require_vector3
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -284,20 +284,29 @@ MASS_VMAX_THERMAL = 4.5
 
 @dataclass(frozen=True)
 class AuditSettings:
-    """Desk-scale defaults; the full battery runs in a couple of minutes."""
+    """Desk-scale defaults; the full battery runs in a couple of minutes.
+
+    A count's metadata holds its least value: 1 configuration, the 2 samples an
+    error bar needs, a grid's 4 nodes. Every other field but the seed is a
+    positive float. ValueError names a field that breaks its rule."""
 
     seed: int = 0
     mass: float = 1.380649e-23
     diameter: float = 1.0
     temperature: float = 1.0
-    jacobian_configs: int = 100
-    stokes_samples: int = 100_000
-    stokes_nodes: int = 197
-    mass_samples: int = 1_000_000
-    mass_nodes: int = 61
+    jacobian_configs: int = field(default=100, metadata={"least": 1})
+    stokes_samples: int = field(default=100_000, metadata={"least": 2})
+    stokes_nodes: int = field(default=197, metadata={"least": 4})
+    mass_samples: int = field(default=1_000_000, metadata={"least": 2})
+    mass_nodes: int = field(default=61, metadata={"least": 4})
 
     def __post_init__(self):
         require_count("seed", self.seed, -math.inf)
+        for item in fields(self)[1:]:  # every field after the seed
+            if "least" in item.metadata:
+                require_count(item.name, getattr(self, item.name), item.metadata["least"])
+            else:
+                require_positive(item.name, getattr(self, item.name))
 
 
 def _stokes_reports(settings: AuditSettings, vth: float, spec: QuadratureSpec,

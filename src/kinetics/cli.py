@@ -19,8 +19,7 @@ import math
 import os
 import sys
 import tempfile
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -286,15 +285,12 @@ def _transport_fields() -> dict:
 
 
 def _audit_fields() -> dict:
-    """Every AuditSettings field but the seed, checked by its type, with its default; a node
-    count takes VelocityGrid's minimum, a sample count the 2 that a standard error needs."""
-    types = typing.get_type_hints(claim_audit.AuditSettings)
+    """Every AuditSettings field but the seed, with its default, checked by the rule its
+    metadata states: a count of at least its least value, else a positive float."""
     return {
-        field.name: (_count(4) if field.name.endswith("_nodes")
-                     else _count(2) if field.name.endswith("_samples")
-                     else {int: _count(1), float: _positive}[types[field.name]],
-                     field.default)
-        for field in fields(claim_audit.AuditSettings) if field.name != "seed"
+        item.name: (_count(item.metadata["least"]) if "least" in item.metadata else _positive,
+                    item.default)
+        for item in fields(claim_audit.AuditSettings) if item.name != "seed"
     }
 
 
@@ -331,9 +327,7 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
 
 
 def config_to_json(config: RunConfig) -> str:
-    payload = {"subcommand": config.subcommand, "seed": config.seed,
-               "output_dir": config.output_dir, "parameters": config.parameters}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
 
 
 def csv_text(header: list[str], rows) -> str:

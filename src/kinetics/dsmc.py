@@ -97,7 +97,7 @@ def sample_maxwellian_ensemble(count: int, species: Species, bulk_velocity,
     require_count("seed", seed, -math.inf)
     require_nonnegative("temperature", temperature)
     u = require_vector3("bulk_velocity", bulk_velocity)
-    sigma = math.sqrt(BOLTZMANN * temperature / species.mass)
+    sigma = math.sqrt(BOLTZMANN * temperature / require_member("species", species, Species).mass)
     generator = rng.stream(seed, "dsmc-maxwellian")
     velocities = generator.standard_normal((count, 3))
     velocities *= sigma  # scaled, then shifted, in place: the bits of u + sigma * normals

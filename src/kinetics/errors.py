@@ -53,7 +53,7 @@ def require_count(name: str, value, minimum):
 
 
 def require_member(name: str, value, kind):
-    """value, if it is a member of the enum class kind; else ValueError naming it."""
+    """value, if it is an instance of kind, an enum or other class; else ValueError naming it."""
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
     return value

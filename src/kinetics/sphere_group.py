@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ChartSingularity, SpeedExceedsLambda, frozen_array, require_positive,
-                     require_vector3)
+                     require_real, require_vector3)
 
 CHART_GUARD = 1e-9
 _SPHERE_TOL = 1e-12
@@ -132,7 +132,7 @@ def exp_subgroup(u: PureQuaternion, tau: float) -> SpherePoint:
     """One-parameter subgroup G(tau) = (cos(|u| tau), sin(|u| tau) u/|u|)."""
     xi = u.xi
     speed = math.hypot(*xi)  # no overflow, as in pushforward_derivative
-    angle = speed * tau  # NaN for an infinite tau even at speed 0
+    angle = speed * require_real("tau", tau)  # NaN for an infinite tau even at speed 0
     if speed == math.inf:  # |xi| past the float range; power-of-two scaling is exact
         xi = xi * 2.0**-600
         speed = math.hypot(*xi)

@@ -3,12 +3,13 @@
 The exact evaluator works in full 3D-3V, at points or over broadcast arrays,
 and needs no mesh. The grid solver exists to measure convergence: positions
 are periodic on [0, length), velocities live on [-vmax, vmax] with zero
-inflow from outside the hull, and each step is the Strang split x/2 v x/2 of
+inflow from outside the hull, and each step is the Strang split v/2 x v/2 of
 constant-coefficient back-traces with cubic interpolation. Constant shifts
-add, so the x half-steps that meet between two steps run as one full-step
-sweep: n steps take n + 1 x sweeps. The mass check sums the padded rows the
-run works on, whose ghost columns are 0. phase_snapshot writes a grid as the
-package's one binary format; load_phase_grid reads it.
+add, so the v half-steps that meet between two steps run as one full-step
+sweep, and the n x sweeps of n steps share one plan. The mass check follows
+the v sweeps and sums the padded rows the run works on, whose ghost columns
+are 0. phase_snapshot writes a grid as the package's one binary format;
+load_phase_grid reads it.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _advect(source: np.ndarray, terms, out: np.ndarray, scratch: np.ndarray) -> 
 
 def _advect_x(source: np.ndarray, plan, out: np.ndarray, rolled: np.ndarray,
               scratch: np.ndarray) -> None:
-    """The x half-step: one gather of every rolled row, then the stencil terms."""
+    """An x sweep: one gather of every rolled row, then the stencil terms."""
     index, terms = plan
     np.take(source, index, out=rolled, mode="clip")
     _advect(rolled, terms, out, scratch)
@@ -223,46 +224,39 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
     """Advance n_steps of Strang-split advection; reports relative mass drift.
 
     The velocity axis is driven by the x-component of the force. Each step is
-    x/2 v x/2, and the run applies them as x/2 (v x)^(n-1) v x/2: the last x
-    half-step of a step and the first of the next add up to one full-step
-    shift, so n steps take n + 1 x sweeps. The shifts are fixed for the run;
-    the v plan is built once and each x plan just before its first sweep,
-    after the previous one is dropped. The run keeps the grid velocity-major,
-    nv rows of nx values and 3 ghost columns, flat in one array, so every
-    term of both half-steps is a contiguous slice; the buffers are reused
-    across steps. After each step's last x sweep the mass is summed over the
-    flat rows, whose ghosts are 0.
+    v/2 x v/2, run as v/2 (x v)^(n-1) x v/2: the v half-steps that meet add up
+    to one full step, so n steps take n x sweeps, all through the one x plan
+    built, with the two v plans, before the first sweep. The grid is kept
+    velocity-major, nv rows of nx values and 3 ghost columns, flat in one
+    array, so every term of both sweeps is a contiguous slice of a reused
+    buffer. Periodic x sweeps keep the mass, so it is summed over the flat
+    rows, whose ghosts are 0, after each v sweep but the first: between steps
+    half a v step past the step boundary, and last at the end state.
     """
     require_positive("dt", dt)
     require_count("n_steps", n_steps, 0)
     ax = float(field.acceleration[0])
     nx, nv = f0.nx, f0.nv
     width = nx + _GHOSTS
-    x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
-    x_shift_full = f0.v_axis * dt / f0.dx
+    x_shift = f0.v_axis * dt / f0.dx
     v_shift = ax * dt / f0.dv
-    if not (np.all(np.abs(x_shift_full) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
+    if not (np.all(np.abs(x_shift) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
         raise ValueError(f"dt {dt} moves the grid by a node shift that is not finite "
                          f"or not below 2**62 nodes")
     with _grid_allocation(nx, nv):
-        v_plan = _v_plan(v_shift, nv, width)
+        x_plan = _x_plan(x_shift, nx) if n_steps else None
+        v_half, v_full = _v_plan(0.5 * v_shift, nv, width), _v_plan(v_shift, nv, width)
         values, out, rolled, scratch = (np.zeros(nv * width) for _ in range(4))
     values.reshape(nv, width)[:, :nx] = f0.values.T
     worst_drift = 0.0
     mass0 = float(np.sum(values)) * f0.dx * f0.dv
-    x_plan = planned = None
-    for sweep in range(n_steps + 1 if n_steps else 0):
-        if sweep:
-            _advect(values, v_plan, out, scratch)
-            values, out = out, values
-        shifts = x_shift_half if sweep in (0, n_steps) else x_shift_full
-        if shifts is not planned:
-            x_plan = None  # one x plan alive at a time
-            with _grid_allocation(nx, nv):
-                x_plan, planned = _x_plan(shifts, nx), shifts
-        _advect_x(values, x_plan, out, rolled, scratch)
+    if n_steps:
+        _advect(values, v_half, out, scratch)
         values, out = out, values
-        if sweep and mass0 != 0.0:
+    for step in range(1, n_steps + 1):
+        _advect_x(values, x_plan, out, rolled, scratch)
+        _advect(out, v_half if step == n_steps else v_full, values, scratch)
+        if mass0 != 0.0:
             mass = float(np.sum(values)) * f0.dx * f0.dv
             drift = abs(mass - mass0) / abs(mass0)
             if not np.isfinite(drift):

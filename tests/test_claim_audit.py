@@ -47,6 +47,17 @@ def test_a_numpy_integer_seed_keys_as_its_value():
     assert ca.AuditSettings(seed=np.int64(5)).seed == 5
 
 
+# each was built, or failed later with an unnamed "math domain error"
+@pytest.mark.parametrize("override, message", [
+    ({"stokes_samples": 1}, "stokes_samples must be at least 2, got 1"),
+    ({"stokes_nodes": 2}, "stokes_nodes must be at least 4, got 2"),
+    ({"temperature": -1.0}, "temperature must be positive and finite, got -1.0"),
+])
+def test_audit_settings_reject_a_field_that_breaks_its_rule_by_name(override, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ca.run_all_audits(ca.AuditSettings(**override))
+
+
 def test_audit_jacobian_consistent_and_reproducible():
     first = ca.audit_jacobian(seed=0, n_configs=40)
     second = ca.audit_jacobian(seed=0, n_configs=40)

@@ -41,6 +41,7 @@ from kinetics.sphere_group import (
     _hemisphere_sign,
     chart_jacobian,
     embed,
+    exp_subgroup,
     match_generator,
 )
 from kinetics.transport_solver import (
@@ -129,6 +130,7 @@ NOT_REAL = {
     "semi_lagrangian_run.dt": ("dt", "None", lambda: semi_lagrangian(None)),
     "sample_maxwellian_ensemble.temperature": (
         "temperature", "'1'", lambda: dsmc.sample_maxwellian_ensemble(4, UNIT, EX, "1", 0)),
+    "exp_subgroup.tau": ("tau", "None", lambda: exp_subgroup(PureQuaternion((0.3, 0, 0)), None)),
 }
 
 
@@ -137,6 +139,11 @@ def test_a_value_that_is_not_a_real_number_is_rejected_by_name(caller):
     name, shown, build = NOT_REAL[caller]
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got {shown}$"):
         build()
+
+
+def test_a_species_that_is_not_a_species_is_rejected_by_name():
+    with pytest.raises(ValueError, match="^species must be a Species, got None$"):
+        dsmc.sample_maxwellian_ensemble(10, None, ORIGIN, 1.0, 0)
 
 
 @pytest.mark.parametrize("caller", sorted(CALLERS))

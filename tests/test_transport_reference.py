@@ -1,4 +1,4 @@
-"""Run-once back-trace plans and the fused x sweeps against the per-step advection
+"""Run-once back-trace plans and the fused v sweeps against the per-step advection
 they replace.
 
 ``_reference_advect_x`` and ``_reference_advect_v`` are the former per-step
@@ -7,11 +7,13 @@ on the x-major (nx, nv) grid; the solver keeps the grid velocity-major, nv
 flat rows of nx values and 3 ghost columns, and runs the x half-step through
 ``transport_solver._advect_x`` and the v half-step through ``_advect``.
 ``_reference_run`` applies the bodies in the solver's fused schedule,
-x/2 (v x)^(n-1) v x/2, where a full x step is the x body at the full-step
-shift, and sums the mass over the same padded velocity-major rows;
+v/2 (x v)^(n-1) x v/2, where every x step is the x body at the full-step
+shift and a full v step the v body at the full-step shift, and sums the mass
+over the same padded velocity-major rows after each v step but the first;
 ``semi_lagrangian_run`` must give the same value bits and the same
-``mass_drift``. ``_unfused_run`` is the former loop, (x/2 v x/2)^n; it is kept
-only as the accuracy baseline that the fused schedule must match or beat.
+``mass_drift``. ``_unfused_run`` is the per-step loop with x outside,
+(x/2 v x/2)^n; it is kept only as the accuracy baseline that the fused
+schedule must match or beat.
 
 Each half-step starts its sums from +0.0, so it never returns -0.0 and its
 result does not depend on the signs of zeros in its input. A half-step that
@@ -81,16 +83,16 @@ def _padded_sum(values: np.ndarray) -> float:
 def _reference_run(f0: PhaseGrid1D1V, field: ForceField, dt: float, n_steps: int):
     ax = float(field.acceleration[0])
     values = np.asarray(f0.values, dtype=np.float64).copy()
-    x_shift_half = f0.v_axis * (0.5 * dt) / f0.dx
-    x_shift_full = f0.v_axis * dt / f0.dx
-    v_shift = ax * dt / f0.dv
+    x_shift = f0.v_axis * dt / f0.dx
+    v_shift_full = ax * dt / f0.dv
+    v_shift_half = 0.5 * v_shift_full
     mass0 = _padded_sum(values) * f0.dx * f0.dv
     worst_drift = 0.0
     if n_steps:
-        values = _reference_advect_x(values, x_shift_half)
+        values = _reference_advect_v(values, v_shift_half)
     for step in range(1, n_steps + 1):
-        values = _reference_advect_v(values, v_shift)
-        values = _reference_advect_x(values, x_shift_half if step == n_steps else x_shift_full)
+        values = _reference_advect_x(values, x_shift)
+        values = _reference_advect_v(values, v_shift_half if step == n_steps else v_shift_full)
         if mass0 != 0.0:
             mass = _padded_sum(values) * f0.dx * f0.dv
             worst_drift = max(worst_drift, abs(mass - mass0) / abs(mass0))
@@ -127,12 +129,13 @@ NODES = st.integers(min_value=4, max_value=64)
 
 
 # In the first seven examples the grid spacing is 1 in x and 2**-3 in v, so
-# the node shifts are exact: x shifts are v * dt / 2, v shifts force * dt * 8.
-# In the eighth, x shifts of -7.5 to 7.5 step by 5/3 nodes, so every column has
-# its own x base and the shifts are inexact. The last three cover the other
-# x-base regimes: one base (dt / 2 underflows, so every column has base 0),
-# the two bases of a small dt (-1 and 0, as a 256 x 256 run at dt 0.01 has),
-# and six bases on a grid with nx != nv.
+# the node shifts are exact: x shifts are v * dt, v shifts force * dt * 8 in a
+# full step and half that in a half step. The eighth runs no step. In the ninth,
+# x shifts of -15 to 15 step by 10/3 nodes, so every column has its own x base
+# and the shifts are inexact. The last four cover the other x-base regimes: one
+# base (v * dt rounds to +-0.0, so every column has base 0), the two bases of a
+# small dt (-1 and 0, as a 256 x 256 run at dt 0.01 has), and, on a grid with
+# nx != nv, ten bases (one per column) at dt 0.4 and six at dt 0.2.
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.0, steps=3, seed=0)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=0.25, steps=3, seed=1)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=0.5, force=-0.25, steps=3, seed=2)
@@ -145,6 +148,7 @@ NODES = st.integers(min_value=4, max_value=64)
 @example(nx=16, nv=9, length=16.0, vmax=0.5, dt=5e-324, force=0.25, steps=2, seed=9)
 @example(nx=32, nv=32, length=10.0, vmax=3.0, dt=0.01, force=0.5, steps=4, seed=10)
 @example(nx=24, nv=10, length=6.0, vmax=3.0, dt=0.4, force=-1.2, steps=3, seed=11)
+@example(nx=24, nv=10, length=6.0, vmax=3.0, dt=0.2, force=-1.2, steps=3, seed=12)
 @settings(deadline=None, max_examples=200)
 @given(nx=NODES, nv=NODES,
        length=st.floats(min_value=0.5, max_value=50.0),
@@ -178,7 +182,7 @@ def test_semi_lagrangian_run_matches_per_step_reference_at_256_squared(dt):
 
 
 def test_fused_run_is_no_less_accurate_than_the_unfused_loop():
-    # perfbench's transport config: the fused schedule takes 101 x sweeps, the former
+    # perfbench's transport config: the fused schedule takes 100 x sweeps, the former
     # loop 200, and each cubic interpolation adds error; both shift by the same total
     def initial(x, v):
         return np.exp(-((x - 3.0) ** 2) / (2.0 * 0.5**2) - (v**2) / (2.0 * 0.4**2))

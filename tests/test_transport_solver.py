@@ -181,8 +181,8 @@ def test_semi_lagrangian_validation():
     field = ForceField(force=(0, 0, 0), mass=1.0)
     with pytest.raises(ValueError):
         semi_lagrangian_run(grid, field, -0.1, 10)
-    # node shifts past 2**62, or not finite, have no int64 base; at 7.2e17 the half-step
-    # x shift is below 2**62 and the full-step shift of the fused x sweeps is not
+    # node shifts past 2**62, or not finite, have no int64 base; at 7.2e17 the x
+    # shift v * dt / dx is past 2**62 though half of it is not
     for dt, force in ((1e300, 0.0), (1e300, 1.0), (1e20, 0.0), (1e-3, 1e30),
                       (float("inf"), 0.0), (7.2e17, 0.0)):
         with pytest.raises(ValueError, match="dt"):
@@ -198,11 +198,11 @@ def test_semi_lagrangian_validation():
 
 def test_semi_lagrangian_run_peak_memory_is_at_most_ten_and_a_half_grids():
     # numpy reports its buffers to tracemalloc. The run keeps nine arrays of nv
-    # padded rows, nx + 3 wide: four flat value buffers and one x plan at a time (the
-    # gather index and four weight arrays), the previous plan dropped before the next
-    # is built. The mass is summed over the padded rows, and the x-major result is
-    # copied once, after the x plan is dropped: 9.15 grid arrays at 256^2
-    # when measured. Two more grid-sized arrays exceed the cap.
+    # padded rows, nx + 3 wide: four flat value buffers and the run's one x plan
+    # (the gather index and four weight arrays). The mass is summed over the padded
+    # rows, and the x-major result is copied once, after the x plan is dropped:
+    # 9.12 grid arrays at 256^2 when measured. Two more grid-sized arrays exceed
+    # the cap.
     grid = phase_grid_from_function(blob, 256, 10.0, 256, 3.0)
     grid_bytes = 8 * 256 * 256
     for dt in (0.01, 5.0):  # two x bases, and one for every row
@@ -214,6 +214,21 @@ def test_semi_lagrangian_run_peak_memory_is_at_most_ten_and_a_half_grids():
         finally:
             tracemalloc.stop()
         assert peak <= 10.5 * grid_bytes, f"peak {peak / grid_bytes:.2f} grid arrays"
+
+
+@pytest.mark.parametrize("n_steps, plans", [(0, 0), (1, 1), (2, 1), (5, 1)])
+def test_semi_lagrangian_run_builds_one_x_plan_per_run(monkeypatch, n_steps, plans):
+    built = []
+
+    def counting_x_plan(*args):
+        built.append(args)
+        return x_plan(*args)
+
+    x_plan = transport_solver._x_plan
+    monkeypatch.setattr(transport_solver, "_x_plan", counting_x_plan)
+    grid = phase_grid_from_function(blob, 24, 10.0, 20, 3.0)
+    semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, n_steps)
+    assert len(built) == plans
 
 
 def _out_of_memory(*args, **kwargs):
