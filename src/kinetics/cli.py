@@ -31,8 +31,10 @@ from .errors import (
     ParseError,
     ValidationError,
     require_count,
+    require_finite,
     require_nonnegative,
     require_positive,
+    require_restitution,
 )
 
 EXIT_OK = 0
@@ -52,7 +54,7 @@ class RunConfig:
 # module is imported and bound here when a subcommand that runs it is resolved, so a
 # process loads only what its subcommand runs.
 _IMPORTS = {
-    "collision_kernel": ("CollisionBranch", "Species", "_validate_restitution", "collide"),
+    "collision_kernel": ("CollisionBranch", "Species", "collide"),
     "collision_operator": ("GainNormalization", "QuadratureSpec", "evaluate_field"),
     "distribution": ("VelocityGrid", "bimodal", "maxwellian"),
     "dsmc": (),
@@ -84,9 +86,9 @@ def __getattr__(name: str):
 
 
 class _Schema:
-    """Field table: name -> (checker, default). Missing default means required.
+    """Field table: name -> (rule, default). Missing default means required.
 
-    A ValueError from a checker's domain rule becomes a ValidationError naming the key.
+    Each rule is called as rule(dotted key, value); its ValueError becomes a ValidationError.
     """
 
     def __init__(self, fields: dict):
@@ -97,12 +99,12 @@ class _Schema:
         if unknown:
             raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in {context}")
         resolved = {}
-        for name, (checker, *default) in self.fields.items():
+        for name, (rule, *default) in self.fields.items():
             if name in params:
                 try:
-                    resolved[name] = checker(params[name], f"{context}.{name}")
+                    resolved[name] = rule(f"{context}.{name}", params[name])
                 except ValueError as exc:
-                    raise ValidationError(f"{context}.{name}: {exc}") from None
+                    raise ValidationError(str(exc)) from None
             elif default:
                 resolved[name] = default[0]
             else:
@@ -110,83 +112,60 @@ class _Schema:
         return resolved
 
 
-def _number(value, context) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{context} must be a number")
-    value = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"{context} must be finite")
-    return value
-
-
-def _positive(value, context) -> float:
-    return require_positive("value", _number(value, context))
-
-
-def _gaussian_width(value, context) -> float:
+def _gaussian_width(name, value) -> float:
     """A positive sigma whose 2 * sigma**2, a Gaussian's divisor, is a positive finite float."""
-    sigma = _positive(value, context)
+    sigma = require_positive(name, value)
     try:
         divisor = 2.0 * sigma**2
     except OverflowError:
         divisor = math.inf
     if not 0.0 < divisor < math.inf:
-        raise ValueError(f"2 * value**2 must be a positive finite float, got {divisor!r}")
+        raise ValueError(f"2 * {name}**2 must be a positive finite float, got {divisor!r}")
     return sigma
 
 
-def _nonneg(value, context) -> float:
-    return require_nonnegative("value", _number(value, context))
-
-
-def _vec3(value, context) -> list[float]:
+def _vec3(name, value) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValidationError(f"{context} must be a list of 3 numbers")
-    return [_number(v, context) for v in value]
-
-
-def _restitution(value, context) -> float:
-    return _validate_restitution(_number(value, context))
+        raise ValidationError(f"{name} must be a list of 3 numbers")
+    return [require_finite(name, v) for v in value]
 
 
 def _count(minimum):
-    """Checker accepting an integer of at least minimum."""
-    def check(value, context) -> int:
-        return require_count("value", value, minimum)
-    return check
+    """Rule accepting an integer of at least minimum."""
+    return lambda name, value: require_count(name, value, minimum)
 
 
 def _choice(allowed):
-    """Checker accepting one of the allowed values, which it lists in its error."""
+    """Rule accepting one of the allowed values, which it lists in its error."""
     allowed = tuple(allowed)
 
-    def check(value, context) -> str:
+    def check(name, value) -> str:
         if value not in allowed:
-            raise ValidationError(f"{context} must be one of {allowed}")
+            raise ValidationError(f"{name} must be one of {allowed}")
         return value
     return check
 
 
 def _member(enum):
-    """Checker accepting the value of one of the enum's members."""
+    """Rule accepting the value of one of the enum's members."""
     return _choice(member.value for member in enum)
 
 
-def _string(value, context) -> str:
+def _string(name, value) -> str:
     if not isinstance(value, str):
-        raise ValidationError(f"{context} must be a string")
+        raise ValidationError(f"{name} must be a string")
     return value
 
 
-def _probes(value, context) -> list[list[float]]:
+def _probes(name, value) -> list[list[float]]:
     if not isinstance(value, list) or not value:
-        raise ValidationError(f"{context} must be a non-empty list of 3-vectors")
-    return [_vec3(item, f"{context}[{i}]") for i, item in enumerate(value)]
+        raise ValidationError(f"{name} must be a non-empty list of 3-vectors")
+    return [_vec3(f"{name}[{i}]", item) for i, item in enumerate(value)]
 
 
-def _object(value, context) -> dict:
+def _object(name, value) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"{context} must be an object")
+        raise ValidationError(f"{name} must be an object")
     return value
 
 
@@ -195,27 +174,27 @@ def _object(value, context) -> dict:
 _DISTRIBUTIONS = {
     "maxwellian": (_Schema({
         "kind": (_string,),
-        "density": (_positive, 1.0),
+        "density": (require_positive, 1.0),
         "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
-        "temperature": (_positive, 1.0),
+        "temperature": (require_positive, 1.0),
     }), lambda grid, d, mass: maxwellian(grid, d["density"], d["bulk_velocity"],
                                          d["temperature"], mass)),
     "bimodal": (_Schema({
         "kind": (_string,),
-        "density1": (_nonneg, 0.5),
+        "density1": (require_nonnegative, 0.5),
         "bulk_velocity1": (_vec3,),
-        "temperature1": (_positive, 1.0),
-        "density2": (_nonneg, 0.5),
+        "temperature1": (require_positive, 1.0),
+        "density2": (require_nonnegative, 0.5),
         "bulk_velocity2": (_vec3,),
-        "temperature2": (_positive, 1.0),
+        "temperature2": (require_positive, 1.0),
     }), lambda grid, d, mass: bimodal(grid, d["density1"], d["bulk_velocity1"], d["temperature1"],
                                       d["density2"], d["bulk_velocity2"], d["temperature2"], mass)),
 }
 
 
-def _distribution_params(value, context) -> dict:
-    kind = _choice(_DISTRIBUTIONS)(_object(value, context).get("kind"), f"{context}.kind")
-    return _DISTRIBUTIONS[kind][0].resolve(value, context)
+def _distribution_params(name, value) -> dict:
+    kind = _choice(_DISTRIBUTIONS)(f"{name}.kind", _object(name, value).get("kind"))
+    return _DISTRIBUTIONS[kind][0].resolve(value, name)
 
 
 # Each subcommand's schema fields, built once its modules are loaded (see _schema).
@@ -224,23 +203,23 @@ def _collide_fields() -> dict:
         "v1": (_vec3,),
         "v2": (_vec3,),
         "n": (_vec3,),
-        "epsilon": (_restitution,),
+        "epsilon": (require_restitution,),
         "branch": (_member(CollisionBranch),),
-        "mass1": (_positive, 1.0),
-        "mass2": (_positive, 1.0),
-        "diameter1": (_positive, 1.0),
-        "diameter2": (_positive, 1.0),
+        "mass1": (require_positive, 1.0),
+        "mass2": (require_positive, 1.0),
+        "diameter1": (require_positive, 1.0),
+        "diameter2": (require_positive, 1.0),
     }
 
 
 def _operator_fields() -> dict:
     return {
-        "vmax": (_positive,),
+        "vmax": (require_positive,),
         "nodes_per_axis": (_count(4),),
         "distribution": (_distribution_params,),
-        "mass": (_positive, 1.0),
-        "diameter": (_positive, 1.0),
-        "epsilon": (_restitution, 1.0),
+        "mass": (require_positive, 1.0),
+        "diameter": (require_positive, 1.0),
+        "epsilon": (require_restitution, 1.0),
         "branch": (_member(CollisionBranch), CollisionBranch.REFLECTIVE.value),
         "normalization": (_member(GainNormalization),
                           GainNormalization.RESTITUTION_WEIGHTED.value),
@@ -254,33 +233,33 @@ def _dsmc_fields() -> dict:
         "particles": (_count(2),),
         "steps": (_count(0),),
         "sample_every": (_count(1), 1),
-        "dt": (_positive,),
-        "number_density": (_positive, 1.0),
-        "epsilon": (_restitution, 1.0),
+        "dt": (require_positive,),
+        "number_density": (require_positive, 1.0),
+        "epsilon": (require_restitution, 1.0),
         "branch": (_member(CollisionBranch), CollisionBranch.REFLECTIVE.value),
-        "temperature": (_positive, 1.0),
+        "temperature": (require_positive, 1.0),
         "bulk_velocity": (_vec3, [0.0, 0.0, 0.0]),
-        "mass": (_positive, 1.0),
-        "diameter": (_positive, 1.0),
-        "majorant_relative_speed": (_positive, 1.0),
+        "mass": (require_positive, 1.0),
+        "diameter": (require_positive, 1.0),
+        "majorant_relative_speed": (require_positive, 1.0),
     }
 
 
 def _transport_fields() -> dict:
     return {
         "nx": (_count(4), 128),
-        "length": (_positive, 10.0),
+        "length": (require_positive, 10.0),
         "nv": (_count(4), 128),
-        "vmax": (_positive, 3.0),
-        "dt": (_positive,),
+        "vmax": (require_positive, 3.0),
+        "dt": (require_positive,),
         "steps": (_count(0),),
         "force": (_vec3, [0.0, 0.0, 0.0]),
-        "mass": (_positive, 1.0),
-        "center_x": (_number, 3.0),
-        "center_v": (_number, 0.0),
+        "mass": (require_positive, 1.0),
+        "center_x": (require_finite, 3.0),
+        "center_v": (require_finite, 0.0),
         "sigma_x": (_gaussian_width, 0.5),
         "sigma_v": (_gaussian_width, 0.4),
-        "amplitude": (_positive, 1.0),
+        "amplitude": (require_positive, 1.0),
     }
 
 
@@ -288,8 +267,8 @@ def _audit_fields() -> dict:
     """Every AuditSettings field but the seed, with its default, checked by the rule its
     metadata states: a count of at least its least value, else a positive float."""
     return {
-        item.name: (_count(item.metadata["least"]) if "least" in item.metadata else _positive,
-                    item.default)
+        item.name: (_count(item.metadata["least"]) if "least" in item.metadata
+                    else require_positive, item.default)
         for item in fields(claim_audit.AuditSettings) if item.name != "seed"
     }
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidRestitution, NonFiniteEstimate, NonUnitNormal, frozen_array,
-                     require_member, require_positive, require_vector3)
+from .errors import (NonFiniteEstimate, NonUnitNormal, frozen_array, require_member,
+                     require_positive, require_restitution, require_vector3)
 
 UNIT_NORMAL_TOL = 1e-9
 
@@ -76,13 +76,6 @@ def _validate_normal(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def _validate_restitution(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon <= 1.0):
-        raise InvalidRestitution(f"restitution must lie in (0, 1], got {epsilon!r}")
-    return epsilon
-
-
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of (..., 3) arrays.
 
@@ -127,7 +120,7 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
     An outcome that overflows or is NaN raises NonFiniteEstimate, a numerical failure.
     """
     n = _validate_normal(n)
-    epsilon = _validate_restitution(epsilon)
+    epsilon = require_restitution("epsilon", epsilon)
     require_member("branch", branch, CollisionBranch)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
@@ -152,7 +145,7 @@ def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
     The inverse of either rule is the same rule at restitution 1/epsilon, so
     it is singular as epsilon -> 0, which the (0, 1] rule excludes.
     """
-    epsilon = _validate_restitution(epsilon)
+    epsilon = require_restitution("epsilon", epsilon)
     require_member("branch", branch, CollisionBranch)
     n = _validate_normal(n)
     w1 = require_vector3("w1", w1)
@@ -167,7 +160,7 @@ def energy_loss_formula(v1, v2, epsilon: float, s1: Species, s2: Species) -> flo
     claim-audit module quantifies how far this sits from the deficit the
     impact rules actually produce for oblique geometries.
     """
-    epsilon = _validate_restitution(epsilon)
+    epsilon = require_restitution("epsilon", epsilon)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
     mu = s1.mass * s2.mass / (s1.mass + s2.mass)
@@ -181,7 +174,7 @@ def actual_energy_loss(v1, v2, n, epsilon: float, s1: Species, s2: Species) -> f
     Both branches lose (1/2)(1-eps^2) mu ((v2-v1).n)^2; only the normal
     component of the relative velocity dissipates.
     """
-    epsilon = _validate_restitution(epsilon)
+    epsilon = require_restitution("epsilon", epsilon)
     n = _validate_normal(n)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
@@ -201,7 +194,7 @@ def jacobian_signed(epsilon: float, branch: CollisionBranch) -> float:
     Only the 2x2 block acting on the two normal velocity components is
     non-trivial; its determinant is 1 - factor.
     """
-    epsilon = _validate_restitution(epsilon)
+    epsilon = require_restitution("epsilon", epsilon)
     return 1.0 - require_member("branch", branch, CollisionBranch).normal_factor(epsilon)
 
 
@@ -213,7 +206,7 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     round-off for 64-bit floats.
     """
     n = _validate_normal(n)
-    epsilon = _validate_restitution(epsilon)
+    epsilon = require_restitution("epsilon", epsilon)
     require_member("branch", branch, CollisionBranch)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)

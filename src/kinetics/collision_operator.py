@@ -32,14 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .collision_kernel import (
-    CollisionBranch,
-    _dot3,
-    _validate_restitution,
-    transform_velocities,
-)
+from .collision_kernel import CollisionBranch, _dot3, transform_velocities
 from .distribution import DiscreteDistribution, interpolate, interpolate_many
-from .errors import (NonFiniteEstimate, require_count, require_member, require_positive,
+from .errors import (NonFiniteEstimate, require_count, require_finite, require_items,
+                     require_member, require_nonnegative, require_positive, require_restitution,
                      require_vector3)
 
 # Measured on 2 cores, 2^20 samples and 4 weightings on a 61^3 grid: moment_rates
@@ -78,7 +74,7 @@ class QuadratureSpec:
         require_count("seed", self.seed, -math.inf)
         require_positive("diameter", self.diameter)
         require_positive("mass", self.mass)
-        _validate_restitution(self.epsilon)
+        require_restitution("epsilon", self.epsilon)
         require_member("branch", self.branch, CollisionBranch)
         require_member("normalization", self.normalization, GainNormalization)
 
@@ -95,10 +91,8 @@ class RateEstimate:
     std_error: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.value) and np.isfinite(self.std_error)):
-            raise ValueError("rate estimate must be finite")
-        if self.std_error < 0.0:
-            raise ValueError("standard error must be nonnegative")
+        require_finite("value", self.value)
+        require_nonnegative("std_error", self.std_error)
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,7 @@ def evaluate_at(f: DiscreteDistribution, v, spec: QuadratureSpec) -> RateEstimat
 def evaluate_field(f: DiscreteDistribution, nodes, spec: QuadratureSpec,
                    threads: int = 1) -> list[RateEstimate]:
     """evaluate_at over many probes; bitwise equal at any worker count."""
-    return _map(lambda node: evaluate_at(f, node, spec), list(nodes), threads)
+    return _map(lambda node: evaluate_at(f, node, spec), require_items("nodes", nodes), threads)
 
 
 def _moment_chunk(f: DiscreteDistribution, spec: QuadratureSpec, weightings: list,
@@ -284,9 +278,9 @@ def moment_rates(f: DiscreteDistribution, spec: QuadratureSpec, threads: int = 1
     """
     if weightings is None:
         weightings = [(spec.epsilon, spec.normalization)]
-    weightings = [(_validate_restitution(epsilon),  # QuadratureSpec's rules
+    weightings = [(require_restitution("epsilon", epsilon),  # QuadratureSpec's rules
                    require_member("normalization", norm, GainNormalization))
-                  for epsilon, norm in weightings]
+                  for epsilon, norm in require_items("weightings", weightings, 2)]
     sizes = _chunk_sizes(spec.samples)
     partials = _map(lambda task: _moment_chunk(f, spec, weightings, *task),
                     list(enumerate(sizes)), threads)

@@ -35,10 +35,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch, Species, _dot3, _validate_restitution
+from .collision_kernel import CollisionBranch, Species, _dot3
 from .constants import BOLTZMANN
 from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_count,
-                     require_member, require_nonnegative, require_positive, require_vector3)
+                     require_member, require_nonnegative, require_positive, require_restitution,
+                     require_vector3)
 
 _MAJORANT_RETRIES = 8
 _UNOWNED = np.iinfo(np.intp).max  # _wave_schedule's free-particle mark, above every index
@@ -55,6 +56,7 @@ class ParticleEnsemble:
         velocities = frozen_array(self, "velocities", self.velocities)
         if velocities.ndim != 2 or velocities.shape[1] != 3:
             raise ValueError(f"velocities must have shape (N, 3), got {velocities.shape}")
+        require_member("species", self.species, Species)
 
     @property
     def count(self) -> int:
@@ -75,7 +77,7 @@ class DsmcConfig:
     def __post_init__(self) -> None:
         require_positive("dt", self.dt)
         require_positive("number_density", self.number_density)
-        _validate_restitution(self.epsilon)
+        require_restitution("epsilon", self.epsilon)
         require_member("branch", self.branch, CollisionBranch)
         require_count("seed", self.seed, -math.inf)
         require_positive("majorant_relative_speed", self.majorant_relative_speed)

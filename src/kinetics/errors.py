@@ -8,16 +8,27 @@ from contextlib import contextmanager
 import numpy as np
 
 
-def require_real(name: str, value):
-    """value, if it is a real number (a bool is one); else ValueError naming it."""
-    if not isinstance(value, numbers.Real):
+def require_real(name: str, value) -> float:
+    """value as a float, if it is a real number and not a bool; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if abs(value) > sys.float_info.max:  # an int past the float range reads as +-inf,
+        return math.inf if value > 0 else -math.inf  # for the next rule to name
+    return float(value)
+
+
+def require_finite(name: str, value) -> float:
+    """value as a float, if it is a finite real number; else ValueError naming it."""
+    value = require_real(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
     return value
 
 
-def require_positive(name: str, value):
-    """value, if it is a positive finite number; else ValueError naming it."""
-    if not 0.0 < require_real(name, value) < math.inf:
+def require_positive(name: str, value) -> float:
+    """value as a float, if it is a positive finite number; else ValueError naming it."""
+    value = require_real(name, value)
+    if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -36,10 +47,19 @@ def grid_allocation(sizes: str, nbytes: int):
         raise error from None
 
 
-def require_nonnegative(name: str, value):
-    """value, if it is a nonnegative finite number; else ValueError naming it."""
-    if not 0.0 <= require_real(name, value) < math.inf:
+def require_nonnegative(name: str, value) -> float:
+    """value as a float, if it is a nonnegative finite number; else ValueError naming it."""
+    value = require_real(name, value)
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+    return value
+
+
+def require_restitution(name: str, value) -> float:
+    """value as a float, if it lies in (0, 1]; else InvalidRestitution, a ValueError, naming it."""
+    value = require_real(name, value)
+    if not 0.0 < value <= 1.0:
+        raise InvalidRestitution(f"{name} must lie in (0, 1], got {value!r}")
     return value
 
 
@@ -60,13 +80,27 @@ def require_member(name: str, value, kind):
 
 
 def require_vector3(name: str, value) -> np.ndarray:
-    """value as a float64 array, if of shape exactly (3,) and finite; else ValueError naming it."""
-    vector = np.asarray(value, dtype=np.float64)
+    """value as float64, if a finite real array of shape (3,); else ValueError naming it."""
+    vector = np.asarray(value)
+    if vector.dtype.kind not in "iuf":  # a string, a bool, None or an int past int64
+        raise ValueError(f"{name} must be a 3-vector of real numbers, got {value!r}")
+    vector = vector.astype(np.float64, copy=False)  # a float64 array as it is
     if vector.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {vector.shape}")
     if not np.isfinite(vector).all():
         raise ValueError(f"{name} must be finite")
     return vector
+
+
+def require_items(name: str, value, arity: int = 0) -> list:
+    """value's items as a list, if iterable and, given an arity, each a tuple or list of
+    that length; else ValueError naming it."""
+    items = list(value) if np.iterable(value) else None
+    if items is None or arity and not all(isinstance(item, (tuple, list)) and len(item) == arity
+                                          for item in items):
+        shape = f" of {arity}-item tuples or lists" if arity else ""
+        raise ValueError(f"{name} must be an iterable{shape}, got {value!r}")
+    return items
 
 
 def _sealed(array) -> bool:

@@ -15,15 +15,13 @@ load_phase_grid reads it.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (NonFiniteEstimate, frozen_array, grid_allocation, require_count,
-                     require_positive, require_real)
+                     require_finite, require_positive)
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
 # Node shifts at or past this are rejected: base + offset must fit in int64.
@@ -59,22 +57,22 @@ def exact_solution(f0, field: ForceField, x, v, t: float):
     ValueError if t is not a finite real number; OverflowError if t**2 is past the
     float range.
     """
-    if not math.isfinite(require_real("t", t)):
-        raise ValueError("t must be finite")
-    t_sq = float(t) ** 2
+    t = require_finite("t", t)
+    t_sq = t**2
     with np.errstate(over="ignore", invalid="ignore"):  # a foot past the float range; f0 decides
         r0 = [xi - vi * t + 0.5 * ai * t_sq for xi, vi, ai in zip(x, v, field.acceleration)]
         v0 = [vi - ai * t for vi, ai in zip(v, field.acceleration)]
     return f0(r0, v0)
 
 
-def _check_mesh(nx: int, length: float, nv: int, vmax: float) -> None:
-    require_count("nx", nx, 4)
-    require_count("nv", nv, 4)
-    require_positive("length", length)
-    require_positive("vmax", vmax)
-    require_positive("length / nx", length / nx)
-    require_positive("2 * vmax / (nv - 1)", 2.0 * float(vmax) / (nv - 1))
+def _check_mesh(nx: int, length: float, nv: int, vmax: float, prefix: str = ""):
+    """(nx, length, nv, vmax), the lengths as floats, if a mesh; each error names prefix + key."""
+    nx, nv = require_count(f"{prefix}nx", nx, 4), require_count(f"{prefix}nv", nv, 4)
+    length = require_positive(f"{prefix}length", length)
+    vmax = require_positive(f"{prefix}vmax", vmax)
+    require_positive(f"{prefix}length / nx", length / nx)
+    require_positive(f"{prefix}2 * vmax / (nv - 1)", 2.0 * vmax / (nv - 1))
+    return nx, length, nv, vmax
 
 
 @dataclass(frozen=True)
@@ -296,17 +294,9 @@ def load_phase_grid(path) -> PhaseGrid1D1V:
     for key, value in (("kind", "phase-1d1v"), ("order", SNAPSHOT_ORDER_1D1V)):
         if header.get(key) != value:
             raise ValueError(f"snapshot {key} is {header.get(key)!r}, expected {value!r}")
-    for name in ("nx", "nv"):
-        size = header.get(name)
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ValueError(f"snapshot dimension {name} is missing or not a positive integer")
-    for name in ("length", "vmax"):
-        value = header.get(name)
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real and 0.0 < value <= sys.float_info.max):
-            raise ValueError(f"snapshot {name} is missing or not a positive finite number")
-    nx, nv = header["nx"], header["nv"]
+    nx, length, nv, vmax = _check_mesh(*map(header.get, ("nx", "length", "nv", "vmax")),
+                                       prefix="snapshot ")
     if len(payload) != 8 * nx * nv:
         raise ValueError(f"snapshot payload is {len(payload)} bytes, expected 8 x {nx} x {nv}")
     values = np.frombuffer(payload, dtype="<f8").reshape(nx, nv)
-    return PhaseGrid1D1V(nx, float(header["length"]), nv, float(header["vmax"]), values)
+    return PhaseGrid1D1V(nx, length, nv, vmax, values)

@@ -3,6 +3,7 @@
 import copy
 import errno
 import json
+import math
 import os
 import warnings
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from kinetics import cli
 from kinetics.collision_kernel import CollisionBranch
 from kinetics.collision_operator import GainNormalization
-from kinetics.errors import ConfigError, ParseError, ValidationError
+from kinetics.errors import (ConfigError, ParseError, ValidationError, require_finite,
+                             require_nonnegative, require_positive, require_restitution)
 from kinetics.transport_solver import load_phase_grid
 
 MINIMAL_DSMC = {
@@ -485,7 +487,53 @@ def test_count_below_the_domain_minimum_names_the_key(tmp_path, capsys, subcomma
                                                       value, minimum):
     parameters = dict(VALID_PARAMETERS[subcommand], **{key: value})
     line = _failing_run(tmp_path, capsys, subcommand, parameters, 1)
-    assert line == f"error: parameters.{key}: value must be at least {minimum}, got {value}"
+    assert line == f"error: parameters.{key} must be at least {minimum}, got {value}"
+
+
+NUMBER_RULES = (require_finite, require_positive, require_nonnegative, require_restitution)
+
+
+def _number_keys() -> list[tuple[str, str, object]]:
+    """(VALID_PARAMETERS case, key below parameters, rule) for every config key that one of
+    errors.py's number rules reads, the distribution keys of both kinds among them."""
+    schemas = [(subcommand, "", cli._schema(subcommand)) for subcommand in cli.SUBCOMMANDS]
+    schemas += [(case, "distribution.", cli._DISTRIBUTIONS[kind][0])
+                for case, kind in (("operator", "maxwellian"), ("operator-bimodal", "bimodal"))]
+    return [(case, prefix + key, rule) for case, prefix, schema in schemas
+            for key, (rule, *_) in schema.fields.items() if rule in NUMBER_RULES]
+
+
+NUMBER_KEYS = _number_keys()
+
+
+@pytest.mark.parametrize("value", [True, "1", None, 10**400, math.nan, math.inf, -math.inf,
+                                   -1.0, 0],
+                         ids=["true", "string", "null", "int-past-float", "nan", "inf", "-inf",
+                              "negative", "zero"])
+@pytest.mark.parametrize("case, key, rule", NUMBER_KEYS,
+                         ids=[f"{case}.{key}" for case, key, _ in NUMBER_KEYS])
+def test_number_key_reads_as_its_errors_rule_reads_it(tmp_path, capsys, case, key, rule,
+                                                      value):
+    # the CLI rejects with the library's message, the dotted key as the name, and
+    # accepts what the library accepts, as the same float
+    parameters = copy.deepcopy(VALID_PARAMETERS[case])
+    *path, leaf = key.split(".")
+    target = parameters["distribution"] if path else parameters
+    target[leaf] = value
+    subcommand = case.split("-")[0]
+    try:
+        expected = rule(f"parameters.{key}", value)
+    except ValueError as exc:
+        assert _failing_run(tmp_path, capsys, subcommand, parameters, 1) == f"error: {exc}"
+        return
+    resolved = cli.parse_config(json.dumps({"subcommand": subcommand,
+                                            "parameters": parameters})).parameters
+    read = resolved["distribution"][leaf] if path else resolved[leaf]
+    assert type(read) is float and read == expected
+
+
+def test_number_keys_cover_every_kind_of_number_rule():
+    assert {rule for *_, rule in NUMBER_KEYS} == set(NUMBER_RULES)
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,14 +605,14 @@ def test_unmet_allocation_exits_1_without_outputs(tmp_path, capsys, subcommand, 
     ({"length": 5e-324}, "error: length / nx must be positive and finite, got 0.0"),
     # 2 * sigma_x**2 overflowed in the Gaussian and the numerical failure named no key
     ({"sigma_x": 2e154},
-     "error: parameters.sigma_x: 2 * value**2 must be a positive finite float, got inf"),
+     "error: 2 * parameters.sigma_x**2 must be a positive finite float, got inf"),
     # 2 * sigma_x**2 underflowed to 0: a node on the centre read NaN, others a zero grid
     ({"sigma_x": 1e-200, "center_x": 0.0},
-     "error: parameters.sigma_x: 2 * value**2 must be a positive finite float, got 0.0"),
+     "error: 2 * parameters.sigma_x**2 must be a positive finite float, got 0.0"),
     ({"sigma_x": 1e-200, "center_x": 0.1},
-     "error: parameters.sigma_x: 2 * value**2 must be a positive finite float, got 0.0"),
+     "error: 2 * parameters.sigma_x**2 must be a positive finite float, got 0.0"),
     ({"sigma_v": 1e-170},
-     "error: parameters.sigma_v: 2 * value**2 must be a positive finite float, got 0.0"),
+     "error: 2 * parameters.sigma_v**2 must be a positive finite float, got 0.0"),
 ], ids=["force-over-mass", "vmax-overflow", "vmax-underflow", "length-underflow",
         "sigma-overflow", "sigma-underflow-on-node", "sigma-underflow-off-node",
         "sigma-v-underflow"])
@@ -593,8 +641,7 @@ def test_infinite_transport_end_time_exits_2_without_outputs(tmp_path, capsys):
     ("dsmc", {"particles": 200, "steps": 5}, (),
      "error: missing required key 'dt' in parameters"),
     ("operator", dict(BIMODAL, distribution=dict(BIMODAL["distribution"], density1=-0.5)), (),
-     "error: parameters.distribution.density1: value must be nonnegative and finite, "
-     "got -0.5"),
+     "error: parameters.distribution.density1 must be nonnegative and finite, got -0.5"),
     ("dsmc", MINIMAL_DSMC["parameters"], ("--threads", "0"), "error: --threads must be >= 1"),
     # |n| and |u| are computed without overflow, so each line names the true magnitude
     ("collide", dict(VALID_PARAMETERS["collide"], n=[1e200, 0.0, 0.0]), (),

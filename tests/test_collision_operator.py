@@ -210,6 +210,23 @@ def test_weightings_are_validated_by_the_spec_rules():
                      weightings=[(1.5, GainNormalization.RESTITUTION_WEIGHTED)])
 
 
+@pytest.mark.parametrize("weightings", [[(0.8,)], (0.8, GainNormalization.STANDARD_GRANULAR)],
+                         ids=["one-item-pair", "a-pair-not-a-list-of-pairs"])
+def test_malformed_weightings_are_rejected_by_name(weightings):
+    # an unpacking error named neither the argument nor what it must hold
+    f = maxwellian(VelocityGrid(vmax=4.5, nodes_per_axis=29), 1.0, (0, 0, 0), 1.0, UNIT_MASS)
+    with pytest.raises(ValueError, match="^weightings must be an iterable of 2-item tuples "
+                                         f"or lists, got {re.escape(repr(weightings))}$"):
+        moment_rates(f, spec_with(samples=10), weightings=weightings)
+
+
+def test_nodes_that_are_not_iterable_are_rejected_by_name():
+    # list(5) raised "'int' object is not iterable"
+    f = maxwellian(VelocityGrid(vmax=4.5, nodes_per_axis=29), 1.0, (0, 0, 0), 1.0, UNIT_MASS)
+    with pytest.raises(ValueError, match="^nodes must be an iterable, got 5$"):
+        evaluate_field(f, 5, spec_with(samples=10))
+
+
 def _reference_moment_chunk(f, spec, chunk_index, size):
     """Former single-weighting _moment_chunk, kept verbatim but for its whole-chunk helpers."""
     generator = rng.stream(spec.seed, "operator-moments", chunk_index)

@@ -135,6 +135,16 @@ def test_only_errors_py_reads_a_3_vector():
     assert offenders == []
 
 
+def test_only_errors_py_reads_a_number():
+    # errors.require_real is the one reading of a number, and the CLI's config keys call
+    # the rules built on it: a second reading, such as a bool test or a float-range bound
+    # at a call site, would accept or name a value otherwise than the library does
+    reading = re.compile(r"numbers\.Real|isinstance\([^)]*\bbool\b|sys\.float_info")
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "errors.py" and reading.search(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
 def test_only_dsmc_py_draws_normals():
     # every other random direction is collision_operator._directions of two uniforms:
     # randomized quasi-Monte Carlo draws would swap only the source of the uniforms,

@@ -131,6 +131,12 @@ NOT_REAL = {
     "sample_maxwellian_ensemble.temperature": (
         "temperature", "'1'", lambda: dsmc.sample_maxwellian_ensemble(4, UNIT, EX, "1", 0)),
     "exp_subgroup.tau": ("tau", "None", lambda: exp_subgroup(PureQuaternion((0.3, 0, 0)), None)),
+    # built, or a result returned, before the rules read a number strictly
+    "Species.mass.bool": ("mass", "True", lambda: Species(mass=True, diameter=1.0)),
+    "QuadratureSpec.epsilon": ("epsilon", "'0.5'", lambda: spec(epsilon="0.5")),
+    "DsmcConfig.epsilon": ("epsilon", "'0.9'", lambda: dsmc_config(epsilon="0.9")),
+    "collide.epsilon": ("epsilon", "'0.5'",
+                        lambda: collide(EX, ORIGIN, EX, "0.5", REFLECTIVE, UNIT, UNIT)),
 }
 
 
@@ -141,9 +147,21 @@ def test_a_value_that_is_not_a_real_number_is_rejected_by_name(caller):
         build()
 
 
+@pytest.mark.parametrize("value, shown", [(10**400, "inf"), (-(10**400), "-inf")])
+def test_an_int_past_the_float_range_reads_as_infinite_and_is_rejected_by_name(value, shown):
+    with pytest.raises(ValueError, match=f"^mass must be positive and finite, got {shown}$"):
+        Species(mass=value, diameter=1.0)
+
+
 def test_a_species_that_is_not_a_species_is_rejected_by_name():
     with pytest.raises(ValueError, match="^species must be a Species, got None$"):
         dsmc.sample_maxwellian_ensemble(10, None, ORIGIN, 1.0, 0)
+
+
+def test_an_ensemble_species_that_is_not_a_species_is_rejected_by_name():
+    # the ensemble was built, and dsmc.run on it raised an unnamed AttributeError
+    with pytest.raises(ValueError, match="^species must be a Species, got None$"):
+        dsmc.ParticleEnsemble(velocities=np.zeros((4, 3)), species=None)
 
 
 @pytest.mark.parametrize("caller", sorted(CALLERS))
@@ -229,7 +247,7 @@ def cli_key(subcommand, key):
         parameters = dict(VALID_PARAMETERS[subcommand], **{key: x})
         return cli.parse_config(json.dumps({"subcommand": subcommand,
                                             "parameters": parameters}))
-    return f"parameters.{key}: value", build
+    return f"parameters.{key}", build
 
 
 # name in the error, constructor taking the count, the least count accepted
@@ -349,6 +367,17 @@ def test_3_vector_as_a_list_tuple_or_int_list_reads_as_the_float64_array(caller)
         assert _bits(build(form)) == want
 
 
+@pytest.mark.parametrize("value", ["abc", ["1", "2", "3"], [1, "x", 0], [True, True, True],
+                                   [10**400, 0, 0], None])
+@pytest.mark.parametrize("caller", sorted(VECTORS))
+def test_3_vector_of_items_that_are_not_real_numbers_is_rejected_by_name(caller, value):
+    # numpy's float cast named no argument, or read a string or a bool as a number
+    name, build, _ = VECTORS[caller]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a 3-vector of real "
+                                         f"numbers, got {re.escape(repr(value))}$"):
+        build(value)
+
+
 @pytest.mark.parametrize("value", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf)])
 @pytest.mark.parametrize("caller", sorted(VECTORS))
 def test_non_finite_3_vector_is_rejected_by_name(caller, value):
@@ -384,15 +413,10 @@ NONNEGATIVE = {
 def test_nonnegative_value_accepts_zero_and_rejects_negative_or_non_finite_by_name(caller):
     name, build = NONNEGATIVE[caller]
     build(0.0)
-    with pytest.raises((ValueError, ConfigError),
-                       match=f"^{re.escape(name)}(: value)? must be nonnegative and finite, "
-                             f"got -1"):
-        build(-1.0)
-    for value in (math.inf, math.nan):
-        # the CLI's number rule rejects a non-finite number first, also by name
+    for value in (-1.0, math.inf, math.nan):
         with pytest.raises((ValueError, ConfigError),
-                           match=f"^{re.escape(name)}(: value)? must be "
-                                 f"(nonnegative and )?finite"):
+                           match=f"^{re.escape(name)} must be nonnegative and finite, "
+                                 f"got {value}$"):
             build(value)
 
 
