@@ -11,14 +11,14 @@ import importlib
 
 # The public names, by defining module.
 _IMPORTS = {
-    "collision_kernel": ("CollisionBranch", "CollisionEvent", "Species", "collide",
+    "collision_kernel": ("CollisionBranch", "CollisionEvent", "collide",
                          "energy_loss_formula", "inverse_collide", "jacobian_analytic",
                          "jacobian_numeric", "jacobian_signed"),
     "collision_operator": ("GainNormalization", "MomentRates", "QuadratureSpec",
                            "RateEstimate", "evaluate_at", "evaluate_field", "moment_rates"),
     "distribution": ("DiscreteDistribution", "VelocityGrid", "bimodal", "interpolate",
                      "maxwellian"),
-    "dsmc": ("DsmcConfig", "ParticleEnsemble", "sample_maxwellian_ensemble"),
+    "dsmc": ("DsmcConfig", "ParticleEnsemble", "Species", "sample_maxwellian_ensemble"),
     "sphere_group": ("ChartCoords", "PureQuaternion", "SpherePoint", "chart_jacobian", "embed",
                      "exp_subgroup", "match_generator", "project_chart",
                      "pushforward_derivative", "quaternion_multiply", "unproject_chart"),

@@ -17,7 +17,6 @@ import numpy as np
 from . import rng, sphere_group
 from .collision_kernel import (
     CollisionBranch,
-    Species,
     actual_energy_loss,
     energy_loss_formula,
     jacobian_numeric,
@@ -82,12 +81,11 @@ def audit_jacobian(seed: int = 0, n_configs: int = 100) -> AuditReport:
         for index in range(n_configs):
             epsilon = forced[index] if index < len(forced) else float(
                 generator.uniform(0.05, 1.0))
-            s1 = Species(mass=float(generator.uniform(0.5, 3.0)), diameter=1.0)
-            s2 = Species(mass=float(generator.uniform(0.5, 3.0)), diameter=1.0)
+            m1, m2 = (float(generator.uniform(0.5, 3.0)) for _ in range(2))
             v1 = generator.uniform(-2.0, 2.0, 3)
             v2 = generator.uniform(-2.0, 2.0, 3)
             n = _directions(*generator.random((2, 1)))[0]
-            det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
+            det = jacobian_numeric(v1, v2, n, epsilon, branch, m1, m2)
             worst = max(worst, abs(det - epsilon))
     return AuditReport(
         "pair-map-determinant-equals-restitution",
@@ -111,22 +109,21 @@ def audit_energy_formula(seed: int = 0, n_configs: int = 200) -> list[AuditRepor
     worst_oblique = 0.0
     worst_closed_form = 0.0
     for _ in range(n_configs):
-        s1 = Species(mass=float(generator.uniform(0.5, 3.0)), diameter=1.0)
-        s2 = Species(mass=float(generator.uniform(0.5, 3.0)), diameter=1.0)
+        m1, m2 = (float(generator.uniform(0.5, 3.0)) for _ in range(2))
         epsilon = float(generator.uniform(0.05, 0.999))
-        mu = s1.mass * s2.mass / (s1.mass + s2.mass)
+        mu = m1 * m2 / (m1 + m2)
         v2 = generator.uniform(-2.0, 2.0, 3)
         n = _directions(*generator.random((2, 1)))[0]
         # head-on: relative velocity parallel to n
         v1 = v2 + float(generator.uniform(0.2, 3.0)) * n
-        formula = energy_loss_formula(v1, v2, epsilon, s1, s2)
-        actual = actual_energy_loss(v1, v2, n, epsilon, s1, s2)
+        formula = energy_loss_formula(v1, v2, epsilon, m1, m2)
+        actual = actual_energy_loss(v1, v2, n, epsilon, m1, m2)
         worst_head_on = max(worst_head_on, abs(formula - actual) / formula)
         # oblique: generic relative velocity
         v1 = v2 + generator.uniform(-2.0, 2.0, 3)
         g = v1 - v2
-        formula = energy_loss_formula(v1, v2, epsilon, s1, s2)
-        actual = actual_energy_loss(v1, v2, n, epsilon, s1, s2)
+        formula = energy_loss_formula(v1, v2, epsilon, m1, m2)
+        actual = actual_energy_loss(v1, v2, n, epsilon, m1, m2)
         discrepancy = formula - actual
         predicted = 0.5 * (1.0 - epsilon**2) * mu * (float(g @ g) - float(g @ n) ** 2)
         worst_oblique = max(worst_oblique, discrepancy / formula)

@@ -54,7 +54,7 @@ class RunConfig:
 # module is imported and bound here when a subcommand that runs it is resolved, so a
 # process loads only what its subcommand runs.
 _IMPORTS = {
-    "collision_kernel": ("CollisionBranch", "Species", "collide"),
+    "collision_kernel": ("CollisionBranch", "collide"),
     "collision_operator": ("GainNormalization", "QuadratureSpec", "evaluate_field"),
     "distribution": ("VelocityGrid", "bimodal", "maxwellian"),
     "dsmc": (),
@@ -207,8 +207,6 @@ def _collide_fields() -> dict:
         "branch": (_member(CollisionBranch),),
         "mass1": (require_positive, 1.0),
         "mass2": (require_positive, 1.0),
-        "diameter1": (require_positive, 1.0),
-        "diameter2": (require_positive, 1.0),
     }
 
 
@@ -340,10 +338,8 @@ def _publish(root: Path, outputs: dict[str, str | bytes]) -> None:
 
 def _run_collide(config: RunConfig, threads: int) -> dict:
     p = config.parameters
-    s1 = Species(mass=p["mass1"], diameter=p["diameter1"])
-    s2 = Species(mass=p["mass2"], diameter=p["diameter2"])
     event = collide(p["v1"], p["v2"], p["n"], p["epsilon"],
-                    CollisionBranch(p["branch"]), s1, s2)
+                    CollisionBranch(p["branch"]), p["mass1"], p["mass2"])
     row = [*event.w1, *event.w2, event.lambda1, event.lambda2, event.delta_e]
     return {"collision.csv": csv_text(
         ["w1x", "w1y", "w1z", "w2x", "w2y", "w2z", "lambda1", "lambda2",
@@ -366,7 +362,7 @@ def _run_operator(config: RunConfig, threads: int) -> dict:
 
 def _run_dsmc(config: RunConfig, threads: int) -> dict:
     p = config.parameters
-    species = Species(mass=p["mass"], diameter=p["diameter"])
+    species = dsmc.Species(mass=p["mass"], diameter=p["diameter"])
     ensemble = dsmc.sample_maxwellian_ensemble(
         p["particles"], species, p["bulk_velocity"], p["temperature"], config.seed)
     cfg = dsmc.DsmcConfig(

@@ -37,18 +37,6 @@ class CollisionBranch(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Species:
-    """Particle species: mass in kg, diameter in m."""
-
-    mass: float
-    diameter: float
-
-    def __post_init__(self) -> None:
-        require_positive("mass", self.mass)
-        require_positive("diameter", self.diameter)
-
-
-@dataclass(frozen=True)
 class CollisionEvent:
     """Outcome of collide(v1, v2, n, ...): outgoing velocities and energy bookkeeping.
 
@@ -114,7 +102,7 @@ def transform_velocities(v1, v2, n, epsilon: float, branch: CollisionBranch,
 
 
 def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
-            s1: Species, s2: Species) -> CollisionEvent:
+            m1: float, m2: float) -> CollisionEvent:
     """Apply the selected impact rule to one pair and book the energy deficit.
 
     An outcome that overflows or is NaN raises NonFiniteEstimate, a numerical failure.
@@ -124,7 +112,7 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
     require_member("branch", branch, CollisionBranch)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
-    m1, m2 = s1.mass, s2.mass
+    m1, m2 = require_positive("m1", m1), require_positive("m2", m2)
     c1, c2 = _impulse(v1, v2, n, epsilon, branch, m1, m2)
     lambda1, lambda2 = c1.item(), -c2.item()
     w1 = v1 + lambda1 * n
@@ -139,7 +127,7 @@ def collide(v1, v2, n, epsilon: float, branch: CollisionBranch,
 
 
 def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
-                    s1: Species, s2: Species):
+                    m1: float, m2: float):
     """Pre-collision pair that the given impact maps onto (w1, w2).
 
     The inverse of either rule is the same rule at restitution 1/epsilon, so
@@ -150,10 +138,11 @@ def inverse_collide(w1, w2, n, epsilon: float, branch: CollisionBranch,
     n = _validate_normal(n)
     w1 = require_vector3("w1", w1)
     w2 = require_vector3("w2", w2)
-    return transform_velocities(w1, w2, n, 1.0 / epsilon, branch, s1.mass, s2.mass)
+    m1, m2 = require_positive("m1", m1), require_positive("m2", m2)
+    return transform_velocities(w1, w2, n, 1.0 / epsilon, branch, m1, m2)
 
 
-def energy_loss_formula(v1, v2, epsilon: float, s1: Species, s2: Species) -> float:
+def energy_loss_formula(v1, v2, epsilon: float, m1: float, m2: float) -> float:
     """Published energy-loss expression: (1/2)(1-eps^2) mu |v1-v2|^2.
 
     Uses the full relative speed |v1 - v2|, not its normal component; the
@@ -163,12 +152,13 @@ def energy_loss_formula(v1, v2, epsilon: float, s1: Species, s2: Species) -> flo
     epsilon = require_restitution("epsilon", epsilon)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
-    mu = s1.mass * s2.mass / (s1.mass + s2.mass)
+    m1, m2 = require_positive("m1", m1), require_positive("m2", m2)
+    mu = m1 * m2 / (m1 + m2)
     g = v1 - v2
     return 0.5 * (1.0 - epsilon**2) * mu * float(g @ g)
 
 
-def actual_energy_loss(v1, v2, n, epsilon: float, s1: Species, s2: Species) -> float:
+def actual_energy_loss(v1, v2, n, epsilon: float, m1: float, m2: float) -> float:
     """Kinetic-energy deficit the impact rules actually produce.
 
     Both branches lose (1/2)(1-eps^2) mu ((v2-v1).n)^2; only the normal
@@ -178,7 +168,8 @@ def actual_energy_loss(v1, v2, n, epsilon: float, s1: Species, s2: Species) -> f
     n = _validate_normal(n)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
-    mu = s1.mass * s2.mass / (s1.mass + s2.mass)
+    m1, m2 = require_positive("m1", m1), require_positive("m2", m2)
+    mu = m1 * m2 / (m1 + m2)
     gn = float((v2 - v1) @ n)
     return 0.5 * (1.0 - epsilon**2) * mu * gn * gn
 
@@ -199,7 +190,7 @@ def jacobian_signed(epsilon: float, branch: CollisionBranch) -> float:
 
 
 def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
-                     s1: Species, s2: Species) -> float:
+                     m1: float, m2: float) -> float:
     """|det| of the pair-velocity map by central finite differences.
 
     The step is 1e-5 * max(1, |v|_inf), balancing truncation against
@@ -210,6 +201,7 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     require_member("branch", branch, CollisionBranch)
     v1 = require_vector3("v1", v1)
     v2 = require_vector3("v2", v2)
+    m1, m2 = require_positive("m1", m1), require_positive("m2", m2)
     x0 = np.concatenate([v1, v2])
     h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
     # the 12 stencil points x0 +- h e_i, as (sign, i, coordinate), mapped in one call
@@ -217,8 +209,7 @@ def jacobian_numeric(v1, v2, n, epsilon: float, branch: CollisionBranch,
     diagonal = np.arange(6)
     x[0, diagonal, diagonal] += h
     x[1, diagonal, diagonal] -= h
-    w1, w2 = transform_velocities(x[..., :3], x[..., 3:], n, epsilon, branch,
-                                  s1.mass, s2.mass)
+    w1, w2 = transform_velocities(x[..., :3], x[..., 3:], n, epsilon, branch, m1, m2)
     w = np.concatenate([w1, w2], axis=-1)
     jac = ((w[0] - w[1]) / (2.0 * h)).T
     return abs(float(np.linalg.det(jac)))

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .collision_kernel import CollisionBranch, Species, _dot3
+from .collision_kernel import CollisionBranch, _dot3
 from .constants import BOLTZMANN
 from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_count,
                      require_member, require_nonnegative, require_positive, require_restitution,
@@ -43,6 +43,18 @@ from .errors import (MajorantExceeded, NonFiniteEstimate, frozen_array, require_
 
 _MAJORANT_RETRIES = 8
 _UNOWNED = np.iinfo(np.intp).max  # _wave_schedule's free-particle mark, above every index
+
+
+@dataclass(frozen=True)
+class Species:
+    """Particle species: mass in kg, diameter in m; the diameter sets the collision rate."""
+
+    mass: float
+    diameter: float
+
+    def __post_init__(self) -> None:
+        require_positive("mass", self.mass)
+        require_positive("diameter", self.diameter)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,10 @@ def require_member(name: str, value, kind):
 def require_vector3(name: str, value) -> np.ndarray:
     """value as float64, if a finite real array of shape (3,); else ValueError naming it."""
     vector = np.asarray(value)
-    if vector.dtype.kind not in "iuf":  # a string, a bool, None or an int past int64
+    # a string, a bool, None or an int past int64; or a list or tuple that mixes bools
+    # with numbers, which numpy reads as ints
+    if vector.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
+            isinstance(item, (bool, np.bool_)) for item in value):
         raise ValueError(f"{name} must be a 3-vector of real numbers, got {value!r}")
     vector = vector.astype(np.float64, copy=False)  # a float64 array as it is
     if vector.shape != (3,):

@@ -14,12 +14,7 @@ from quadrature_oracle import brute_force_rate
 from test_dsmc_reference import _reference_moments
 from kinetics import claim_audit as ca
 from kinetics import cli, dsmc
-from kinetics.collision_kernel import (
-    CollisionBranch,
-    Species,
-    jacobian_numeric,
-    transform_velocities,
-)
+from kinetics.collision_kernel import CollisionBranch, jacobian_numeric, transform_velocities
 from kinetics.collision_operator import (
     GainNormalization,
     QuadratureSpec,
@@ -28,6 +23,7 @@ from kinetics.collision_operator import (
 )
 from kinetics.constants import BOLTZMANN
 from kinetics.distribution import VelocityGrid, bimodal, maxwellian
+from kinetics.dsmc import Species
 from kinetics.sphere_group import (
     ChartCoords,
     PureQuaternion,
@@ -58,15 +54,15 @@ def test_jacobian_claim():
     rng = np.random.default_rng(20260808)
     worst = 0.0
     for _ in range(100):
-        s1 = Species(mass=float(rng.uniform(0.5, 3.0)), diameter=1.0)
-        s2 = Species(mass=float(rng.uniform(0.5, 3.0)), diameter=1.0)
+        m1 = float(rng.uniform(0.5, 3.0))
+        m2 = float(rng.uniform(0.5, 3.0))
         epsilon = float(rng.uniform(0.05, 1.0))
         branch = CollisionBranch.REFLECTIVE if rng.uniform() < 0.5 else CollisionBranch.PASSING
         v1 = rng.uniform(-3, 3, 3)
         v2 = rng.uniform(-3, 3, 3)
         n = rng.standard_normal(3)
         n /= np.linalg.norm(n)
-        det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
+        det = jacobian_numeric(v1, v2, n, epsilon, branch, m1, m2)
         worst = max(worst, abs(det - epsilon))
     elapsed = time.time() - start
     assert worst < 1e-6
@@ -129,8 +125,6 @@ def test_energy_formula_audit(tmp_path):
     worst = 0.0
     for _ in range(100):
         m1, m2 = rng.uniform(0.5, 3.0, 2)
-        s1 = Species(mass=float(m1), diameter=1.0)
-        s2 = Species(mass=float(m2), diameter=1.0)
         epsilon = float(rng.uniform(0.05, 0.999))
         mu = m1 * m2 / (m1 + m2)
         n = rng.standard_normal(3)
@@ -142,8 +136,8 @@ def test_energy_formula_audit(tmp_path):
         v1 = v2 + float(rng.uniform(0.5, 3.0)) * transverse
         from kinetics.collision_kernel import actual_energy_loss, energy_loss_formula
         g = v1 - v2
-        formula = energy_loss_formula(v1, v2, epsilon, s1, s2)
-        actual = actual_energy_loss(v1, v2, n, epsilon, s1, s2)
+        formula = energy_loss_formula(v1, v2, epsilon, m1, m2)
+        actual = actual_energy_loss(v1, v2, n, epsilon, m1, m2)
         predicted = 0.5 * (1.0 - epsilon**2) * mu * float(g @ g)
         worst = max(worst, abs((formula - actual) - predicted) / predicted)
     assert worst < 1e-12

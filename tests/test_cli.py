@@ -2,6 +2,7 @@
 
 import copy
 import errno
+import hashlib
 import json
 import math
 import os
@@ -536,6 +537,65 @@ def test_number_keys_cover_every_kind_of_number_rule():
     assert {rule for *_, rule in NUMBER_KEYS} == set(NUMBER_RULES)
 
 
+UNIT_MASS = 1.380649e-23
+# Per subcommand: a small valid base that runs in milliseconds, and for every key of the
+# subcommand's schema a value other than the one the base resolves it to.
+KEY_PERTURBATIONS = {
+    "collide": (
+        {"v1": [0.0, 0.0, 0.0], "v2": [1.0, 0.0, 0.0], "n": [1.0, 0.0, 0.0], "epsilon": 0.8,
+         "branch": "reflective"},
+        {"v1": [0.1, 0.0, 0.0], "v2": [1.0, 0.2, 0.0], "n": [0.0, 1.0, 0.0], "epsilon": 0.5,
+         "branch": "passing", "mass1": 2.0, "mass2": 0.5}),
+    "operator": (
+        {"vmax": 4.5, "nodes_per_axis": 31, "samples": 64, "probes": [[0.5, 0.0, 0.0]],
+         "mass": UNIT_MASS, "epsilon": 0.8, "distribution": {"kind": "maxwellian"}},
+        {"vmax": 4.0, "nodes_per_axis": 33, "samples": 65, "probes": [[0.25, 0.0, 0.0]],
+         "mass": 0.8 * UNIT_MASS, "diameter": 2.0, "epsilon": 0.5, "branch": "passing",
+         "normalization": "standard_granular",
+         "distribution": {"kind": "maxwellian", "temperature": 1.2}}),
+    "dsmc": (
+        {"particles": 20, "steps": 2, "dt": 0.01, "mass": UNIT_MASS, "epsilon": 0.8},
+        {"particles": 21, "steps": 3, "sample_every": 2, "dt": 0.02, "number_density": 2.0,
+         "epsilon": 0.5, "branch": "passing", "temperature": 1.5,
+         "bulk_velocity": [0.1, 0.0, 0.0], "mass": 2.0 * UNIT_MASS, "diameter": 2.0,
+         "majorant_relative_speed": 100.0}),
+    "transport": (
+        {"nx": 8, "nv": 8, "dt": 0.02, "steps": 2, "force": [0.5, 0.0, 0.0]},
+        {"nx": 10, "length": 8.0, "nv": 10, "vmax": 2.5, "dt": 0.03, "steps": 3,
+         "force": [1.0, 0.0, 0.0], "mass": 2.0, "center_x": 2.5, "center_v": 0.5,
+         "sigma_x": 0.6, "sigma_v": 0.5, "amplitude": 2.0}),
+    "audit": (
+        {"jacobian_configs": 2, "stokes_samples": 64, "stokes_nodes": 34, "mass_samples": 64,
+         "mass_nodes": 34},
+        {"mass": 2.0 * UNIT_MASS, "diameter": 2.0, "temperature": 1.5, "jacobian_configs": 3,
+         "stokes_samples": 65, "stokes_nodes": 35, "mass_samples": 65, "mass_nodes": 35}),
+}
+
+
+def _artifact_digests(root, subcommand, parameters) -> dict:
+    """The sha256 of each file a run writes but its config echo, by file name."""
+    root.mkdir()
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps({"subcommand": subcommand, "output_dir": str(root / "out"),
+                                       "parameters": parameters}))
+    assert cli.main([subcommand, "--config", str(config_path)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (root / "out").iterdir() if path.name != "config_echo.json"}
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_every_parameter_key_moves_an_artifact_byte(tmp_path, subcommand):
+    # a key that no artifact reads is dead, as collide's diameters were; a schema key
+    # without a value in the table fails here, so a new key is covered
+    base, values = KEY_PERTURBATIONS[subcommand]
+    keys = list(cli._schema(subcommand).fields)
+    assert sorted(values) == sorted(keys)
+    want = _artifact_digests(tmp_path / "base", subcommand, base)
+    for key in keys:
+        got = _artifact_digests(tmp_path / key, subcommand, dict(base, **{key: values[key]}))
+        assert got != want, f"{subcommand}: {key} changes no artifact"
+
+
 @pytest.mark.parametrize("argv", [
     [], ["dsmc"], ["dsmc", "--config", "{config}", "--threads", "abc"],
     ["nope", "--config", "{config}"], ["dsmc", "--config", "{config}", "extra"],
@@ -650,8 +710,13 @@ def test_infinite_transport_end_time_exits_2_without_outputs(tmp_path, capsys):
                       mass=1.380649e-23,
                       distribution={"kind": "maxwellian", "bulk_velocity": [1e200, 0.0, 0.0]}),
      (), "error: vmax 6 below |u| + 4 thermal speeds = 1e+200"),
+    # the impact rules read masses only, so collide takes no diameter
+    ("collide", dict(VALID_PARAMETERS["collide"], diameter1=7.5), (),
+     "error: unknown key 'diameter1' in parameters"),
+    ("collide", dict(VALID_PARAMETERS["collide"], diameter2=7.5), (),
+     "error: unknown key 'diameter2' in parameters"),
 ], ids=["missing-key", "negative-mode-density", "zero-threads", "huge-normal",
-        "huge-bulk-velocity"])
+        "huge-bulk-velocity", "collide-diameter1", "collide-diameter2"])
 def test_rejected_run_names_its_reason(tmp_path, capsys, subcommand, parameters, options,
                                        line):
     assert _failing_run(tmp_path, capsys, subcommand, parameters, 1, options) == line

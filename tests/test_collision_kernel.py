@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from kinetics.collision_kernel import (
     CollisionBranch,
-    Species,
     actual_energy_loss,
     collide,
     energy_loss_formula,
@@ -23,20 +22,20 @@ from kinetics.collision_kernel import (
 from kinetics.collision_operator import GainNormalization
 from kinetics.errors import InvalidRestitution, NonFiniteEstimate, NonUnitNormal
 
-UNIT = Species(mass=1.0, diameter=1.0)
+UNIT = 1.0  # mass
 EX = np.array([1.0, 0.0, 0.0])
 
 
 def random_setup(rng):
-    s1 = Species(mass=float(rng.uniform(0.5, 3.0)), diameter=1.0)
-    s2 = Species(mass=float(rng.uniform(0.5, 3.0)), diameter=1.0)
+    m1 = float(rng.uniform(0.5, 3.0))
+    m2 = float(rng.uniform(0.5, 3.0))
     v1 = rng.uniform(-3.0, 3.0, 3)
     v2 = rng.uniform(-3.0, 3.0, 3)
     n = rng.standard_normal(3)
     n /= np.linalg.norm(n)
     epsilon = float(rng.uniform(0.1, 1.0))
     branch = CollisionBranch.REFLECTIVE if rng.uniform() < 0.5 else CollisionBranch.PASSING
-    return v1, v2, n, epsilon, branch, s1, s2
+    return v1, v2, n, epsilon, branch, m1, m2
 
 
 @st.composite
@@ -50,8 +49,7 @@ def setups(draw):
     n = np.array([sin_polar * math.cos(azimuth), sin_polar * math.sin(azimuth), cos_polar])
     epsilon = draw(st.floats(0.1, 1.0))
     branch = draw(st.sampled_from(CollisionBranch))
-    s1, s2 = (Species(mass=m, diameter=1.0) for m in masses)
-    return v1, v2, n, epsilon, branch, s1, s2
+    return v1, v2, n, epsilon, branch, *masses
 
 
 def test_reflective_head_on_hand_value():
@@ -82,34 +80,34 @@ def test_zero_relative_velocity_is_identity():
 def test_impulse_is_along_normal():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        v1, v2, n, epsilon, branch, s1, s2 = random_setup(rng)
-        event = collide(v1, v2, n, epsilon, branch, s1, s2)
+        v1, v2, n, epsilon, branch, m1, m2 = random_setup(rng)
+        event = collide(v1, v2, n, epsilon, branch, m1, m2)
         np.testing.assert_allclose(event.w1 - v1, event.lambda1 * n, atol=1e-14)
         np.testing.assert_allclose(event.w2 - v2, event.lambda2 * n, atol=1e-14)
-        assert abs(s1.mass * event.lambda1 + s2.mass * event.lambda2) < 1e-12 * (
-            abs(s1.mass * event.lambda1) + 1e-300)
+        assert abs(m1 * event.lambda1 + m2 * event.lambda2) < 1e-12 * (
+            abs(m1 * event.lambda1) + 1e-300)
 
 
 @settings(deadline=None, max_examples=500)
 @given(setups())
 def test_momentum_conservation_sweep(setup):
-    v1, v2, n, epsilon, branch, s1, s2 = setup
-    event = collide(v1, v2, n, epsilon, branch, s1, s2)
-    before = s1.mass * v1 + s2.mass * v2
-    after = s1.mass * event.w1 + s2.mass * event.w2
+    v1, v2, n, epsilon, branch, m1, m2 = setup
+    event = collide(v1, v2, n, epsilon, branch, m1, m2)
+    before = m1 * v1 + m2 * v2
+    after = m1 * event.w1 + m2 * event.w2
     # the largest component, not the norm, whose square underflows below ~1e-154
-    scale = s1.mass * np.max(np.abs(v1)) + s2.mass * np.max(np.abs(v2))
+    scale = m1 * np.max(np.abs(v1)) + m2 * np.max(np.abs(v2))
     assert np.max(np.abs(after - before)) < 1e-12 * max(scale, 1e-300)
 
 
 def test_normal_relative_velocity_law():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        v1, v2, n, epsilon, _, s1, s2 = random_setup(rng)
+        v1, v2, n, epsilon, _, m1, m2 = random_setup(rng)
         g_n = (v2 - v1) @ n
-        refl = collide(v1, v2, n, epsilon, CollisionBranch.REFLECTIVE, s1, s2)
+        refl = collide(v1, v2, n, epsilon, CollisionBranch.REFLECTIVE, m1, m2)
         assert (refl.w2 - refl.w1) @ n == pytest.approx(-epsilon * g_n, rel=1e-12, abs=1e-13)
-        passing = collide(v1, v2, n, epsilon, CollisionBranch.PASSING, s1, s2)
+        passing = collide(v1, v2, n, epsilon, CollisionBranch.PASSING, m1, m2)
         assert (passing.w2 - passing.w1) @ n == pytest.approx(epsilon * g_n, rel=1e-12, abs=1e-13)
         # tangential relative velocity untouched
         for event in (refl, passing):
@@ -123,9 +121,9 @@ def test_normal_relative_velocity_law():
 def test_actual_energy_deficit_closed_form():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        v1, v2, n, epsilon, branch, s1, s2 = random_setup(rng)
-        event = collide(v1, v2, n, epsilon, branch, s1, s2)
-        expected = actual_energy_loss(v1, v2, n, epsilon, s1, s2)
+        v1, v2, n, epsilon, branch, m1, m2 = random_setup(rng)
+        event = collide(v1, v2, n, epsilon, branch, m1, m2)
+        expected = actual_energy_loss(v1, v2, n, epsilon, m1, m2)
         assert event.delta_e == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
@@ -145,9 +143,9 @@ def test_inverse_collide_hand_value():
 
 def test_elastic_reflection_is_self_inverse():
     rng = np.random.default_rng(5)
-    v1, v2, n, _, _, s1, s2 = random_setup(rng)
-    forward = collide(v1, v2, n, 1.0, CollisionBranch.REFLECTIVE, s1, s2)
-    inv = inverse_collide(v1, v2, n, 1.0, CollisionBranch.REFLECTIVE, s1, s2)
+    v1, v2, n, _, _, m1, m2 = random_setup(rng)
+    forward = collide(v1, v2, n, 1.0, CollisionBranch.REFLECTIVE, m1, m2)
+    inv = inverse_collide(v1, v2, n, 1.0, CollisionBranch.REFLECTIVE, m1, m2)
     np.testing.assert_allclose(inv[0], forward.w1, atol=1e-14)
     np.testing.assert_allclose(inv[1], forward.w2, atol=1e-14)
 
@@ -155,10 +153,10 @@ def test_elastic_reflection_is_self_inverse():
 @settings(deadline=None, max_examples=1000)
 @given(setups())
 def test_inverse_collide_round_trip_property(setup):
-    v1, v2, n, epsilon, branch, s1, s2 = setup
-    event = collide(v1, v2, n, epsilon, branch, s1, s2)
-    back1, back2 = inverse_collide(event.w1, event.w2, n, epsilon, branch, s1, s2)
-    again = collide(back1, back2, n, epsilon, branch, s1, s2)
+    v1, v2, n, epsilon, branch, m1, m2 = setup
+    event = collide(v1, v2, n, epsilon, branch, m1, m2)
+    back1, back2 = inverse_collide(event.w1, event.w2, n, epsilon, branch, m1, m2)
+    again = collide(back1, back2, n, epsilon, branch, m1, m2)
     scale = max(np.max(np.abs(event.w1)), np.max(np.abs(event.w2)), 1.0)
     assert np.max(np.abs(again.w1 - event.w1)) < 1e-10 * scale
     assert np.max(np.abs(again.w2 - event.w2)) < 1e-10 * scale
@@ -174,28 +172,28 @@ def test_jacobian_analytic_values():
 
 def test_jacobian_numeric_matches_restitution():
     rng = np.random.default_rng(7)
-    v1, v2, n, _, _, s1, s2 = random_setup(rng)
-    det = jacobian_numeric(v1, v2, n, 0.7, CollisionBranch.REFLECTIVE, s1, s2)
+    v1, v2, n, _, _, m1, m2 = random_setup(rng)
+    det = jacobian_numeric(v1, v2, n, 0.7, CollisionBranch.REFLECTIVE, m1, m2)
     assert det == pytest.approx(0.7, abs=1e-6)
-    det = jacobian_numeric(v1, v2, n, 1.0, CollisionBranch.PASSING, s1, s2)
+    det = jacobian_numeric(v1, v2, n, 1.0, CollisionBranch.PASSING, m1, m2)
     assert det == pytest.approx(1.0, abs=1e-6)
 
 
 @settings(deadline=None, max_examples=100)
 @given(setups())
 def test_jacobian_numeric_sweep(setup):
-    v1, v2, n, epsilon, branch, s1, s2 = setup
-    det = jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2)
+    v1, v2, n, epsilon, branch, m1, m2 = setup
+    det = jacobian_numeric(v1, v2, n, epsilon, branch, m1, m2)
     assert abs(det - epsilon) < 1e-6
 
 
-def _reference_jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2):
+def _reference_jacobian_numeric(v1, v2, n, epsilon, branch, m1, m2):
     """Former body of jacobian_numeric: one map call per stencil point."""
     x0 = np.concatenate([v1, v2])
     h = 1e-5 * max(1.0, float(np.max(np.abs(x0))))
 
     def f(x):
-        w1, w2 = transform_velocities(x[:3], x[3:], n, epsilon, branch, s1.mass, s2.mass)
+        w1, w2 = transform_velocities(x[:3], x[3:], n, epsilon, branch, m1, m2)
         return np.concatenate([w1, w2])
 
     jac = np.empty((6, 6))
@@ -212,8 +210,8 @@ def _reference_jacobian_numeric(v1, v2, n, epsilon, branch, s1, s2):
 @given(setups(), st.floats(1.0, 16.0))
 def test_jacobian_numeric_matches_the_per_point_stencil_bits(setup, scale):
     # the 12 stencil points in one broadcast map give the loop's determinant bit for bit
-    v1, v2, n, epsilon, branch, s1, s2 = setup
-    args = (v1 * scale, v2 * scale, n, epsilon, branch, s1, s2)
+    v1, v2, n, epsilon, branch, m1, m2 = setup
+    args = (v1 * scale, v2 * scale, n, epsilon, branch, m1, m2)
     got, want = jacobian_numeric(*args), _reference_jacobian_numeric(*args)
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
@@ -225,10 +223,8 @@ def test_transform_velocities_broadcasts():
     n = rng.standard_normal((40, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     w1, w2 = transform_velocities(v1, v2, n, 0.6, CollisionBranch.REFLECTIVE, 1.0, 2.0)
-    s1 = Species(mass=1.0, diameter=1.0)
-    s2 = Species(mass=2.0, diameter=1.0)
     for k in (0, 17, 39):
-        event = collide(v1[k], v2[k], n[k], 0.6, CollisionBranch.REFLECTIVE, s1, s2)
+        event = collide(v1[k], v2[k], n[k], 0.6, CollisionBranch.REFLECTIVE, 1.0, 2.0)
         np.testing.assert_array_equal(w1[k].view(np.uint64), event.w1.view(np.uint64))
         np.testing.assert_array_equal(w2[k].view(np.uint64), event.w2.view(np.uint64))
 
@@ -293,10 +289,6 @@ def test_validation_errors():
         for branch in CollisionBranch:
             with pytest.raises(InvalidRestitution):
                 inverse_collide((0, 0, 0), (1, 0, 0), EX, bad_epsilon, branch, UNIT, UNIT)
-    with pytest.raises(ValueError):
-        Species(mass=-1.0, diameter=1.0)
-    with pytest.raises(ValueError):
-        Species(mass=1.0, diameter=0.0)
 
 
 @pytest.mark.parametrize("branch", ["reflective", None, GainNormalization.RESTITUTION_WEIGHTED],

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import UNIT_MASS, fit_cooling_exponent
 from kinetics import cli, dsmc
-from kinetics.collision_kernel import CollisionBranch, Species, _dot3
+from kinetics.collision_kernel import CollisionBranch, _dot3
+from kinetics.dsmc import Species
 from kinetics.errors import MajorantExceeded
 
 SPECIES = Species(mass=UNIT_MASS, diameter=1.0)

@@ -19,8 +19,9 @@ import pytest
 
 from conftest import UNIT_MASS
 from kinetics import dsmc, rng
-from kinetics.collision_kernel import CollisionBranch, Species
+from kinetics.collision_kernel import CollisionBranch
 from kinetics.constants import BOLTZMANN
+from kinetics.dsmc import Species
 from kinetics.errors import MajorantExceeded
 
 SPECIES = Species(mass=UNIT_MASS, diameter=1.0)

@@ -16,7 +16,6 @@ from kinetics import cli, dsmc
 from kinetics.claim_audit import audit_chain_rule, audit_energy_formula, audit_jacobian
 from kinetics.collision_kernel import (
     CollisionBranch,
-    Species,
     actual_energy_loss,
     collide,
     energy_loss_formula,
@@ -31,6 +30,7 @@ from kinetics.distribution import (
     interpolate,
     maxwellian,
 )
+from kinetics.dsmc import Species
 from kinetics.errors import (ChartSingularity, ConfigError, SpeedExceedsLambda,
                              require_positive, require_vector3)
 from kinetics.sphere_group import (
@@ -87,6 +87,14 @@ def semi_lagrangian(dt):
 CALLERS = {
     "Species.mass": ("mass", lambda x: Species(mass=x, diameter=1.0)),
     "Species.diameter": ("diameter", lambda x: Species(mass=1.0, diameter=x)),
+    "collide.m1": ("m1", lambda x: collide(ORIGIN, EX, EX, 0.8, REFLECTIVE, x, 1.0)),
+    "collide.m2": ("m2", lambda x: collide(ORIGIN, EX, EX, 0.8, REFLECTIVE, 1.0, x)),
+    "inverse_collide.m1": (
+        "m1", lambda x: inverse_collide(ORIGIN, EX, EX, 0.8, REFLECTIVE, x, 1.0)),
+    "energy_loss_formula.m2": ("m2", lambda x: energy_loss_formula(ORIGIN, EX, 0.8, 1.0, x)),
+    "actual_energy_loss.m1": ("m1", lambda x: actual_energy_loss(ORIGIN, EX, EX, 0.8, x, 1.0)),
+    "jacobian_numeric.m2": (
+        "m2", lambda x: jacobian_numeric(ORIGIN, EX, EX, 0.8, REFLECTIVE, 1.0, x)),
     "VelocityGrid.vmax": ("vmax", lambda x: VelocityGrid(vmax=x, nodes_per_axis=9)),
     "QuadratureSpec.diameter": ("diameter", lambda x: spec(diameter=x)),
     "QuadratureSpec.mass": ("mass", lambda x: spec(mass=x)),
@@ -113,7 +121,7 @@ CALLERS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("caller", sorted(CALLERS))
 def test_nonpositive_or_nonfinite_value_is_rejected_by_name(caller, value):
     field, build = CALLERS[caller]
@@ -136,7 +144,11 @@ NOT_REAL = {
     "QuadratureSpec.epsilon": ("epsilon", "'0.5'", lambda: spec(epsilon="0.5")),
     "DsmcConfig.epsilon": ("epsilon", "'0.9'", lambda: dsmc_config(epsilon="0.9")),
     "collide.epsilon": ("epsilon", "'0.5'",
-                        lambda: collide(EX, ORIGIN, EX, "0.5", REFLECTIVE, UNIT, UNIT)),
+                        lambda: collide(EX, ORIGIN, EX, "0.5", REFLECTIVE, 1.0, 1.0)),
+    "collide.m1": ("m1", "'1'", lambda: collide(EX, ORIGIN, EX, 0.5, REFLECTIVE, "1", 1.0)),
+    "collide.m2.bool": ("m2", "True", lambda: collide(EX, ORIGIN, EX, 0.5, REFLECTIVE, 1.0, True)),
+    # a kernel that took a species read None.mass: an unnamed AttributeError
+    "collide.m2.none": ("m2", "None", lambda: collide(EX, ORIGIN, EX, 0.5, REFLECTIVE, 1.0, None)),
 }
 
 
@@ -297,23 +309,23 @@ GAS = maxwellian(GRID, 1.0, ORIGIN, 1.0, UNIT_MASS)
 
 # name in the error, call taking the 3-vector, a valid 3-vector of integers
 VECTORS = {
-    "collide.n": ("n", lambda x: collide(A, B, x, 0.8, REFLECTIVE, UNIT, UNIT), NORMAL),
-    "collide.v1": ("v1", lambda x: collide(x, B, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), A),
-    "collide.v2": ("v2", lambda x: collide(A, x, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), B),
+    "collide.n": ("n", lambda x: collide(A, B, x, 0.8, REFLECTIVE, 1.0, 1.0), NORMAL),
+    "collide.v1": ("v1", lambda x: collide(x, B, NORMAL, 0.8, REFLECTIVE, 1.0, 1.0), A),
+    "collide.v2": ("v2", lambda x: collide(A, x, NORMAL, 0.8, REFLECTIVE, 1.0, 1.0), B),
     "inverse_collide.w1": (
-        "w1", lambda x: inverse_collide(x, B, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), A),
+        "w1", lambda x: inverse_collide(x, B, NORMAL, 0.8, REFLECTIVE, 1.0, 1.0), A),
     "inverse_collide.w2": (
-        "w2", lambda x: inverse_collide(A, x, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), B),
-    "energy_loss_formula.v1": ("v1", lambda x: energy_loss_formula(x, B, 0.8, UNIT, UNIT), A),
-    "energy_loss_formula.v2": ("v2", lambda x: energy_loss_formula(A, x, 0.8, UNIT, UNIT), B),
+        "w2", lambda x: inverse_collide(A, x, NORMAL, 0.8, REFLECTIVE, 1.0, 1.0), B),
+    "energy_loss_formula.v1": ("v1", lambda x: energy_loss_formula(x, B, 0.8, 1.0, 1.0), A),
+    "energy_loss_formula.v2": ("v2", lambda x: energy_loss_formula(A, x, 0.8, 1.0, 1.0), B),
     "actual_energy_loss.v1": (
-        "v1", lambda x: actual_energy_loss(x, B, NORMAL, 0.8, UNIT, UNIT), A),
+        "v1", lambda x: actual_energy_loss(x, B, NORMAL, 0.8, 1.0, 1.0), A),
     "actual_energy_loss.v2": (
-        "v2", lambda x: actual_energy_loss(A, x, NORMAL, 0.8, UNIT, UNIT), B),
+        "v2", lambda x: actual_energy_loss(A, x, NORMAL, 0.8, 1.0, 1.0), B),
     "jacobian_numeric.v1": (
-        "v1", lambda x: jacobian_numeric(x, B, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), A),
+        "v1", lambda x: jacobian_numeric(x, B, NORMAL, 0.8, REFLECTIVE, 1.0, 1.0), A),
     "jacobian_numeric.v2": (
-        "v2", lambda x: jacobian_numeric(A, x, NORMAL, 0.8, REFLECTIVE, UNIT, UNIT), B),
+        "v2", lambda x: jacobian_numeric(A, x, NORMAL, 0.8, REFLECTIVE, 1.0, 1.0), B),
     "evaluate_at.v": ("v", lambda x: evaluate_at(GAS, x, spec()), (1, 0, -1)),
     "evaluate_field.v": ("v", lambda x: evaluate_field(GAS, [A, x], spec()), (1, 0, -1)),
     "maxwellian.bulk_velocity": (
@@ -368,6 +380,7 @@ def test_3_vector_as_a_list_tuple_or_int_list_reads_as_the_float64_array(caller)
 
 
 @pytest.mark.parametrize("value", ["abc", ["1", "2", "3"], [1, "x", 0], [True, True, True],
+                                   [True, 0, 0], (0, False, 1.5), [1, 2, np.True_],
                                    [10**400, 0, 0], None])
 @pytest.mark.parametrize("caller", sorted(VECTORS))
 def test_3_vector_of_items_that_are_not_real_numbers_is_rejected_by_name(caller, value):
