@@ -79,6 +79,13 @@ def require_member(name: str, value, kind):
     return value
 
 
+def require_callable(name: str, value):
+    """value, if it can be called; else ValueError naming it."""
+    if not callable(value):
+        raise ValueError(f"{name} must be callable, got {value!r}")
+    return value
+
+
 def require_vector3(name: str, value) -> np.ndarray:
     """value as float64, if a finite real array of shape (3,); else ValueError naming it."""
     vector = np.asarray(value)

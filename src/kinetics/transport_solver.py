@@ -4,12 +4,12 @@ The exact evaluator works in full 3D-3V, at points or over broadcast arrays,
 and needs no mesh. The grid solver exists to measure convergence: positions
 are periodic on [0, length), velocities live on [-vmax, vmax] with zero
 inflow from outside the hull, and each step is the Strang split v/2 x v/2 of
-constant-coefficient back-traces with cubic interpolation. Constant shifts
-add, so the v half-steps that meet between two steps run as one full-step
-sweep, and the n x sweeps of n steps share one plan. The mass check follows
-the v sweeps and sums the padded rows the run works on, whose ghost columns
-are 0. phase_snapshot writes a grid as the package's one binary format;
-load_phase_grid reads it.
+constant-coefficient back-traces. As in Cheng and Knorr's splitting scheme
+the run stays in x-Fourier space, where an x sweep is one complex multiply
+per mode, so the x interpolant is trigonometric: exact to roundoff on data
+the grid resolves, but it rings on a discontinuous profile. The v sweeps
+interpolate cubically. phase_snapshot writes a grid as the package's one
+binary format; load_phase_grid reads it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (NonFiniteEstimate, frozen_array, grid_allocation, require_count,
-                     require_finite, require_positive)
+from .errors import (NonFiniteEstimate, frozen_array, grid_allocation, require_callable,
+                     require_count, require_finite, require_member, require_positive)
 
 SNAPSHOT_ORDER_1D1V = "row-major-v-fastest"
-# Node shifts at or past this are rejected: base + offset must fit in int64.
+# Node shifts at or past this, or not finite, are rejected. The run itself needs only
+# finite shifts (an x shift is taken modulo nx), but the bound is the stated dt rule.
 _MAX_SHIFT = 2.0**62
 
 
@@ -55,8 +56,11 @@ def exact_solution(f0, field: ForceField, x, v, t: float):
     characteristics, so this back-traces to t = 0 and returns
     f0(x - v t + a t^2 / 2, v - a t), each argument a list of three components.
     ValueError if t is not a finite real number; OverflowError if t**2 is past the
-    float range.
+    float range; ValueError naming f0 or field if f0 is not callable or field not a
+    ForceField.
     """
+    require_callable("f0", f0)
+    require_member("field", field, ForceField)
     t = require_finite("t", t)
     t_sq = t**2
     with np.errstate(over="ignore", invalid="ignore"):  # a foot past the float range; f0 decides
@@ -136,33 +140,6 @@ def _cubic_weights(t: np.ndarray):
     )
 
 
-# The cubic stencil reads 3 columns past each of a row's nx: the ghost columns of a run row.
-_GHOSTS = 3
-
-
-def _x_plan(shifts: np.ndarray, nx: int):
-    """Back-trace plan along x for a per-row node shift, on flat rows of width nx + 3.
-
-    The gather index rolls every row by its own integer base, less 1, into its
-    padded row, so offset -1, 0, 1, 2 reads the row from column 0, 1, 2, 3.
-    Each offset is one (weight, destination, source) term of contiguous flat
-    slices. Its weight array holds the row's weight in each of its nx columns
-    and 0 in the ghosts, so every ghost of the result of a finite grid is 0.
-    """
-    nv, width = shifts.shape[0], nx + _GHOSTS
-    tau = -shifts
-    base = np.floor(tau).astype(np.int64)
-    index = (base[:, None] - 1 + np.arange(width)) % nx
-    index += width * np.arange(nv)[:, None]
-    size = nv * width - _GHOSTS
-    terms = []
-    for offset, w in enumerate(_cubic_weights(tau - base)):
-        weight = np.zeros((nv, width))
-        weight[:, :nx] = w[:, None]
-        terms.append((weight.ravel()[:size], np.s_[0:size], np.s_[offset:offset + size]))
-    return index.ravel(), terms
-
-
 def _v_plan(shift: float, nv: int, width: int):
     """Back-trace plan along v for a uniform node shift, on flat rows of the given width.
 
@@ -203,12 +180,9 @@ def _advect(source: np.ndarray, terms, out: np.ndarray, scratch: np.ndarray) -> 
         np.add(out[dst], product, out=out[dst])
 
 
-def _advect_x(source: np.ndarray, plan, out: np.ndarray, rolled: np.ndarray,
-              scratch: np.ndarray) -> None:
-    """An x sweep: one gather of every rolled row, then the stencil terms."""
-    index, terms = plan
-    np.take(source, index, out=rolled, mode="clip")
-    _advect(rolled, terms, out, scratch)
+def _floats(modes: np.ndarray) -> np.ndarray:
+    """The flat float64 view of C-contiguous complex mode rows: re, im of each mode in turn."""
+    return modes.reshape(-1).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -223,47 +197,60 @@ def semi_lagrangian_run(f0: PhaseGrid1D1V, field: ForceField, dt: float,
 
     The velocity axis is driven by the x-component of the force. Each step is
     v/2 x v/2, run as v/2 (x v)^(n-1) x v/2: the v half-steps that meet add up
-    to one full step, so n steps take n x sweeps, all through the one x plan
-    built, with the two v plans, before the first sweep. The grid is kept
-    velocity-major, nv rows of nx values and 3 ghost columns, flat in one
-    array, so every term of both sweeps is a contiguous slice of a reused
-    buffer. Periodic x sweeps keep the mass, so it is summed over the flat
-    rows, whose ghosts are 0, after each v sweep but the first: between steps
-    half a v step past the step boundary, and last at the end state.
+    to one full step. The grid is kept as nv velocity rows of nx // 2 + 1
+    complex x modes, from one rfft before the first step to one irfft after
+    the last. An x sweep multiplies mode k of row j in place by
+    exp(-2 pi i k s_j / nx), s_j = v_j dt / dx; the table is built once, from
+    np.fmod(s_j, nx), which is exact, so a large shift loses no phase. A v
+    sweep is _advect of whole rows, viewed as float64, with real weights. The
+    k = 0 phase is exactly 1, so the mass is the k = 0 column's real sum,
+    taken after each v sweep but the first: between steps half a v step past
+    the step boundary, and last at the end state. For even nx, irfft reads
+    only the real part of the Nyquist column, the nodes' values of the real
+    interpolant Re(c exp(i pi x / dx)), which the phases shift exactly. A run
+    of no steps returns f0 itself.
     """
+    require_member("f0", f0, PhaseGrid1D1V)
+    require_member("field", field, ForceField)
     require_positive("dt", dt)
     require_count("n_steps", n_steps, 0)
     ax = float(field.acceleration[0])
     nx, nv = f0.nx, f0.nv
-    width = nx + _GHOSTS
     x_shift = f0.v_axis * dt / f0.dx
     v_shift = ax * dt / f0.dv
     if not (np.all(np.abs(x_shift) < _MAX_SHIFT) and abs(v_shift) < _MAX_SHIFT):
         raise ValueError(f"dt {dt} moves the grid by a node shift that is not finite "
                          f"or not below 2**62 nodes")
+    if not n_steps:
+        return TransportRunResult(grid=f0, mass_drift=0.0)
+    n_modes = nx // 2 + 1
     with _grid_allocation(nx, nv):
-        x_plan = _x_plan(x_shift, nx) if n_steps else None
-        v_half, v_full = _v_plan(0.5 * v_shift, nv, width), _v_plan(v_shift, nv, width)
-        values, out, rolled, scratch = (np.zeros(nv * width) for _ in range(4))
-    values.reshape(nv, width)[:, :nx] = f0.values.T
+        phase = np.exp((-2j * np.pi / nx) * np.multiply.outer(np.fmod(x_shift, nx),
+                                                               np.arange(n_modes)))
+        v_half = _v_plan(0.5 * v_shift, nv, 2 * n_modes)
+        v_full = _v_plan(v_shift, nv, 2 * n_modes)
+        values, moved, scratch = (np.zeros((nv, n_modes), np.complex128) for _ in range(3))
+        np.fft.rfft(f0.values.T, axis=1, out=values)
     worst_drift = 0.0
-    mass0 = float(np.sum(values)) * f0.dx * f0.dv
-    if n_steps:
-        _advect(values, v_half, out, scratch)
-        values, out = out, values
+    mass0 = float(np.sum(values[:, 0].real)) * f0.dx * f0.dv
+    _advect(_floats(values), v_half, _floats(moved), _floats(scratch))
+    values, moved = moved, values
     for step in range(1, n_steps + 1):
-        _advect_x(values, x_plan, out, rolled, scratch)
-        _advect(out, v_half if step == n_steps else v_full, values, scratch)
+        values *= phase
+        _advect(_floats(values), v_half if step == n_steps else v_full, _floats(moved),
+                _floats(scratch))
+        values, moved = moved, values
         if mass0 != 0.0:
-            mass = float(np.sum(values)) * f0.dx * f0.dv
+            mass = float(np.sum(values[:, 0].real)) * f0.dx * f0.dv
             drift = abs(mass - mass0) / abs(mass0)
             if not np.isfinite(drift):
                 raise NonFiniteEstimate(f"mass drift is not finite ({mass0!r} -> {mass!r})")
             worst_drift = max(worst_drift, drift)
-    x_plan = None  # freed first, so the result's copy does not raise the peak
+    phase = moved = scratch = None  # freed first, so the result does not raise the peak
+    values /= nx  # before the inverse, whose unscaled sums reach nx times a value
     with _grid_allocation(nx, nv):
         xmajor = np.empty((nx, nv))
-    np.copyto(xmajor, values.reshape(nv, width)[:, :nx].T)
+        np.fft.irfft(values, n=nx, axis=1, norm="forward", out=xmajor.T)
     xmajor.setflags(write=False)  # a fresh array, adopted by the grid
     grid = PhaseGrid1D1V(nx, f0.length, nv, f0.vmax, xmajor)
     return TransportRunResult(grid=grid, mass_drift=worst_drift)

@@ -3,7 +3,9 @@ sites that an outside tracer wraps.
 
 ``import kinetics`` and ``import kinetics.cli`` load no other package module but
 ``errors``; ``parse_config`` loads the modules of the subcommand it resolves,
-and the run loads no more. Each module set is read in a fresh interpreter.
+and the run loads no more. ``numpy.fft``, which numpy loads on first use, is
+loaded by the transport run alone, so its import is no part of any parse.
+Each module set is read in a fresh interpreter.
 """
 
 import importlib
@@ -60,16 +62,16 @@ import json, sys
 def loaded():
     return sorted(m for m in sys.modules if m == "kinetics" or m.startswith("kinetics."))
 from kinetics import cli
-sets = {"import": loaded()}
+sets, fft = {"import": loaded()}, {"import": "numpy.fft" in sys.modules}
 parse_config = cli.parse_config
 def recording_parse_config(*args, **kwargs):
     config = parse_config(*args, **kwargs)
-    sets["parse"] = loaded()
+    sets["parse"], fft["parse"] = loaded(), "numpy.fft" in sys.modules
     return config
 cli.parse_config = recording_parse_config
 code = cli.main(sys.argv[1:])
-sets["run"] = loaded()
-print(json.dumps([code, sets]))
+sets["run"], fft["run"] = loaded(), "numpy.fft" in sys.modules
+print(json.dumps([code, sets, fft]))
 """
 
 # In a fresh interpreter: wrap the CLI's call sites as a tracer does, before any parse.
@@ -108,12 +110,13 @@ def _config(tmp_path: Path, subcommand: str, parameters: dict) -> list[str]:
 @pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
 def test_a_subcommand_loads_its_modules_at_parse_and_none_in_the_run(subcommand, tmp_path):
     parameters, modules = SUBCOMMANDS[subcommand]
-    code, sets = _python(MODULE_SETS, _config(tmp_path, subcommand, parameters), tmp_path)
+    code, sets, fft = _python(MODULE_SETS, _config(tmp_path, subcommand, parameters), tmp_path)
     assert code == 0
     base = {"kinetics", "kinetics.cli", "kinetics.errors"}
     assert set(sets["import"]) == base
     assert set(sets["parse"]) == base | {f"kinetics.{m}" for m in modules}
     assert sets["run"] == sets["parse"]
+    assert fft == {"import": False, "parse": False, "run": subcommand == "transport"}
 
 
 def test_the_tracer_call_sites_resolve_before_a_parse_and_their_wrappers_run(tmp_path):

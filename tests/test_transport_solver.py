@@ -197,15 +197,14 @@ def test_semi_lagrangian_validation():
 
 
 def test_semi_lagrangian_run_peak_memory_is_at_most_ten_and_a_half_grids():
-    # numpy reports its buffers to tracemalloc. The run keeps nine arrays of nv
-    # padded rows, nx + 3 wide: four flat value buffers and the run's one x plan
-    # (the gather index and four weight arrays). The mass is summed over the padded
-    # rows, and the x-major result is copied once, after the x plan is dropped:
-    # 9.12 grid arrays at 256^2 when measured. Two more grid-sized arrays exceed
-    # the cap.
+    # numpy reports its buffers to tracemalloc. The run keeps four arrays of nv rows
+    # of nx // 2 + 1 complex modes, each about one grid array: the phase table and
+    # three value buffers. The three buffers but the end state are dropped before
+    # the x-major result is allocated, and irfft writes into it: 4.04 grid arrays
+    # at 256^2 when measured. Two more grid-sized arrays would still be under the cap.
     grid = phase_grid_from_function(blob, 256, 10.0, 256, 3.0)
     grid_bytes = 8 * 256 * 256
-    for dt in (0.01, 5.0):  # two x bases, and one for every row
+    for dt in (0.01, 5.0):  # shifts of under a node, and of many nodes
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -216,19 +215,90 @@ def test_semi_lagrangian_run_peak_memory_is_at_most_ten_and_a_half_grids():
         assert peak <= 10.5 * grid_bytes, f"peak {peak / grid_bytes:.2f} grid arrays"
 
 
-@pytest.mark.parametrize("n_steps, plans", [(0, 0), (1, 1), (2, 1), (5, 1)])
-def test_semi_lagrangian_run_builds_one_x_plan_per_run(monkeypatch, n_steps, plans):
-    built = []
+@pytest.mark.parametrize("n_steps, transforms", [(0, 0), (1, 1), (2, 1), (5, 1)])
+def test_semi_lagrangian_run_transforms_once_each_way(monkeypatch, n_steps, transforms):
+    calls = []
 
-    def counting_x_plan(*args):
-        built.append(args)
-        return x_plan(*args)
+    def counting(name):
+        transform = getattr(np.fft, name)
 
-    x_plan = transport_solver._x_plan
-    monkeypatch.setattr(transport_solver, "_x_plan", counting_x_plan)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(name))
     grid = phase_grid_from_function(blob, 24, 10.0, 20, 3.0)
-    semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, n_steps)
-    assert len(built) == plans
+    result = semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, n_steps)
+    assert calls == ["rfft", "irfft"] * transforms
+    if not n_steps:
+        assert result.grid is grid and result.mass_drift == 0.0
+
+
+def test_semi_lagrangian_run_of_a_value_near_the_float_max_stays_finite():
+    # one cell of 1.5e308: no sum of the grid overflows, and neither may a transform,
+    # whose unscaled sums reach nx times a value
+    values = np.zeros((16, 8))
+    values[5, 3] = 1.5e308
+    grid = PhaseGrid1D1V(16, 10.0, 8, 3.0, values)
+    with np.errstate(all="raise"):
+        result = semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, 3)
+    assert np.max(result.grid.values) > 1e307 and math.isfinite(result.mass_drift)
+
+
+def test_semi_lagrangian_split_is_exact_when_v_moves_whole_nodes():
+    # For a constant force the split operators' commutator a d/dx commutes with both,
+    # so Strang splitting is exact; the Fourier x sweep is exact on a resolved
+    # Gaussian, and at dt = 2 dv / a each v half-step moves one whole node. What is
+    # left is roundoff. The reference has zero inflow: 0 where the foot velocity
+    # v - a t is outside the hull (to half a node, as the foot is a node up to
+    # roundoff), and the periodic images of the foot position.
+    nx = nv = 128
+    length, vmax, a, steps = 10.0, 3.0, 0.5, 20
+    x0, v0, sx, sv = 5.0, -0.5, 0.5, 0.4
+
+    def f0(x, v):
+        return np.exp(-((x - x0) ** 2) / (2.0 * sx**2) - ((v - v0) ** 2) / (2.0 * sv**2))
+
+    grid = phase_grid_from_function(f0, nx, length, nv, vmax)
+    dt = 2.0 * grid.dv / a
+    result = semi_lagrangian_run(grid, ForceField(force=(a, 0, 0), mass=1.0), dt, steps)
+    t = dt * steps
+    x, v = grid.x_axis[:, None], grid.v_axis[None, :]
+    foot_x = np.mod(x - v * t + 0.5 * a * t**2, length)
+    foot_v = v - a * t
+    exact = sum(f0(foot_x + image * length, foot_v) for image in (-1, 0, 1))
+    exact = np.where(np.abs(foot_v) <= vmax + 0.5 * grid.dv, exact, 0.0)
+    assert np.max(np.abs(result.grid.values - exact)) <= 1e-13
+
+
+def test_semi_lagrangian_shift_by_whole_periods_is_the_identity_however_large():
+    # dx = 1 and v = -0.5 .. 0.5 by 1/8, so at dt 2**34 every row moves by a multiple
+    # of 2**31 nodes, a whole number of periods; taken modulo nx, the phases are 1
+    grid = phase_grid_from_function(blob, 16, 16.0, 9, 0.5)
+    result = semi_lagrangian_run(grid, ForceField(force=(0, 0, 0), mass=1.0), 2.0**34, 1)
+    assert np.max(np.abs(result.grid.values - grid.values)) < 1e-14
+
+
+@pytest.mark.parametrize("f0, field, name, kind", [
+    (None, ForceField(force=(0, 0, 0), mass=1.0), "f0", "PhaseGrid1D1V"),
+    (phase_grid_from_function(blob, 8, 10.0, 6, 3.0), None, "field", "ForceField"),
+    (np.zeros((8, 6)), ForceField(force=(0, 0, 0), mass=1.0), "f0", "PhaseGrid1D1V"),
+], ids=["f0-none", "field-none", "f0-array"])
+def test_semi_lagrangian_run_names_a_wrong_domain_object(f0, field, name, kind):
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got "):
+        semi_lagrangian_run(f0, field, 0.05, 1)
+
+
+@pytest.mark.parametrize("f0, field, message", [
+    (None, ForceField(force=(0, 0, 0), mass=1.0), "^f0 must be callable, got None$"),
+    (np.zeros(3), ForceField(force=(0, 0, 0), mass=1.0), "^f0 must be callable, got "),
+    (gaussian_f0, None, "^field must be a ForceField, got None$"),
+], ids=["f0-none", "f0-array", "field-none"])
+def test_exact_solution_names_a_wrong_f0_or_field(f0, field, message):
+    with pytest.raises(ValueError, match=message):
+        exact_solution(f0, field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
 
 
 def _out_of_memory(*args, **kwargs):
@@ -280,8 +350,6 @@ def test_mesh_rejects_a_spacing_of_zero_or_inf_before_sampling(length, vmax, nv,
 
 
 def test_semi_lagrangian_run_leaves_f0_and_hands_over_its_fresh_array(monkeypatch):
-    grid = phase_grid_from_function(blob, 24, 10.0, 20, 3.0)
-    before = grid.values.copy()
     handed = []
 
     class Recording(PhaseGrid1D1V):
@@ -289,7 +357,10 @@ def test_semi_lagrangian_run_leaves_f0_and_hands_over_its_fresh_array(monkeypatc
             handed.append(self.values)
             super().__post_init__()
 
+    # f0 is built after the patch: the run takes f0 to be the module's PhaseGrid1D1V
     monkeypatch.setattr(transport_solver, "PhaseGrid1D1V", Recording)
+    grid = phase_grid_from_function(blob, 24, 10.0, 20, 3.0)
+    before = grid.values.copy()
     result = semi_lagrangian_run(grid, ForceField(force=(0.5, 0, 0), mass=1.0), 0.05, 3)
     np.testing.assert_array_equal(grid.values.view(np.uint64), before.view(np.uint64))
     assert not grid.values.flags.writeable
